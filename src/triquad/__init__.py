@@ -13,23 +13,13 @@ from .basis import (
     CollapsedVertexError,
     dim_poly,
     index_of,
-    jacobi,
-    jacobi_derivative,
-    kd_eval,
-    kd_gradient,
-    kd_integral,
     multi_indices,
     rank_of,
     vandermonde,
 )
 from .domain import (
-    BarycentricPoint,
-    TrianglePoint,
-    from_barycentric,
     gauss_quadrature,
     monomial_integral,
-    to_barycentric,
-    to_equilateral,
 )
 from .optimizer import (
     AllRestartsDegenerateError,
@@ -64,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ASYMMETRIC",
     "AllRestartsDegenerateError",
-    "BarycentricPoint",
     "BasisEvaluation",
     "BasisSpec",
     "CertificationReport",
@@ -77,21 +66,14 @@ __all__ = [
     "QuadratureRule",
     "Registry",
     "RuleParseError",
-    "TrianglePoint",
     "WeightSolution",
     "certify",
     "classify_symmetry",
     "dim_poly",
     "dof_bound",
     "emit_rule",
-    "from_barycentric",
     "gauss_quadrature",
     "index_of",
-    "jacobi",
-    "jacobi_derivative",
-    "kd_eval",
-    "kd_gradient",
-    "kd_integral",
     "monomial_integral",
     "multi_indices",
     "newton_cotes_weights",
@@ -102,8 +84,6 @@ __all__ = [
     "rank_of",
     "residual",
     "residual_jacobian",
-    "to_barycentric",
-    "to_equilateral",
     "validate",
     "vandermonde",
     "weight_jacobian",

@@ -92,34 +92,6 @@ def _jacobi_rows(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
     return out
 
 
-def jacobi(alpha: float, beta: float, n: int, x):
-    """Degree-n Jacobi polynomial with weights (alpha, beta) at x.
-
-    x may exceed [-1, 1] by up to 1e-12 (clamped).  Accepts scalars or
-    arrays; alpha, beta > -1.
-    """
-    if alpha <= -1.0 or beta <= -1.0:
-        raise ValueError("Jacobi weights must exceed -1")
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    arr = np.asarray(x, dtype=float)
-    # clamp round-off excursions; larger arguments evaluate as the polynomial
-    arr = np.where(np.abs(arr) <= 1.0 + 1e-12, np.clip(arr, -1.0, 1.0), arr)
-    vals = _jacobi_rows(alpha, beta, n, np.atleast_1d(arr))[n]
-    return float(vals[0]) if np.isscalar(x) else vals.reshape(np.shape(x))
-
-
-def jacobi_derivative(alpha: float, beta: float, n: int, x):
-    """First derivative of the degree-n Jacobi polynomial at x.
-
-    Uses d/dx P_n^{a,b} = ((n + a + b + 1)/2) * P_{n-1}^{a+1,b+1}.
-    """
-    if n == 0:
-        return 0.0 if np.isscalar(x) else np.zeros(np.shape(x))
-    scale = 0.5 * (n + alpha + beta + 1)
-    return scale * jacobi(alpha + 1.0, beta + 1.0, n - 1, x)
-
-
 def norm_constant(m: int, n: int) -> float:
     """Scale making integral(g_{m,n}^2) over the triangle equal 2."""
     return math.sqrt((2 * m + 1) * (m + n + 1))
@@ -192,9 +164,9 @@ class BasisEvaluation:
 def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEvaluation:
     """Evaluate every basis function of `spec` at `points`.
 
-    points: (n, 2) array-like in reference coordinates (TrianglePoints
-    accepted).  With derivatives=True the two first-derivative blocks are
-    tabulated as well; this raises CollapsedVertexError if any point sits
+    points: (n, 2) array-like in reference coordinates.  With
+    derivatives=True the two first-derivative blocks are tabulated as
+    well; this raises CollapsedVertexError if any point sits
     within VERTEX_TOL of the collapsed vertex while the basis contains
     m >= 1 functions.
     """
@@ -259,47 +231,6 @@ def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEval
                         + interior * djac[n]
                     )
     return BasisEvaluation(spec=spec, points=pts, values=values, d_xi1=d1, d_xi2=d2)
-
-
-def kd_eval(spec: BasisSpec, idx: tuple[int, int], p) -> float:
-    """Single basis function g_idx at a single point."""
-    m, n = idx
-    if m + n > spec.degree:
-        raise ValueError(f"index {idx} outside basis of degree {spec.degree}")
-    ev = vandermonde(spec, p)
-    return float(ev.values[0, rank_of(m, n)])
-
-
-def kd_gradient(spec: BasisSpec, idx: tuple[int, int], p) -> tuple[float, float]:
-    """Gradient (d/dxi1, d/dxi2) of one basis function at one point."""
-    m, n = idx
-    if m + n > spec.degree:
-        raise ValueError(f"index {idx} outside basis of degree {spec.degree}")
-    pts = as_point_array(p)
-    c = norm_constant(m, n) if spec.normalized else 1.0
-    if m == 0:
-        # no collapsed factor: g = c * P_n^{1,0}(xi2), regular everywhere
-        return 0.0, float(c * jacobi_derivative(1.0, 0.0, n, pts[0, 1]))
-    if pts[0, 1] > 1.0 - VERTEX_TOL:
-        raise CollapsedVertexError(
-            "collapsed-vertex gradient: xi2 too close to 1 for m >= 1"
-        )
-    ev = vandermonde(BasisSpec(m + n, spec.normalized), pts, derivatives=True)
-    k = rank_of(m, n)
-    return float(ev.d_xi1[0, k]), float(ev.d_xi2[0, k])
-
-
-def kd_integral(spec: BasisSpec, idx: tuple[int, int]) -> float:
-    """Exact integral of g_idx over the triangle: 2 for (0,0), else 0.
-
-    The constant basis function is identically 1 in both normalizations, so
-    its integral is the triangle area; every other index is orthogonal to
-    constants.
-    """
-    m, n = idx
-    if m + n > spec.degree:
-        raise ValueError(f"index {idx} outside basis of degree {spec.degree}")
-    return 2.0 if (m, n) == (0, 0) else 0.0
 
 
 def integrals_vector(spec: BasisSpec) -> np.ndarray:

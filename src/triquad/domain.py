@@ -8,14 +8,14 @@ which has vertices (-1,-1), (1,-1), (-1,1) and area 2. Rule files store
 points in barycentric coordinates (equivalently, Cartesian coordinates on
 the unit right triangle x >= 0, y >= 0, x + y <= 1), and plots use an
 equilateral triangle with unit edge centered at the origin. This module
-holds the three coordinate systems, the affine maps between them, and the
-closed-form monomial integrals used as an independent integration oracle.
+holds the three coordinate systems, the affine maps between them (on point
+arrays of shape (n, 2)), the interiority test, and the closed-form monomial
+integrals used as an independent integration oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -27,7 +27,7 @@ INTERIOR_TOL = 1e-12
 REF_VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
 
 # Equilateral triangle with unit edge, centroid at the origin.  The vertex
-# rows correspond to REF_VERTICES under the affine map of to_equilateral.
+# rows correspond to REF_VERTICES under the affine map of ref_to_equilateral.
 _SQRT3 = math.sqrt(3.0)
 EQUILATERAL_VERTICES = np.array([
     [-0.5, -0.5 / _SQRT3],
@@ -36,76 +36,18 @@ EQUILATERAL_VERTICES = np.array([
 ])
 
 
-@dataclass(frozen=True)
-class TrianglePoint:
-    """A point in reference coordinates on the triangle T."""
-
-    xi1: float
-    xi2: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xi1, self.xi2])
-
-    def is_inside(self, tol: float = INTERIOR_TOL) -> bool:
-        """Interior-or-boundary test with absolute tolerance `tol`."""
-        return bool(
-            self.xi1 >= -1.0 - tol
-            and self.xi2 >= -1.0 - tol
-            and self.xi1 + self.xi2 <= tol
-        )
-
-
-@dataclass(frozen=True)
-class BarycentricPoint:
-    """First two barycentric coordinates; the third is implied."""
-
-    b1: float
-    b2: float
-
-    @property
-    def b3(self) -> float:
-        return 1.0 - self.b1 - self.b2
-
-    def is_inside(self, tol: float = INTERIOR_TOL) -> bool:
-        return bool(self.b1 >= -tol and self.b2 >= -tol and self.b3 >= -tol)
-
-
 def as_point_array(points) -> np.ndarray:
     """Normalize a point collection to a float array of shape (n, 2).
 
-    Accepts an (n, 2) array-like, a single TrianglePoint, or a sequence of
-    TrianglePoint / pair-likes.
+    Accepts an (n, 2) array-like, a sequence of pairs, or a flat sequence
+    of coordinates (xi1, xi2, xi1, xi2, ...).
     """
-    if isinstance(points, TrianglePoint):
-        return points.as_array().reshape(1, 2)
-    if isinstance(points, (list, tuple)) and points and isinstance(points[0], TrianglePoint):
-        return np.array([[p.xi1, p.xi2] for p in points])
     arr = np.asarray(points, dtype=float)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected points of shape (n, 2), got {arr.shape}")
     return arr
-
-
-def to_barycentric(p: TrianglePoint) -> BarycentricPoint:
-    """Map reference coordinates to barycentric coordinates.
-
-    b1 and b2 equal the Cartesian coordinates on the unit right triangle.
-    The map is affine and is applied regardless of interiority.
-    """
-    return BarycentricPoint((p.xi1 + 1.0) / 2.0, (p.xi2 + 1.0) / 2.0)
-
-
-def from_barycentric(b: BarycentricPoint) -> TrianglePoint:
-    """Inverse of :func:`to_barycentric`."""
-    return TrianglePoint(2.0 * b.b1 - 1.0, 2.0 * b.b2 - 1.0)
-
-
-def to_equilateral(p: TrianglePoint) -> tuple[float, float]:
-    """Affine image on the unit-edge equilateral triangle centered at (0,0)."""
-    xy = ref_to_equilateral(np.array([[p.xi1, p.xi2]]))[0]
-    return float(xy[0]), float(xy[1])
 
 
 def ref_to_bary(points) -> np.ndarray:

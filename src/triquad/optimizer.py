@@ -17,26 +17,17 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_solve
 
-from .basis import BasisSpec, integrals_vector, vandermonde
+from .basis import BasisSpec, vandermonde
 from .domain import as_point_array, bary_to_ref, ref_to_bary
-from .rule import (
-    D3_SYMMETRIC,
-    CertificationReport,
-    QuadratureRule,
-    certify,
-    classify_symmetry,
-    dof_bound,
-)
+from .rule import CertificationReport, QuadratureRule, certify, dof_bound
 from .weights import (
-    CONDITION_LIMIT,
-    RESIDUAL_LIMIT,
     DegenerateConfigurationError,
     _factorize,
+    _solve_system,
     _weight_jacobian_from_parts,
     newton_cotes_weights,
 )
@@ -44,10 +35,19 @@ from .weights import (
 #: Vandermonde condition cap for accepting a random initial configuration.
 INIT_CONDITION_LIMIT = 1e8
 
+#: Margin of the weight hinge, as a fraction of the mean weight 2/N.  The
+#: hinge steers the under-determined solve toward positive weights and is
+#: exactly zero (hence bias-free) once every weight clears the margin.
+WEIGHT_MARGIN_FRAC = 0.1
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the multi-start Levenberg-Marquardt search."""
+    """Settings of the multi-start Levenberg-Marquardt search.
+
+    The search stops at the first restart that converges with positive
+    weights and strictly interior points.
+    """
 
     target_e: int = 1
     max_iterations: int = 2000
@@ -56,14 +56,6 @@ class OptimizerConfig:
     seed: int = 0
     barrier_strength: float = 1e-8
     verbose: bool = False
-    # hinge penalty steering the under-determined solve toward positive
-    # weights; exactly zero (hence bias-free) once every weight clears the
-    # margin, a fraction of the mean weight 2/N
-    weight_margin_frac: float = 0.1
-    weight_penalty: float = 1.0
-    # stop scanning restarts once a converged candidate with positive
-    # weights and strictly interior points has been found
-    stop_after_first_satisfactory: bool = True
 
     def restarts_for(self, d: int) -> int:
         if self.restarts is not None:
@@ -113,90 +105,33 @@ def _check_specs(spec_d: BasisSpec, spec_de: BasisSpec) -> None:
 
 
 class _EvalState:
-    """Residual, Jacobian and weights at one point configuration.
+    """Shell residual, its Jacobian and the weights at one configuration.
 
-    `res`/`jacobian` cover the basis-function shell only (the quantities
-    the spec operations expose); `hinge`/`hinge_jacobian` hold the optional
-    weight-positivity penalty entries used by the optimizer.
+    `res`/`jacobian` cover the basis-function shell d < m+n <= d+e;
+    `weight_jacobian` is dw/d(point coordinates), shape (N, 2N).
     """
 
-    __slots__ = (
-        "points",
-        "weights",
-        "condition",
-        "res",
-        "jacobian",
-        "hinge",
-        "hinge_jacobian",
-    )
+    __slots__ = ("points", "weights", "weight_jacobian", "res", "jacobian")
 
-    def __init__(
-        self,
-        spec_d: BasisSpec,
-        spec_de: BasisSpec,
-        points,
-        weight_margin: float = 0.0,
-        weight_penalty: float = 0.0,
-    ):
+    def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points):
         pts = as_point_array(points)
-        if pts.shape[0] != spec_d.dim:
-            raise ValueError(
-                f"need exactly dim P_{spec_d.degree} = {spec_d.dim} points, "
-                f"got {pts.shape[0]}"
-            )
         ev = vandermonde(spec_de, pts, derivatives=True)
+        lu_piv, w, _, _ = _solve_system(spec_d, ev)
         dim_lo = spec_d.dim
-        a = ev.values[:, :dim_lo].T
-        lu_piv, cond = _factorize(a)
-        if cond > CONDITION_LIMIT:
-            raise DegenerateConfigurationError(
-                f"degenerate configuration: condition estimate {cond:.3e}", cond
-            )
-        b = integrals_vector(spec_d)
-        w = lu_solve(lu_piv, b)
-        solve_res = float(np.max(np.abs(a @ w - b)))
-        if solve_res > RESIDUAL_LIMIT:
-            raise DegenerateConfigurationError(
-                f"degenerate configuration: solve residual {solve_res:.3e}", cond
-            )
         self.points = pts
         self.weights = w
-        self.condition = cond
         v_hi = ev.values[:, dim_lo:]
         self.res = v_hi.T @ w
-        wjac = _weight_jacobian_from_parts(
-            ev.d_xi1[:, :dim_lo], ev.d_xi2[:, :dim_lo], lu_piv, w
-        )
+        wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
         jac = v_hi.T @ wjac
         jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
         jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
+        self.weight_jacobian = wjac
         self.jacobian = jac
-        if weight_penalty > 0.0:
-            shortfall = np.maximum(weight_margin - w, 0.0)
-            self.hinge = weight_penalty * shortfall
-            active = shortfall > 0.0
-            hj = np.zeros_like(wjac)
-            hj[active] = -weight_penalty * wjac[active]
-            self.hinge_jacobian = hj
-        else:
-            self.hinge = np.zeros(0)
-            self.hinge_jacobian = np.zeros((0, 2 * pts.shape[0]))
 
     @property
     def max_residual(self) -> float:
         return float(np.max(np.abs(self.res))) if self.res.size else 0.0
-
-    @property
-    def hinge_active(self) -> bool:
-        return bool(self.hinge.size) and bool(np.any(self.hinge > 0.0))
-
-    def augmented(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.hinge.size:
-            return self.res, self.jacobian
-        return (
-            np.concatenate([self.res, self.hinge]),
-            np.vstack([self.jacobian, self.hinge_jacobian]),
-        )
 
 
 def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -207,12 +142,9 @@ def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
     is orthogonal to constants.
     """
     _check_specs(spec_d, spec_de)
-    if spec_de.degree == spec_d.degree:
-        newton_cotes_weights(spec_d, points)  # still reject degenerate input
-        return np.zeros(0)
-    w = newton_cotes_weights(spec_d, points).weights
-    v_hi = vandermonde(spec_de, points).values[:, spec_d.dim:]
-    return v_hi.T @ w
+    ev = vandermonde(spec_de, points)
+    _, w, _, _ = _solve_system(spec_d, ev)
+    return ev.values[:, spec_d.dim:].T @ w
 
 
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -265,17 +197,25 @@ def _levenberg_marquardt(
     mu = config.barrier_strength
     lam = 1e-3
     iters = 0
-    margin = config.weight_margin_frac * 2.0 / n
-    kappa = config.weight_penalty
+    margin = WEIGHT_MARGIN_FRAC * 2.0 / n
     # a stage only needs to get near its barrier-biased optimum before the
     # barrier weakens; without the cap the anneal starves on wall-clock
     stage_cap = 60
 
     def evaluate(pts):
-        return _EvalState(spec_d, spec_de, pts, margin, kappa)
+        """State, residual and Jacobian augmented by the weight hinge, and
+        whether the hinge is active."""
+        state = _EvalState(spec_d, spec_de, pts)
+        hinge = np.maximum(margin - state.weights, 0.0)
+        active = hinge > 0.0
+        hinge_jac = np.zeros_like(state.weight_jacobian)
+        hinge_jac[active] = -state.weight_jacobian[active]
+        r = np.concatenate([state.res, hinge])
+        jac = np.vstack([state.jacobian, hinge_jac])
+        return state, r, jac, bool(np.any(active))
 
     try:
-        state = evaluate(x0.reshape(n, 2))
+        state, r, jac, hinge_active = evaluate(x0.reshape(n, 2))
     except DegenerateConfigurationError:
         return x0.reshape(n, 2), np.inf, 0, False
     best_x, best_res = state.points.copy(), state.max_residual
@@ -290,10 +230,9 @@ def _levenberg_marquardt(
         ):
             iters += 1
             stage_iters += 1
-            r, jac = state.augmented()
             if state.max_residual < best_res:
                 best_res, best_x = state.max_residual, state.points.copy()
-            if state.max_residual <= tol and not state.hinge_active:
+            if state.max_residual <= tol and not hinge_active:
                 return state.points, state.max_residual, iters, True
 
             bval, bgrad, bhess = _barrier_terms(state.points)
@@ -324,16 +263,16 @@ def _levenberg_marquardt(
                     lam *= 10.0
                     continue
                 try:
-                    trial_state = evaluate(trial)
+                    trial_eval = evaluate(trial)
                 except DegenerateConfigurationError:
                     lam *= 10.0
                     continue
-                tr, _ = trial_state.augmented()
+                tr = trial_eval[1]
                 tval, _, _ = _barrier_terms(trial)
                 trial_phi = 0.5 * float(tr @ tr) + mu * tval
                 if trial_phi < phi:
                     accepted = True
-                    state = trial_state
+                    state, r, jac, hinge_active = trial_eval
                     lam = max(lam / 3.0, 1e-14)
                     rel_step = float(np.max(np.abs(step))) / max(
                         1.0, float(np.max(np.abs(state.points)))
@@ -347,7 +286,7 @@ def _levenberg_marquardt(
 
         if state.max_residual < best_res:
             best_res, best_x = state.max_residual, state.points.copy()
-        if state.max_residual <= tol and not (state.hinge_active and not stage_stalled):
+        if state.max_residual <= tol and not (hinge_active and not stage_stalled):
             return state.points, state.max_residual, iters, True
         if mu == 0.0 and stage_stalled:
             if rng is None or iters >= config.max_iterations:
@@ -356,7 +295,7 @@ def _levenberg_marquardt(
             kick_scale = 0.08 if best_res > 1e-3 else 0.02
             kicked = _init_perturbed(rng, best_x, scale=kick_scale)
             try:
-                state = evaluate(kicked)
+                state, r, jac, hinge_active = evaluate(kicked)
             except DegenerateConfigurationError:
                 break
             mu = config.barrier_strength
@@ -367,79 +306,6 @@ def _levenberg_marquardt(
         lam = min(lam, 1e-3)  # fresh damping: the objective just changed
 
     return best_x, best_res, iters, best_res <= tol
-
-
-def _orbit_average(points: np.ndarray, loose_tol: float = 5e-2) -> np.ndarray | None:
-    """Project a near-symmetric point set onto its D3-symmetric average.
-
-    Matches each triangle symmetry (barycentric permutation) to a point
-    permutation at the loose tolerance and averages the six images.  None
-    when no bijective matching exists, i.e. the set is not near-symmetric.
-    """
-    from itertools import permutations
-
-    bary = ref_to_bary(points)
-    n = points.shape[0]
-    accum = np.zeros_like(bary)
-    for perm in permutations(range(3)):
-        transformed = bary[:, perm]
-        used = np.zeros(n, dtype=bool)
-        for i in range(n):
-            dist = np.max(np.abs(bary - transformed[i]), axis=1)
-            dist[used] = np.inf
-            j = int(np.argmin(dist))
-            if dist[j] > loose_tol:
-                return None
-            used[j] = True
-            accum[j] += transformed[i]
-    return bary_to_ref(accum[:, :2] / 6.0)
-
-
-def _try_symmetrize(
-    spec_d: BasisSpec,
-    spec_de: BasisSpec,
-    cand: "_Candidate",
-    config: OptimizerConfig,
-) -> "_Candidate | None":
-    """Polish a converged candidate into its exactly-symmetric neighbor.
-
-    Converged rules often sit a small distance from a D3-symmetric point of
-    the solution manifold; averaging the group images and re-running the
-    deterministic local solve recovers the symmetric solution when one is
-    nearby.  Returns the improved candidate or None.
-    """
-    avg = _orbit_average(cand.points)
-    if avg is None:
-        return None
-    if np.any(ref_to_bary(avg) <= 0.0):
-        return None
-    polish = replace(config, max_iterations=300)
-    pts, res_inf, _, converged = _levenberg_marquardt(
-        spec_d, spec_de, avg.ravel(), polish, rng=None
-    )
-    if not converged:
-        return None
-    try:
-        sol = newton_cotes_weights(spec_d, pts)
-    except DegenerateConfigurationError:
-        return None
-    sym = _Candidate(
-        points=pts,
-        weights=sol.weights,
-        max_residual=res_inf,
-        condition=sol.condition_estimate,
-        converged=True,
-        iterations=cand.iterations,
-        restart=cand.restart,
-    )
-    probe = QuadratureRule(
-        cardinal_degree=spec_d.degree, points=pts, weights=sol.weights
-    )
-    if classify_symmetry(probe) != "d3_symmetric":
-        return None
-    if (cand.positive and not sym.positive) or (cand.interior and not sym.interior):
-        return None
-    return sym
 
 
 def _init_collapsed_tensor(d: int) -> np.ndarray:
@@ -551,12 +417,7 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
                 f"restart {r}: residual {res_inf:.3e} after {iters} iterations"
                 f"{' (converged)' if converged else ''}"
             )
-        if (
-            config.stop_after_first_satisfactory
-            and converged
-            and cand.positive
-            and cand.interior
-        ):
+        if converged and cand.positive and cand.interior:
             break
 
     if not candidates:

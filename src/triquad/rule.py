@@ -151,11 +151,7 @@ def _monomial_shell_error(rule: QuadratureRule, degree: int) -> float:
     return worst
 
 
-def certify(
-    rule: QuadratureRule,
-    tolerance: float = CERTIFY_TOL,
-    strength_cap: int = STRENGTH_CAP,
-) -> CertificationReport:
+def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> CertificationReport:
     """Certify the rule's strength against the orthonormal basis.
 
     Ascends degree by degree and stops at the first shell whose max-norm
@@ -166,7 +162,7 @@ def certify(
     """
     per_degree: dict[int, float] = {}
     strength = -1
-    for t in range(strength_cap + 1):
+    for t in range(STRENGTH_CAP + 1):
         err = _shell_errors(rule, t)
         per_degree[t] = err
         if err > tolerance:
@@ -174,7 +170,7 @@ def certify(
         strength = t
 
     mono_strength = -1
-    for t in range(strength_cap + 1):
+    for t in range(STRENGTH_CAP + 1):
         if _monomial_shell_error(rule, t) > tolerance:
             break
         mono_strength = t

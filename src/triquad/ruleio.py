@@ -55,18 +55,14 @@ def _infer_cardinal_degree(n: int) -> int | None:
     return d if dim_poly(d) == n else None
 
 
-def parse_rule(text: str) -> QuadratureRule:
-    """Parse rule-file text into a rule in the internal convention.
+def _read_records(text: str) -> tuple[dict[str, str], np.ndarray]:
+    """Header fields and the (n, 3) array of record lines of a rule text.
 
-    Header claims (d, strength, ...) land in rule.metadata under
-    'header_*' keys; the rule itself stays uncertified until certify runs.
-    Points outside the triangle only warn, since foreign rules may
-    legitimately contain them.
+    Lines starting with '#' are comments; those holding key=value fill the
+    header.  Every other non-blank line must hold three numbers.
     """
     header: dict[str, str] = {}
-    b1s: list[float] = []
-    b2s: list[float] = []
-    wts: list[float] = []
+    records: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -84,22 +80,31 @@ def parse_rule(text: str) -> QuadratureRule:
                 lineno,
             )
         try:
-            b1, b2, w = (float(f) for f in fields)
+            records.append([float(f) for f in fields])
         except ValueError as exc:
             raise RuleParseError(f"unparseable number ({exc})", lineno) from None
-        b1s.append(b1)
-        b2s.append(b2)
-        wts.append(w)
-
-    if not wts:
+    if not records:
         raise RuleParseError("no point records found")
-    weights_file = np.array(wts)
+    return header, np.array(records)
+
+
+def parse_rule(text: str) -> QuadratureRule:
+    """Parse rule-file text into a rule in the internal convention.
+
+    Header claims (d, strength, ...) land in rule.metadata under
+    'header_*' keys; the rule itself stays uncertified until certify runs.
+    Points outside the triangle only warn, since foreign rules may
+    legitimately contain them.
+    """
+    header, records = _read_records(text)
+    weights_file = records[:, 2]
+    n = len(weights_file)
     if abs(weights_file.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise RuleParseError(
             f"file weights sum to {weights_file.sum()!r}, expected 1 "
             f"within {WEIGHT_SUM_TOL:g}"
         )
-    points = bary_to_ref(np.column_stack([b1s, b2s]))
+    points = bary_to_ref(records[:, :2])
     outside = ~points_inside(points)
     if outside.any():
         warnings.warn(
@@ -115,11 +120,11 @@ def parse_rule(text: str) -> QuadratureRule:
             d = int(header["d"])
         except ValueError:
             raise RuleParseError(f"header d is not an integer: {header['d']!r}")
-        if dim_poly(d) != len(wts):
+        if dim_poly(d) != n:
             d = None  # foreign rule with a stale header; treat as non-cardinal
             metadata["non_cardinal"] = True
     else:
-        d = _infer_cardinal_degree(len(wts))
+        d = _infer_cardinal_degree(n)
         if d is None:
             metadata["non_cardinal"] = True
     return QuadratureRule(
@@ -187,37 +192,15 @@ def parse_points_xyw(text: str, weight_scale: float | None = None) -> Quadrature
     when omitted, the scale is inferred from the weight sum (assuming the
     file integrates the constant exactly in its own convention).
     """
-    xs: list[float] = []
-    ys: list[float] = []
-    ws: list[float] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 3:
-            raise RuleParseError(
-                f"expected 3 whitespace-separated fields, got {len(fields)}",
-                lineno,
-            )
-        try:
-            x, y, w = (float(f) for f in fields)
-        except ValueError as exc:
-            raise RuleParseError(f"unparseable number ({exc})", lineno) from None
-        xs.append(x)
-        ys.append(y)
-        ws.append(w)
-    if not ws:
-        raise RuleParseError("no point records found")
-    weights = np.array(ws)
+    _, records = _read_records(text)
+    weights = records[:, 2]
     if weight_scale is None:
         total = weights.sum()
         if abs(total) < 1e-30:
             raise RuleParseError("weight sum is zero; pass an explicit weight scale")
         weight_scale = 2.0 / total
-    points = bary_to_ref(np.column_stack([xs, ys]))
-    n = len(ws)
-    d = _infer_cardinal_degree(n)
+    points = bary_to_ref(records[:, :2])
+    d = _infer_cardinal_degree(len(weights))
     metadata: dict = {"source_format": "xyw", "weight_scale": weight_scale}
     if d is None:
         metadata["non_cardinal"] = True
@@ -252,8 +235,11 @@ class Registry:
         self._update_index(name, text)
         return path
 
-    def _update_index(self, name: str, text: str) -> None:
-        digest = hashlib.sha256(text.encode()).hexdigest()
+    def _read_index(self) -> dict[str, str]:
+        """File name -> recorded SHA-256 digest; empty without an index file.
+
+        Each index line is the file name, one space, then the digest.
+        """
         index = self.root / self.INDEX_NAME
         entries: dict[str, str] = {}
         if index.exists():
@@ -261,32 +247,25 @@ class Registry:
                 if line.strip():
                     fname, _, dig = line.partition(" ")
                     entries[fname] = dig.strip()
-        entries[name] = digest
+        return entries
+
+    def _update_index(self, name: str, text: str) -> None:
+        entries = self._read_index()
+        entries[name] = hashlib.sha256(text.encode()).hexdigest()
         lines = [f"{fname} {dig}" for fname, dig in sorted(entries.items())]
-        index.write_text("\n".join(lines) + "\n")
+        (self.root / self.INDEX_NAME).write_text("\n".join(lines) + "\n")
 
     def names(self) -> list[str]:
         if not self.root.is_dir():
             return []
-        return sorted(
-            p.name
-            for p in self.root.glob("tri_d*_s*.txt")
-            if p.name != self.INDEX_NAME
-        )
+        return sorted(p.name for p in self.root.glob("tri_d*_s*.txt"))
 
     def load(self, name: str) -> QuadratureRule:
         self.verify_digest(name)  # integrity before content
         return parse_rule((self.root / name).read_text())
 
     def verify_digest(self, name: str) -> None:
-        index = self.root / self.INDEX_NAME
-        if not index.exists():
-            return
-        recorded = None
-        for line in index.read_text().splitlines():
-            fname, _, dig = line.partition(" ")
-            if fname == name:
-                recorded = dig.strip()
+        recorded = self._read_index().get(name)
         if recorded is None:
             return
         actual = hashlib.sha256((self.root / name).read_bytes()).hexdigest()

@@ -9,6 +9,11 @@ any strength >= d rule on the same points must satisfy the same system,
 these weights are unique.  The derivative of the weights with respect to
 the point coordinates follows from differentiating through the solve:
 with b constant,  dw = -V^{-T} (dV^T) w.
+
+This module owns the one solve and its two acceptance gates
+(CONDITION_LIMIT, RESIDUAL_LIMIT).  The optimizer reuses that solve on its
+degree-(d+e) tabulation, whose first dim P_d columns are V, and builds the
+shell residual and its Jacobian from the returned factorization.
 """
 
 from __future__ import annotations
@@ -18,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .basis import BasisSpec, integrals_vector, vandermonde
-from .domain import as_point_array
+from .basis import BasisEvaluation, BasisSpec, integrals_vector, vandermonde
 
 #: Condition-estimate threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
@@ -45,13 +49,6 @@ class WeightSolution:
     solve_residual: float
 
 
-def _check_point_count(spec: BasisSpec, pts: np.ndarray) -> None:
-    if pts.shape[0] != spec.dim:
-        raise ValueError(
-            f"need exactly dim P_{spec.degree} = {spec.dim} points, got {pts.shape[0]}"
-        )
-
-
 def _factorize(a: np.ndarray):
     """LU-factor `a` and estimate its 1-norm condition number."""
     lu, piv = lu_factor(a)
@@ -65,14 +62,19 @@ def _factorize(a: np.ndarray):
     return (lu, piv), cond
 
 
-def _solve_system(spec: BasisSpec, pts: np.ndarray, derivatives: bool):
-    """Shared path: evaluate the basis, factor V^T, solve for the weights.
+def _solve_system(spec: BasisSpec, ev: BasisEvaluation):
+    """The one Newton-Cotes solve: factor V^T, gate it, solve for the weights.
 
-    Returns (evaluation, lu_and_piv, weights, condition, residual) so the
-    optimizer can reuse the factorization and derivative tables.
+    `ev` tabulates a basis of any degree >= spec.degree at dim P_d points;
+    V is its first spec.dim columns.  Returns (lu_and_piv, weights,
+    condition, residual) so callers can reuse the factorization.
     """
-    ev = vandermonde(spec, pts, derivatives=derivatives)
-    a = ev.values.T
+    npts = ev.values.shape[0]
+    if npts != spec.dim:
+        raise ValueError(
+            f"need exactly dim P_{spec.degree} = {spec.dim} points, got {npts}"
+        )
+    a = ev.values[:, : spec.dim].T
     lu_piv, cond = _factorize(a)
     b = integrals_vector(spec)
     if cond > CONDITION_LIMIT:
@@ -89,7 +91,7 @@ def _solve_system(spec: BasisSpec, pts: np.ndarray, derivatives: bool):
             f"exceeds {RESIDUAL_LIMIT:.1e}",
             cond,
         )
-    return ev, lu_piv, w, cond, residual
+    return lu_piv, w, cond, residual
 
 
 def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:
@@ -98,9 +100,8 @@ def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:
     Raises DegenerateConfigurationError when the condition estimate exceeds
     CONDITION_LIMIT or the back-substitution residual exceeds RESIDUAL_LIMIT.
     """
-    pts = as_point_array(points)
-    _check_point_count(spec, pts)
-    _, _, w, cond, residual = _solve_system(spec, pts, derivatives=False)
+    ev = vandermonde(spec, points)
+    _, w, cond, residual = _solve_system(spec, ev)
     return WeightSolution(weights=w, condition_estimate=cond, solve_residual=residual)
 
 
@@ -111,17 +112,19 @@ def weight_jacobian(spec: BasisSpec, points) -> np.ndarray:
     point j), with coordinates ordered (xi1, xi2).  Computed from the
     implicit-function identity dw = -V^{-T} (dV^T) w.
     """
-    pts = as_point_array(points)
-    _check_point_count(spec, pts)
-    ev, lu_piv, w, _, _ = _solve_system(spec, pts, derivatives=True)
-    return _weight_jacobian_from_parts(ev.d_xi1, ev.d_xi2, lu_piv, w)
+    ev = vandermonde(spec, points, derivatives=True)
+    lu_piv, w, _, _ = _solve_system(spec, ev)
+    return _weight_jacobian_from_parts(ev, lu_piv, w)
 
 
-def _weight_jacobian_from_parts(d1, d2, lu_piv, w: np.ndarray) -> np.ndarray:
-    """Assemble -V^{-T} (dV^T) w given the (N, N) derivative blocks of V."""
+def _weight_jacobian_from_parts(ev: BasisEvaluation, lu_piv, w: np.ndarray) -> np.ndarray:
+    """Assemble -V^{-T} (dV^T) w from the derivative blocks of `ev`.
+
+    Only the first N = len(w) columns of the blocks (the basis of P_d) enter.
+    """
     n = w.shape[0]
     # rhs column 2j+c is w_j * d g(.)/d xi_c at z_j, over all basis functions
     rhs = np.empty((n, 2 * n))
-    rhs[:, 0::2] = w[None, :] * d1.T
-    rhs[:, 1::2] = w[None, :] * d2.T
+    rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
+    rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
     return -lu_solve(lu_piv, rhs)

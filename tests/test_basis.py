@@ -7,14 +7,11 @@ import sympy as sp
 from triquad.basis import (
     BasisSpec,
     CollapsedVertexError,
+    _jacobi_rows,
     dim_poly,
     gram_matrix,
     index_of,
-    jacobi,
-    jacobi_derivative,
-    kd_eval,
-    kd_gradient,
-    kd_integral,
+    integrals_vector,
     multi_indices,
     rank_of,
     vandermonde,
@@ -37,50 +34,69 @@ def random_interior(rng, count):
     return 2.0 * b[:, :2] - 1.0
 
 
+def values_at(spec, idx, pts):
+    """Basis function g_idx at every point of `pts`."""
+    return vandermonde(spec, pts).values[:, rank_of(*idx)]
+
+
+def jacobi_rows_derivative(alpha, beta, nmax, x):
+    """d/dx of the _jacobi_rows table by the identity the derivative blocks
+    of vandermonde use: d/dx P_n^{a,b} = ((n + a + b + 1)/2) P_{n-1}^{a+1,b+1}.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((nmax + 1,) + x.shape)
+    if nmax >= 1:
+        shifted = _jacobi_rows(alpha + 1.0, beta + 1.0, nmax - 1, x)
+        for n in range(1, nmax + 1):
+            out[n] = 0.5 * (n + alpha + beta + 1) * shifted[n - 1]
+    return out
+
+
 # ---------------------------------------------------------------- jacobi
 
 
 def test_jacobi_degree_zero_is_one():
-    for x in (-1.0, -0.3, 0.0, 0.9, 1.0):
-        assert jacobi(0.0, 0.0, 0, x) == 1.0
+    xs = np.array([-1.0, -0.3, 0.0, 0.9, 1.0])
+    assert np.all(_jacobi_rows(0.0, 0.0, 0, xs)[0] == 1.0)
 
 
 def test_jacobi_legendre_linear():
-    assert jacobi(0.0, 0.0, 1, 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert _jacobi_rows(0.0, 0.0, 1, np.array([0.5]))[1, 0] == pytest.approx(
+        0.5, abs=1e-15
+    )
 
 
 def test_jacobi_legendre_quadratic_at_one():
     # oracle: P2(x) = (3x^2 - 1)/2 evaluated at 1
-    assert jacobi(0.0, 0.0, 2, 1.0) == pytest.approx((3.0 - 1.0) / 2.0, abs=1e-15)
+    assert _jacobi_rows(0.0, 0.0, 2, np.array([1.0]))[2, 0] == pytest.approx(
+        (3.0 - 1.0) / 2.0, abs=1e-15
+    )
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (1.0, 0.0), (3.0, 0.0), (2.5, 1.5)])
 def test_jacobi_matches_sympy(alpha, beta):
     x1 = sp.Symbol("x")
     xs = np.linspace(-1.0, 1.0, 7)
+    rows = _jacobi_rows(alpha, beta, 5, xs)
     for n in range(6):
         ref = sp.lambdify(x1, sp.jacobi(n, alpha, beta, x1))
-        for x in xs:
-            assert jacobi(alpha, beta, n, float(x)) == pytest.approx(
-                float(ref(x)), rel=1e-12, abs=1e-12
-            )
-
-
-def test_jacobi_clamps_tolerance_band():
-    assert jacobi(0.0, 0.0, 3, 1.0 + 1e-13) == pytest.approx(1.0, abs=1e-14)
+        for x, val in zip(xs, rows[n]):
+            assert val == pytest.approx(float(ref(x)), rel=1e-12, abs=1e-12)
 
 
 def test_jacobi_derivative_linear_and_constant():
-    for x in (-0.9, 0.1, 0.7):
-        assert jacobi_derivative(0.0, 0.0, 1, x) == 1.0
-        assert jacobi_derivative(0.0, 0.0, 0, x) == 0.0
+    rows = jacobi_rows_derivative(0.0, 0.0, 1, np.array([-0.9, 0.1, 0.7]))
+    assert np.all(rows[1] == 1.0)
+    assert np.all(rows[0] == 0.0)
 
 
 def test_jacobi_derivative_matches_finite_difference():
     h = 1e-6
-    x = 0.3
-    fd = (jacobi(2.0, 0.0, 3, x + h) - jacobi(2.0, 0.0, 3, x - h)) / (2.0 * h)
-    assert jacobi_derivative(2.0, 0.0, 3, x) == pytest.approx(fd, rel=1e-7)
+    x = np.array([0.3])
+    fd = (_jacobi_rows(2.0, 0.0, 3, x + h)[3] - _jacobi_rows(2.0, 0.0, 3, x - h)[3]) / (
+        2.0 * h
+    )
+    assert jacobi_rows_derivative(2.0, 0.0, 3, x)[3, 0] == pytest.approx(fd[0], rel=1e-7)
 
 
 # ----------------------------------------------------------- enumeration
@@ -103,14 +119,15 @@ def test_dimension_formula():
         assert dim_poly(d) == (d + 1) * (d + 2) // 2
 
 
-# -------------------------------------------------------------- kd_eval
+# ------------------------------------------------------- basis values
 
 
 def test_constant_basis_function_is_one():
     spec = BasisSpec(4)
     rng = np.random.default_rng(0)
-    for p in random_interior(rng, 10):
-        assert kd_eval(spec, (0, 0), tuple(p)) == pytest.approx(1.0, abs=1e-15)
+    vals = values_at(spec, (0, 0), random_interior(rng, 10))
+    for val in vals:
+        assert val == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("idx", [(1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (2, 1)])
@@ -118,20 +135,17 @@ def test_kd_eval_matches_symbolic(idx):
     spec = BasisSpec(4)
     fn = symbolic_basis(*idx)
     rng = np.random.default_rng(1)
-    for p in random_interior(rng, 20):
-        assert kd_eval(spec, idx, tuple(p)) == pytest.approx(
-            float(fn(*p)), rel=1e-12, abs=1e-12
-        )
+    pts = random_interior(rng, 20)
+    for p, val in zip(pts, values_at(spec, idx, pts)):
+        assert val == pytest.approx(float(fn(*p)), rel=1e-12, abs=1e-12)
 
 
 def test_kd_eval_unnormalized_linear():
     # unnormalized (1, 0) function is xi1 + (1 + xi2)/2; zero at the centroid
     spec = BasisSpec(2, normalized=False)
-    val = kd_eval(spec, (1, 0), (-1.0 / 3.0, -1.0 / 3.0))
-    assert val == pytest.approx(0.0, abs=1e-15)
-    assert kd_eval(spec, (1, 0), (0.25, -0.5)) == pytest.approx(
-        0.25 + 0.25, abs=1e-15
-    )
+    at_centroid, at_p = values_at(spec, (1, 0), [(-1.0 / 3.0, -1.0 / 3.0), (0.25, -0.5)])
+    assert at_centroid == pytest.approx(0.0, abs=1e-15)
+    assert at_p == pytest.approx(0.25 + 0.25, abs=1e-15)
 
 
 def test_nonconstant_basis_functions_have_zero_mean():
@@ -159,7 +173,7 @@ def test_degree_correctness_along_lines():
         a = np.array([-0.9, -0.85])
         direction = np.array([0.8, 0.3])
         ts = np.linspace(0.0, 1.0, deg + 2)
-        samples = [kd_eval(spec, idx, tuple(a + t * direction)) for t in ts]
+        samples = values_at(spec, idx, a + ts[:, None] * direction)
         coeffs = np.polyfit(ts[:-1], samples[:-1], deg)
         predicted = np.polyval(coeffs, ts[-1])
         assert predicted == pytest.approx(samples[-1], rel=1e-8, abs=1e-10)
@@ -169,14 +183,17 @@ def test_degree_correctness_along_lines():
 
 
 def test_gradient_constant_is_zero():
-    assert kd_gradient(BasisSpec(3), (0, 0), (0.1, -0.6)) == (0.0, 0.0)
+    ev = vandermonde(BasisSpec(3), [(0.1, -0.6)], derivatives=True)
+    k = rank_of(0, 0)
+    assert (ev.d_xi1[0, k], ev.d_xi2[0, k]) == (0.0, 0.0)
 
 
 def test_gradient_unnormalized_linear():
     spec = BasisSpec(2, normalized=False)
     rng = np.random.default_rng(2)
-    for p in random_interior(rng, 5):
-        g1, g2 = kd_gradient(spec, (1, 0), tuple(p))
+    ev = vandermonde(spec, random_interior(rng, 5), derivatives=True)
+    k = rank_of(1, 0)
+    for g1, g2 in zip(ev.d_xi1[:, k], ev.d_xi2[:, k]):
         assert g1 == pytest.approx(1.0, abs=1e-13)
         assert g2 == pytest.approx(0.5, abs=1e-13)
 
@@ -199,12 +216,8 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_refused_at_collapsed_vertex():
-    spec = BasisSpec(3)
     with pytest.raises(CollapsedVertexError):
-        kd_gradient(spec, (1, 0), (-1.0, 1.0 - 1e-12))
-    # m = 0 stays regular there
-    g1, g2 = kd_gradient(spec, (0, 2), (-1.0, 1.0 - 1e-12))
-    assert g1 == 0.0 and np.isfinite(g2)
+        vandermonde(BasisSpec(3), [(-1.0, 1.0 - 1e-12)], derivatives=True)
 
 
 # ----------------------------------------------------------- vandermonde
@@ -255,12 +268,7 @@ def test_vandermonde_derivatives_refused_at_vertex():
 
 
 def test_kd_integral_values():
-    spec = BasisSpec(5)
-    assert kd_integral(spec, (0, 0)) == 2.0
-    assert kd_integral(spec, (3, 2)) == 0.0
-    assert kd_integral(spec, (0, 1)) == 0.0
-
-
-def test_kd_integral_rejects_out_of_range_index():
-    with pytest.raises(ValueError):
-        kd_integral(BasisSpec(2), (2, 1))
+    b = integrals_vector(BasisSpec(5))
+    assert b[rank_of(0, 0)] == 2.0
+    assert b[rank_of(3, 2)] == 0.0
+    assert b[rank_of(0, 1)] == 0.0

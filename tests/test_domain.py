@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from triquad.domain import (
-    BarycentricPoint,
-    TrianglePoint,
-    from_barycentric,
+    bary_to_ref,
     gauss_quadrature,
     monomial_integral,
+    points_inside,
+    ref_to_bary,
     ref_to_equilateral,
-    to_barycentric,
-    to_equilateral,
 )
 
 
@@ -39,38 +37,40 @@ def iterated_gl_integral(a, b, nodes=64):
     ],
 )
 def test_to_barycentric_vertices_and_centroid(xi, expected):
-    b = to_barycentric(TrianglePoint(*xi))
-    assert b.b1 == pytest.approx(expected[0], abs=1e-15)
-    assert b.b2 == pytest.approx(expected[1], abs=1e-15)
+    b1, b2, _ = ref_to_bary([xi])[0]
+    assert b1 == pytest.approx(expected[0], abs=1e-15)
+    assert b2 == pytest.approx(expected[1], abs=1e-15)
 
 
 def test_barycentric_third_coordinate_is_derived():
-    b = BarycentricPoint(0.25, 0.5)
-    assert b.b1 + b.b2 + b.b3 == 1.0
+    b = ref_to_bary(bary_to_ref([(0.25, 0.5)]))[0]
+    assert b[0] + b[1] + b[2] == 1.0
 
 
 def test_barycentric_round_trip_random():
     rng = np.random.default_rng(42)
-    for _ in range(1000):
-        b = rng.dirichlet([1.0, 1.0, 1.0])
-        p = TrianglePoint(2.0 * b[0] - 1.0, 2.0 * b[1] - 1.0)
-        q = from_barycentric(to_barycentric(p))
-        assert abs(q.xi1 - p.xi1) <= 1e-14
-        assert abs(q.xi2 - p.xi2) <= 1e-14
+    b = rng.dirichlet([1.0, 1.0, 1.0], size=1000)
+    p = 2.0 * b[:, :2] - 1.0
+    q = bary_to_ref(ref_to_bary(p)[:, :2])
+    assert np.max(np.abs(q - p)) <= 1e-14
+
+
+def equilateral(xi):
+    return ref_to_equilateral([xi])[0]
 
 
 def test_equilateral_centroid_fixed():
-    x, y = to_equilateral(TrianglePoint(-1.0 / 3.0, -1.0 / 3.0))
+    x, y = equilateral((-1.0 / 3.0, -1.0 / 3.0))
     assert abs(x) <= 1e-15 and abs(y) <= 1e-15
 
 
 def test_equilateral_vertex_on_circumcircle():
-    x, y = to_equilateral(TrianglePoint(-1.0, -1.0))
+    x, y = equilateral((-1.0, -1.0))
     assert math.hypot(x, y) == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-14)
 
 
 def test_equilateral_edge_midpoint_on_incircle():
-    x, y = to_equilateral(TrianglePoint(0.0, -1.0))
+    x, y = equilateral((0.0, -1.0))
     assert math.hypot(x, y) == pytest.approx(1.0 / (2.0 * math.sqrt(3.0)), abs=1e-14)
 
 
@@ -109,10 +109,13 @@ def test_monomial_integral_rejects_overflow_degree():
 
 
 def test_interiority_tolerance():
-    assert TrianglePoint(-1.0 - 5e-13, -0.5).is_inside()
-    assert not TrianglePoint(-1.0 - 5e-12, -0.5).is_inside()
-    assert TrianglePoint(0.5, -0.5).is_inside()  # on the hypotenuse
-    assert not TrianglePoint(0.5, -0.5 + 1e-10).is_inside()
+    inside = points_inside([
+        (-1.0 - 5e-13, -0.5),
+        (-1.0 - 5e-12, -0.5),
+        (0.5, -0.5),  # on the hypotenuse
+        (0.5, -0.5 + 1e-10),
+    ])
+    assert inside.tolist() == [True, False, True, False]
 
 
 def test_gauss_quadrature_oracle_integrates_monomials():

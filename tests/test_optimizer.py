@@ -97,10 +97,7 @@ def test_optimize_d2_meets_table_row():
 def test_optimize_infeasible_target_warns_and_flags():
     # d=3, e=3 asks for strength 6 = the counting bound; the reference
     # results only reach 5, so expect an honest unconverged outcome
-    config = OptimizerConfig(
-        target_e=3, seed=0, restarts=2, max_iterations=300,
-        stop_after_first_satisfactory=True,
-    )
+    config = OptimizerConfig(target_e=3, seed=0, restarts=2, max_iterations=300)
     result = optimize(3, config)
     assert not result.converged
     assert result.best_residual > 1e-14

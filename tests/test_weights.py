@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from triquad.basis import BasisSpec, vandermonde
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_unit
+from triquad.optimizer import residual, residual_jacobian
 from triquad.weights import (
+    CONDITION_LIMIT,
     DegenerateConfigurationError,
     newton_cotes_weights,
     weight_jacobian,
@@ -116,12 +120,37 @@ def test_wrong_point_count_rejected():
         newton_cotes_weights(BasisSpec(2), MIDPOINTS)
 
 
+def collinear_points():
+    t = np.linspace(-0.9, 0.5, 6)
+    return np.column_stack([t, -0.2 - 0.3 * t])
+
+
 def test_degenerate_configuration_detected():
     # all points on one line: Vandermonde cannot be invertible
-    t = np.linspace(-0.9, 0.5, 6)
-    collinear = np.column_stack([t, -0.2 - 0.3 * t])
     with pytest.raises(DegenerateConfigurationError):
-        newton_cotes_weights(BasisSpec(2), collinear)
+        newton_cotes_weights(BasisSpec(2), collinear_points())
+
+
+# every path to the weights of dim P_2 = 6 points goes through one solve
+SOLVE_PATHS = {
+    "newton_cotes_weights": lambda pts: newton_cotes_weights(BasisSpec(2), pts),
+    "weight_jacobian": lambda pts: weight_jacobian(BasisSpec(2), pts),
+    "residual": lambda pts: residual(BasisSpec(2), BasisSpec(4), pts),
+    "residual_jacobian": lambda pts: residual_jacobian(BasisSpec(2), BasisSpec(4), pts),
+}
+
+
+@pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+def test_every_solve_path_rejects_a_wrong_point_count(path):
+    with pytest.raises(ValueError, match="need exactly dim P_2 = 6 points, got 3"):
+        SOLVE_PATHS[path](MIDPOINTS)
+
+
+@pytest.mark.parametrize("path", sorted(SOLVE_PATHS))
+def test_every_solve_path_names_the_exceeded_limit(path):
+    limit = re.escape(f"exceeds {CONDITION_LIMIT:.1e}")
+    with pytest.raises(DegenerateConfigurationError, match=limit):
+        SOLVE_PATHS[path](collinear_points())
 
 
 # ---------------------------------------------------------------- jacobian
