@@ -12,7 +12,6 @@ from .basis import (
     BasisSpec,
     CollapsedVertexError,
     dim_poly,
-    index_of,
     multi_indices,
     rank_of,
     vandermonde,
@@ -73,7 +72,6 @@ __all__ = [
     "dof_bound",
     "emit_rule",
     "gauss_quadrature",
-    "index_of",
     "monomial_integral",
     "multi_indices",
     "newton_cotes_weights",

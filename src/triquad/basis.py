@@ -62,16 +62,6 @@ def rank_of(m: int, n: int) -> int:
     return dim_poly(m + n - 1) + m
 
 
-def index_of(k: int) -> tuple[int, int]:
-    """Inverse of :func:`rank_of`: the k-th multi-index."""
-    if k < 0:
-        raise ValueError("rank must be nonnegative")
-    # total degree t is the largest with t(t+1)/2 <= k
-    t = int((math.isqrt(8 * k + 1) - 1) // 2)
-    m = k - dim_poly(t - 1)
-    return m, t - m
-
-
 def _jacobi_rows(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
     """Table of P_n^{alpha,beta}(x) for n = 0..nmax, shape (nmax+1, len(x))."""
     x = np.asarray(x, dtype=float)
@@ -125,7 +115,6 @@ class BasisSpec:
     """Basis of the polynomial space of total degree `degree`."""
 
     degree: int
-    normalized: bool = True
 
     def __post_init__(self):
         if self.degree < 0:
@@ -141,8 +130,6 @@ class BasisSpec:
         return multi_indices(self.degree)
 
     def constants(self) -> np.ndarray:
-        if not self.normalized:
-            return np.ones(self.dim)
         return np.array([norm_constant(m, n) for m, n in self.indices])
 
 

@@ -9,8 +9,10 @@ Gauss-Newton handles without trouble.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
-solve the unbiased problem; any trial step leaving the triangle or
-producing a near-singular Vandermonde system is rejected outright.
+solve the unbiased problem; a weight hinge steers toward positive weights.
+Each configuration is evaluated once, into an `_EvalState`; a trial step
+leaving the triangle is rejected before that, and one producing a
+near-singular Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ INIT_CONDITION_LIMIT = 1e8
 #: exactly zero (hence bias-free) once every weight clears the margin.
 WEIGHT_MARGIN_FRAC = 0.1
 
+#: Log-barrier strength of the first anneal stage.
+BARRIER_START = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -54,7 +59,6 @@ class OptimizerConfig:
     residual_tolerance: float = 1e-14
     restarts: int | None = None  # None: 50 for d <= 5, 500 for d >= 6
     seed: int = 0
-    barrier_strength: float = 1e-8
     verbose: bool = False
 
     def restarts_for(self, d: int) -> int:
@@ -100,18 +104,19 @@ class AllRestartsDegenerateError(RuntimeError):
 def _check_specs(spec_d: BasisSpec, spec_de: BasisSpec) -> None:
     if spec_de.degree < spec_d.degree:
         raise ValueError("extended degree must be at least the cardinal degree")
-    if spec_d.normalized != spec_de.normalized:
-        raise ValueError("basis specs must share one normalization")
 
 
 class _EvalState:
-    """Shell residual, its Jacobian and the weights at one configuration.
+    """Everything the search uses at one configuration, each computed once.
 
-    `res`/`jacobian` cover the basis-function shell d < m+n <= d+e;
-    `weight_jacobian` is dw/d(point coordinates), shape (N, 2N).
+    `res`/`jacobian`: the shell residual and its Jacobian, as returned by
+    `residual_jacobian`; `r`/`jac` append the weight hinge max(margin - w, 0)
+    and its Jacobian; `barrier*` hold the value, gradient and Hessian blocks
+    of `_barrier_terms`.
     """
 
-    __slots__ = ("points", "weights", "weight_jacobian", "res", "jacobian")
+    __slots__ = ("points", "res", "jacobian", "r", "jac", "hinge_active",
+                 "barrier", "barrier_grad", "barrier_hess")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points):
         pts = as_point_array(points)
@@ -119,15 +124,19 @@ class _EvalState:
         lu_piv, w, _, _ = _solve_system(spec_d, ev)
         dim_lo = spec_d.dim
         self.points = pts
-        self.weights = w
         v_hi = ev.values[:, dim_lo:]
         self.res = v_hi.T @ w
         wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
         jac = v_hi.T @ wjac
         jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
         jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
-        self.weight_jacobian = wjac
         self.jacobian = jac
+        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / dim_lo - w, 0.0)
+        active = hinge > 0.0
+        self.r = np.concatenate([self.res, hinge])
+        self.jac = np.vstack([jac, np.where(active[:, None], -wjac, 0.0)])
+        self.hinge_active = bool(np.any(active))
+        self.barrier, self.barrier_grad, self.barrier_hess = _barrier_terms(pts)
 
     @property
     def max_residual(self) -> float:
@@ -158,23 +167,23 @@ def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarr
 
 
 def _barrier_terms(points: np.ndarray):
-    """Value, gradient and exact Hessian of -sum log(barycentric)."""
+    """Value, gradient and (N, 2, 2) Hessian blocks of -sum log(barycentric);
+    (inf, None, None) when a point lies on or outside an edge."""
     bary = ref_to_bary(points)
     if np.any(bary <= 0.0):
         return np.inf, None, None
     value = -float(np.log(bary).sum())
     # barycentric gradients are constant: b1 -> (1/2, 0), b2 -> (0, 1/2),
     # b3 -> (-1/2, -1/2); the barrier Hessian is exact since b is affine
-    n = points.shape[0]
-    grad = np.zeros(2 * n)
-    hess = np.zeros((2 * n, 2 * n))
-    g = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, -0.5]])
-    for j in range(n):
-        sl = slice(2 * j, 2 * j + 2)
-        grad[sl] = -(g / bary[j][:, None]).sum(axis=0)
-        hess[sl, sl] = sum(
-            np.outer(g[i], g[i]) / bary[j, i] ** 2 for i in range(3)
-        )
+    q = 0.5 / bary
+    grad = np.column_stack([q[:, 2] - q[:, 0], q[:, 2] - q[:, 1]]).ravel()
+    # b^2 by libm pow (float_power), not by x*x (bary**2): the two round some
+    # inputs differently, and the search path and generated rules follow
+    s = 0.25 / np.float_power(bary, 2.0)
+    hess = np.empty((bary.shape[0], 2, 2))
+    hess[:, 0, 0] = s[:, 0] + s[:, 2]
+    hess[:, 1, 1] = s[:, 1] + s[:, 2]
+    hess[:, 0, 1] = hess[:, 1, 0] = s[:, 2]
     return value, grad, hess
 
 
@@ -194,28 +203,16 @@ def _levenberg_marquardt(
     """
     n = spec_d.dim
     tol = config.residual_tolerance
-    mu = config.barrier_strength
+    mu = BARRIER_START
     lam = 1e-3
     iters = 0
-    margin = WEIGHT_MARGIN_FRAC * 2.0 / n
     # a stage only needs to get near its barrier-biased optimum before the
     # barrier weakens; without the cap the anneal starves on wall-clock
     stage_cap = 60
-
-    def evaluate(pts):
-        """State, residual and Jacobian augmented by the weight hinge, and
-        whether the hinge is active."""
-        state = _EvalState(spec_d, spec_de, pts)
-        hinge = np.maximum(margin - state.weights, 0.0)
-        active = hinge > 0.0
-        hinge_jac = np.zeros_like(state.weight_jacobian)
-        hinge_jac[active] = -state.weight_jacobian[active]
-        r = np.concatenate([state.res, hinge])
-        jac = np.vstack([state.jacobian, hinge_jac])
-        return state, r, jac, bool(np.any(active))
+    idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
 
     try:
-        state, r, jac, hinge_active = evaluate(x0.reshape(n, 2))
+        state = _EvalState(spec_d, spec_de, x0.reshape(n, 2))
     except DegenerateConfigurationError:
         return x0.reshape(n, 2), np.inf, 0, False
     best_x, best_res = state.points.copy(), state.max_residual
@@ -232,24 +229,23 @@ def _levenberg_marquardt(
             stage_iters += 1
             if state.max_residual < best_res:
                 best_res, best_x = state.max_residual, state.points.copy()
-            if state.max_residual <= tol and not hinge_active:
+            if state.max_residual <= tol and not state.hinge_active:
                 return state.points, state.max_residual, iters, True
 
-            bval, bgrad, bhess = _barrier_terms(state.points)
-            gn = jac.T @ jac
-            grad = jac.T @ r
+            gn = state.jac.T @ state.jac
+            grad = state.jac.T @ state.r
             if mu > 0.0:
-                gn = gn + mu * bhess
-                grad = grad + mu * bgrad
+                gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
+                grad = grad + mu * state.barrier_grad
                 # near the stage optimum the gradient balances the barrier
                 # pull; move on to the next stage rather than polishing
                 if float(np.max(np.abs(grad))) <= 0.3 * mu * float(
-                    np.max(np.abs(bgrad))
+                    np.max(np.abs(state.barrier_grad))
                 ):
                     break
             scale = np.diag(gn).copy()
             scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
-            phi = 0.5 * float(r @ r) + mu * bval
+            phi = 0.5 * float(state.r @ state.r) + mu * state.barrier
 
             accepted = False
             while lam < 1e13:
@@ -263,16 +259,14 @@ def _levenberg_marquardt(
                     lam *= 10.0
                     continue
                 try:
-                    trial_eval = evaluate(trial)
+                    trial_state = _EvalState(spec_d, spec_de, trial)
                 except DegenerateConfigurationError:
                     lam *= 10.0
                     continue
-                tr = trial_eval[1]
-                tval, _, _ = _barrier_terms(trial)
-                trial_phi = 0.5 * float(tr @ tr) + mu * tval
-                if trial_phi < phi:
+                tr = trial_state.r
+                if 0.5 * float(tr @ tr) + mu * trial_state.barrier < phi:
                     accepted = True
-                    state, r, jac, hinge_active = trial_eval
+                    state = trial_state
                     lam = max(lam / 3.0, 1e-14)
                     rel_step = float(np.max(np.abs(step))) / max(
                         1.0, float(np.max(np.abs(state.points)))
@@ -286,7 +280,7 @@ def _levenberg_marquardt(
 
         if state.max_residual < best_res:
             best_res, best_x = state.max_residual, state.points.copy()
-        if state.max_residual <= tol and not (hinge_active and not stage_stalled):
+        if state.max_residual <= tol and not (state.hinge_active and not stage_stalled):
             return state.points, state.max_residual, iters, True
         if mu == 0.0 and stage_stalled:
             if rng is None or iters >= config.max_iterations:
@@ -295,10 +289,10 @@ def _levenberg_marquardt(
             kick_scale = 0.08 if best_res > 1e-3 else 0.02
             kicked = _init_perturbed(rng, best_x, scale=kick_scale)
             try:
-                state, r, jac, hinge_active = evaluate(kicked)
+                state = _EvalState(spec_d, spec_de, kicked)
             except DegenerateConfigurationError:
                 break
-            mu = config.barrier_strength
+            mu = BARRIER_START
             lam = 1e-3
             continue
         if mu > 0.0:

@@ -267,7 +267,7 @@ class Registry:
     def verify_digest(self, name: str) -> None:
         recorded = self._read_index().get(name)
         if recorded is None:
-            return
+            raise RuleParseError(f"registry index has no digest for {name}")
         actual = hashlib.sha256((self.root / name).read_bytes()).hexdigest()
         if actual != recorded:
             raise RuleParseError(

@@ -10,9 +10,9 @@ from triquad.basis import (
     _jacobi_rows,
     dim_poly,
     gram_matrix,
-    index_of,
     integrals_vector,
     multi_indices,
+    norm_constant,
     rank_of,
     vandermonde,
 )
@@ -109,7 +109,7 @@ def test_enumeration_order_is_graded_lex():
 def test_enumeration_bijection():
     for degree in (0, 1, 5, 12):
         for k in range(dim_poly(degree)):
-            m, n = index_of(k)
+            m, n = multi_indices(degree)[k]
             assert rank_of(m, n) == k
             assert m + n <= degree
 
@@ -142,8 +142,10 @@ def test_kd_eval_matches_symbolic(idx):
 
 def test_kd_eval_unnormalized_linear():
     # unnormalized (1, 0) function is xi1 + (1 + xi2)/2; zero at the centroid
-    spec = BasisSpec(2, normalized=False)
-    at_centroid, at_p = values_at(spec, (1, 0), [(-1.0 / 3.0, -1.0 / 3.0), (0.25, -0.5)])
+    spec = BasisSpec(2)
+    at_centroid, at_p = values_at(
+        spec, (1, 0), [(-1.0 / 3.0, -1.0 / 3.0), (0.25, -0.5)]
+    ) / norm_constant(1, 0)
     assert at_centroid == pytest.approx(0.0, abs=1e-15)
     assert at_p == pytest.approx(0.25 + 0.25, abs=1e-15)
 
@@ -189,11 +191,12 @@ def test_gradient_constant_is_zero():
 
 
 def test_gradient_unnormalized_linear():
-    spec = BasisSpec(2, normalized=False)
+    spec = BasisSpec(2)
     rng = np.random.default_rng(2)
     ev = vandermonde(spec, random_interior(rng, 5), derivatives=True)
     k = rank_of(1, 0)
-    for g1, g2 in zip(ev.d_xi1[:, k], ev.d_xi2[:, k]):
+    c = norm_constant(1, 0)
+    for g1, g2 in zip(ev.d_xi1[:, k] / c, ev.d_xi2[:, k] / c):
         assert g1 == pytest.approx(1.0, abs=1e-13)
         assert g2 == pytest.approx(0.5, abs=1e-13)
 
@@ -254,9 +257,9 @@ def test_vandermonde_values_regular_at_collapsed_vertex():
     assert np.all(np.isfinite(ev.values))
     # functions with m >= 1 vanish there; m = 0 reduce to P_n^{1,0}(1) = n+1
     assert ev.values[0, rank_of(1, 0)] == pytest.approx(0.0, abs=1e-14)
-    unnorm = vandermonde(BasisSpec(6, normalized=False), [(-1.0, 1.0)])
     for n in range(7):
-        assert unnorm.values[0, rank_of(0, n)] == pytest.approx(n + 1.0, rel=1e-13)
+        unnorm = ev.values[0, rank_of(0, n)] / norm_constant(0, n)
+        assert unnorm == pytest.approx(n + 1.0, rel=1e-13)
 
 
 def test_vandermonde_derivatives_refused_at_vertex():

@@ -131,6 +131,21 @@ def test_table_lists_registry(tmp_path, capsys):
     assert (rows[0]["d"], rows[0]["n_points"], rows[0]["strength"]) == (1, 3, 2)
 
 
+def test_table_refuses_an_unindexed_rule_file(tmp_path, capsys):
+    reg = tmp_path / "registry"
+    main(
+        [
+            "generate", "--d", "1", "--e", "1", "--seed", "7",
+            "--restarts", "6", "--out", str(tmp_path / "r.txt"),
+            "--register", str(reg),
+        ]
+    )
+    (reg / "tri_d9_s99.txt").write_bytes((reg / "tri_d1_s2.txt").read_bytes())
+    capsys.readouterr()
+    assert main(["table", "--registry", str(reg)]) == 2
+    assert "tri_d9_s99.txt" in capsys.readouterr().err
+
+
 def test_plot_is_deterministic(tmp_path, midpoint_path):
     svg1 = tmp_path / "one.svg"
     svg2 = tmp_path / "two.svg"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from triquad.basis import BasisSpec, dim_poly
 from triquad.domain import points_inside
 from triquad.optimizer import (
     OptimizerConfig,
+    _barrier_terms,
     optimize,
     residual,
     residual_jacobian,
@@ -72,6 +75,40 @@ def test_residual_jacobian_zero_extension_is_empty():
     pts = random_interior(np.random.default_rng(3), 6)
     jac = residual_jacobian(BasisSpec(2), BasisSpec(2), pts)
     assert jac.shape == (0, 12)
+
+
+def test_barrier_matches_finite_differences():
+    rng = np.random.default_rng(7)
+    pts = random_interior(rng, 10)
+    value, grad, hess = _barrier_terms(pts)
+    b12 = (pts + 1.0) / 2.0
+    bary = np.column_stack([b12, 1.0 - b12.sum(axis=1)])
+    assert value == pytest.approx(-np.log(bary).sum(), rel=1e-14)
+    assert hess.shape == (10, 2, 2)
+    h = 1e-6
+    fd_grad = np.zeros(20)
+    fd_hess = np.zeros((20, 20))
+    for k in range(20):
+        step = np.zeros(20)
+        step[k] = h
+        plus = _barrier_terms(pts + step.reshape(10, 2))
+        minus = _barrier_terms(pts - step.reshape(10, 2))
+        fd_grad[k] = (plus[0] - minus[0]) / (2.0 * h)
+        fd_hess[:, k] = (plus[1] - minus[1]) / (2.0 * h)
+    dense = np.zeros((20, 20))
+    for j in range(10):
+        dense[2 * j:2 * j + 2, 2 * j:2 * j + 2] = hess[j]
+    assert np.max(np.abs(grad - fd_grad)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
+    assert np.max(np.abs(dense - fd_hess)) <= 1e-6 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_barrier_is_infinite_on_an_edge_without_warning():
+    on_edge = np.array([[-0.5, -0.5], [0.2, -0.2]])  # b3 = 0 at the second
+    outside = np.array([[-0.5, -0.5], [0.7, -0.2]])  # b3 < 0 at the second
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _barrier_terms(on_edge) == (np.inf, None, None)
+        assert _barrier_terms(outside) == (np.inf, None, None)
 
 
 def test_optimize_d1_meets_table_row():

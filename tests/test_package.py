@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "dof_bound",
     "emit_rule",
     "gauss_quadrature",
-    "index_of",
     "monomial_integral",
     "multi_indices",
     "newton_cotes_weights",

@@ -153,6 +153,17 @@ def test_registry_detects_tampering(tmp_path):
         registry.load(path.name)
 
 
+def test_registry_refuses_a_file_missing_from_the_index(tmp_path):
+    result = optimize(1, OptimizerConfig(target_e=1, seed=4, restarts=5))
+    registry = Registry(tmp_path / "reg")
+    path = registry.save(result.rule)
+    (tmp_path / "reg" / "tri_d9_s99.txt").write_bytes(path.read_bytes())
+    with pytest.raises(RuleParseError, match="tri_d9_s99.txt"):
+        registry.load("tri_d9_s99.txt")
+    with pytest.raises(RuleParseError, match="tri_d9_s99.txt"):
+        registry.table_rows()
+
+
 def test_registry_empty_dir(tmp_path):
     registry = Registry(tmp_path / "nothing")
     assert registry.names() == []
