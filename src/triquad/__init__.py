@@ -10,7 +10,6 @@ triangle symmetry, and reads/writes the barycentric rule-file format.
 from .basis import (
     BasisEvaluation,
     BasisSpec,
-    CollapsedVertexError,
     dim_poly,
     multi_indices,
     rank_of,
@@ -56,7 +55,6 @@ __all__ = [
     "BasisEvaluation",
     "BasisSpec",
     "CertificationReport",
-    "CollapsedVertexError",
     "D3_SYMMETRIC",
     "DegenerateConfigurationError",
     "OptimizeResult",

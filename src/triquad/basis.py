@@ -12,10 +12,16 @@ every basis function satisfies the normalization integral(g^2) = 2 over
 the triangle (the triangle area), which the certification and weight
 machinery relies on.
 
-The collapsed coordinate eta degenerates at the top vertex xi2 = 1.  The
-product P_m(eta) * (1 - xi2)^m is a genuine bivariate polynomial, so values
-near the vertex are computed from its homogenized power-basis expansion;
-gradients there are refused for m >= 1 (see CollapsedVertexError).
+The collapsed coordinate eta degenerates at the top vertex xi2 = 1, but
+Q_m = P_m(eta) * s^m with s = (1 - xi2)/2 is a polynomial in (xi1, xi2).
+Multiplying the Legendre recurrence through by s^(m+1) gives, with
+t = xi1 + (1 + xi2)/2 = eta * s,
+
+    (m+1) Q_{m+1} = (2m+1) t Q_m - m s^2 Q_{m-1},   Q_0 = 1, Q_1 = t,
+
+which never forms eta.  Values and gradients therefore come from one
+division-free path at every point of the closed triangle, the collapsed
+vertex included.
 
 Basis enumeration is graded lexicographic and frozen: total degree
 ascending, m ascending within each degree.  Residual vectors, rule files
@@ -25,19 +31,12 @@ and reports all index basis functions in this order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .domain import as_point_array, gauss_quadrature
-
-#: Points with xi2 above 1 - VERTEX_TOL take the expanded-polynomial path.
-VERTEX_TOL = 1e-10
-
-
-class CollapsedVertexError(ValueError):
-    """Gradient requested at the collapsed vertex where the factored form degenerates."""
 
 
 def dim_poly(degree: int) -> int:
@@ -62,13 +61,24 @@ def rank_of(m: int, n: int) -> int:
     return dim_poly(m + n - 1) + m
 
 
-def _jacobi_rows(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndarray:
-    """Table of P_n^{alpha,beta}(x) for n = 0..nmax, shape (nmax+1, len(x))."""
+def _jacobi_rows(
+    alpha: float | np.ndarray, beta: float, nmax: int, x: np.ndarray, derivative: bool = False
+):
+    """Table of P_n^{alpha,beta}(x) for n = 0..nmax, shape (nmax+1, len(x)).
+
+    An array `alpha` broadcasts against x, giving one table per alpha in
+    the same sweep: shape (nmax+1,) + broadcast(alpha, x).shape.  With
+    derivative=True returns (table, d/dx table), the latter from the
+    differentiated recurrence.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape)
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
+    dout = np.zeros_like(out) if derivative else None
     out[0] = 1.0
     if nmax >= 1:
         out[1] = 0.5 * ((alpha + beta + 2.0) * x + (alpha - beta))
+        if derivative:
+            dout[1] = 0.5 * (alpha + beta + 2.0)
     for k in range(1, nmax):
         a1 = 2.0 * (k + 1) * (k + alpha + beta + 1) * (2 * k + alpha + beta)
         a2 = (2 * k + alpha + beta + 1) * (alpha * alpha - beta * beta)
@@ -79,35 +89,16 @@ def _jacobi_rows(alpha: float, beta: float, nmax: int, x: np.ndarray) -> np.ndar
         )
         a4 = 2.0 * (k + alpha) * (k + beta) * (2 * k + alpha + beta + 2)
         out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
-    return out
+        if derivative:
+            dout[k + 1] = (
+                a3 * out[k] + (a2 + a3 * x) * dout[k] - a4 * dout[k - 1]
+            ) / a1
+    return (out, dout) if derivative else out
 
 
 def norm_constant(m: int, n: int) -> float:
     """Scale making integral(g_{m,n}^2) over the triangle equal 2."""
     return math.sqrt((2 * m + 1) * (m + n + 1))
-
-
-@lru_cache(maxsize=None)
-def _legendre_power_coeffs(m: int) -> tuple[float, ...]:
-    """Power-basis coefficients of the Legendre polynomial P_m, ascending."""
-    e = np.zeros(m + 1)
-    e[m] = 1.0
-    return tuple(np.polynomial.legendre.leg2poly(e))
-
-
-def _collapsed_product(m: int, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-    """P_m(eta) * ((1 - xi2)/2)^m evaluated without forming eta.
-
-    Homogenizes P_m(u/v) * (v/2)^m with u = 2*xi1 + xi2 + 1, v = 1 - xi2,
-    which is polynomial in (xi1, xi2) and therefore regular at the vertex.
-    """
-    u = 2.0 * xi1 + xi2 + 1.0
-    v = 1.0 - xi2
-    coeffs = _legendre_power_coeffs(m)
-    acc = np.zeros_like(u)
-    for k, c in enumerate(coeffs):
-        acc += c * u**k * v ** (m - k)
-    return acc / 2.0**m
 
 
 @dataclass(frozen=True)
@@ -141,83 +132,63 @@ class BasisEvaluation:
     derivative blocks have the same shape.
     """
 
-    spec: BasisSpec
-    points: np.ndarray
     values: np.ndarray
-    d_xi1: np.ndarray | None = field(default=None)
-    d_xi2: np.ndarray | None = field(default=None)
+    d_xi1: np.ndarray | None = None
+    d_xi2: np.ndarray | None = None
 
 
 def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEvaluation:
     """Evaluate every basis function of `spec` at `points`.
 
-    points: (n, 2) array-like in reference coordinates.  With
-    derivatives=True the two first-derivative blocks are tabulated as
-    well; this raises CollapsedVertexError if any point sits
-    within VERTEX_TOL of the collapsed vertex while the basis contains
-    m >= 1 functions.
+    points: (n, 2) array-like in reference coordinates, anywhere in the
+    closed triangle.  With derivatives=True the two first-derivative
+    blocks are tabulated as well, by differentiating the Q_m and
+    P_n^{2m+1,0} recurrences alongside the values.
     """
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
-    xi1, xi2 = pts[:, 0].copy(), pts[:, 1].copy()
-    npts, deg = pts.shape[0], spec.degree
+    xi1, xi2 = pts.T
+    deg = spec.degree
 
-    near = xi2 > 1.0 - VERTEX_TOL
-    if derivatives and deg >= 1 and near.any():
-        raise CollapsedVertexError(
-            "gradient undefined in factored form at the collapsed vertex "
-            f"(xi2 >= {1.0 - VERTEX_TOL})"
-        )
-
+    # Q_m = s^m P_m(eta) and its partials dQ_m/dxi1, dQ_m/dxi2
+    t = xi1 + 0.5 * (1.0 + xi2)
     s = 0.5 * (1.0 - xi2)
-    safe = np.where(near, 1.0, s)
-    eta = (2.0 * xi1 + xi2 + 1.0) / (2.0 * safe)
-
-    # s^m for m = 0..deg, and the Legendre/Jacobi recurrence tables.
-    spow = np.vstack([s**m for m in range(deg + 1)])
-    leg = _jacobi_rows(0.0, 0.0, deg, eta)
-
-    values = np.empty((npts, dim_poly(deg)))
-    consts = spec.constants()
-    d1 = d2 = None
-    if derivatives:
-        d1 = np.zeros_like(values)
-        d2 = np.zeros_like(values)
-        dleg = np.zeros_like(leg)
-        if deg >= 1:
-            # P_m'(eta) = ((m+1)/2) P_{m-1}^{1,1}(eta)
-            p11 = _jacobi_rows(1.0, 1.0, deg - 1, eta)
-            for m in range(1, deg + 1):
-                dleg[m] = 0.5 * (m + 1) * p11[m - 1]
-
-    for m in range(deg + 1):
-        jac = _jacobi_rows(2.0 * m + 1.0, 0.0, deg - m, xi2)
-        interior = leg[m] * spow[m]
-        if near.any() and m >= 1:
-            interior = np.where(near, _collapsed_product(m, xi1, xi2), interior)
+    s2 = s * s
+    q = np.empty((deg + 1,) + t.shape)
+    q1 = np.zeros_like(q) if derivatives else None
+    q2 = np.zeros_like(q) if derivatives else None
+    q[0] = 1.0
+    if deg >= 1:
+        q[1] = t
         if derivatives:
-            djac = np.zeros_like(jac)
-            if deg - m >= 1:
-                jshift = _jacobi_rows(2.0 * m + 2.0, 1.0, deg - m - 1, xi2)
-                for n in range(1, deg - m + 1):
-                    djac[n] = 0.5 * (n + 2 * m + 2) * jshift[n - 1]
-        for n in range(deg - m + 1):
-            k = rank_of(m, n)
-            c = consts[k]
-            values[:, k] = c * interior * jac[n]
-            if derivatives:
-                if m == 0:
-                    d1[:, k] = 0.0
-                    d2[:, k] = c * djac[n]
-                else:
-                    sm1 = spow[m - 1]
-                    d1[:, k] = c * dleg[m] * sm1 * jac[n]
-                    d2[:, k] = c * (
-                        sm1 * (0.5 * (1.0 + eta) * dleg[m] - 0.5 * m * leg[m]) * jac[n]
-                        + interior * djac[n]
-                    )
-    return BasisEvaluation(spec=spec, points=pts, values=values, d_xi1=d1, d_xi2=d2)
+            q1[1] = 1.0
+            q2[1] = 0.5
+    for m in range(1, deg):
+        q[m + 1] = ((2 * m + 1) * t * q[m] - m * s2 * q[m - 1]) / (m + 1)
+        if derivatives:
+            q1[m + 1] = (
+                (2 * m + 1) * (q[m] + t * q1[m]) - m * s2 * q1[m - 1]
+            ) / (m + 1)
+            q2[m + 1] = (
+                (2 * m + 1) * (0.5 * q[m] + t * q2[m])
+                + m * (s * q[m - 1] - s2 * q2[m - 1])
+            ) / (m + 1)
+
+    # jac[n, m] = P_n^{2m+1,0}(xi2) for every m at once; column k of the
+    # tabulation is c_k * Q_m * P_n^{2m+1,0} with (m, n) = indices[k]
+    alpha = 2.0 * np.arange(deg + 1)[:, None] + 1.0
+    rows = _jacobi_rows(alpha, 0.0, deg, xi2, derivative=derivatives)
+    jac, djac = rows if derivatives else (rows, None)
+    ms, ns = np.array(spec.indices).T
+    c = spec.constants()[:, None]
+    qk, jk = q[ms], jac[ns, ms]
+    blocks = [c * qk * jk]
+    if derivatives:
+        blocks += [c * q1[ms] * jk, c * (q2[ms] * jk + qk * djac[ns, ms])]
+    # values, d_xi1, d_xi2 as C-contiguous (point, function) tables: BLAS
+    # products downstream round by memory layout, and the search follows them
+    return BasisEvaluation(*np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1)))
 
 
 def integrals_vector(spec: BasisSpec) -> np.ndarray:

@@ -25,18 +25,6 @@ from .rule import QuadratureRule, dim_poly
 #: Allowed deviation of the file weight column from sum 1.
 WEIGHT_SUM_TOL = 1e-10
 
-_HEADER_KEYS = (
-    "d",
-    "n_points",
-    "strength",
-    "max_error",
-    "symmetry",
-    "positive_weights",
-    "all_interior",
-    "generator",
-    "seed",
-)
-
 
 class RuleParseError(ValueError):
     """Malformed rule file; carries the offending 1-based line number."""
@@ -161,8 +149,7 @@ def emit_rule(rule: QuadratureRule) -> str:
         "generator": meta.get("generator"),
         "seed": meta.get("seed"),
     }
-    for key in _HEADER_KEYS:
-        value = fields.get(key)
+    for key, value in fields.items():
         if value is not None:
             lines.append(f"# {key} = {value}")
     bary = ref_to_bary(rule.points)

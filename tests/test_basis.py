@@ -6,7 +6,6 @@ import sympy as sp
 
 from triquad.basis import (
     BasisSpec,
-    CollapsedVertexError,
     _jacobi_rows,
     dim_poly,
     gram_matrix,
@@ -19,14 +18,20 @@ from triquad.basis import (
 from triquad.domain import gauss_quadrature
 
 
-def symbolic_basis(m, n, normalized=True):
+XI1, XI2 = sp.symbols("xi1 xi2")
+
+
+def symbolic_polynomial(m, n, normalized=True):
     """Independent symbolic construction of one basis function (sympy Jacobi)."""
-    x1, x2 = sp.symbols("xi1 xi2")
-    eta = (2 * x1 + x2 + 1) / (1 - x2)
-    expr = sp.jacobi(m, 0, 0, eta) * ((1 - x2) / 2) ** m * sp.jacobi(n, 2 * m + 1, 0, x2)
+    eta = (2 * XI1 + XI2 + 1) / (1 - XI2)
+    expr = sp.jacobi(m, 0, 0, eta) * ((1 - XI2) / 2) ** m * sp.jacobi(n, 2 * m + 1, 0, XI2)
     if normalized:
         expr *= sp.sqrt((2 * m + 1) * (m + n + 1))
-    return sp.lambdify((x1, x2), sp.expand(sp.cancel(sp.together(expr))))
+    return sp.expand(sp.cancel(sp.together(expr)))
+
+
+def symbolic_basis(m, n, normalized=True):
+    return sp.lambdify((XI1, XI2), symbolic_polynomial(m, n, normalized))
 
 
 def random_interior(rng, count):
@@ -40,8 +45,9 @@ def values_at(spec, idx, pts):
 
 
 def jacobi_rows_derivative(alpha, beta, nmax, x):
-    """d/dx of the _jacobi_rows table by the identity the derivative blocks
-    of vandermonde use: d/dx P_n^{a,b} = ((n + a + b + 1)/2) P_{n-1}^{a+1,b+1}.
+    """d/dx of the _jacobi_rows table by the shifted-parameter identity
+    d/dx P_n^{a,b} = ((n + a + b + 1)/2) P_{n-1}^{a+1,b+1}: a reference for
+    the differentiated recurrence of _jacobi_rows(..., derivative=True).
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((nmax + 1,) + x.shape)
@@ -85,9 +91,11 @@ def test_jacobi_matches_sympy(alpha, beta):
 
 
 def test_jacobi_derivative_linear_and_constant():
-    rows = jacobi_rows_derivative(0.0, 0.0, 1, np.array([-0.9, 0.1, 0.7]))
+    x = np.array([-0.9, 0.1, 0.7])
+    _, rows = _jacobi_rows(0.0, 0.0, 1, x, derivative=True)
     assert np.all(rows[1] == 1.0)
     assert np.all(rows[0] == 0.0)
+    assert np.array_equal(rows, jacobi_rows_derivative(0.0, 0.0, 1, x))
 
 
 def test_jacobi_derivative_matches_finite_difference():
@@ -96,7 +104,26 @@ def test_jacobi_derivative_matches_finite_difference():
     fd = (_jacobi_rows(2.0, 0.0, 3, x + h)[3] - _jacobi_rows(2.0, 0.0, 3, x - h)[3]) / (
         2.0 * h
     )
-    assert jacobi_rows_derivative(2.0, 0.0, 3, x)[3, 0] == pytest.approx(fd[0], rel=1e-7)
+    _, rows = _jacobi_rows(2.0, 0.0, 3, x, derivative=True)
+    assert rows[3, 0] == pytest.approx(fd[0], rel=1e-7)
+    assert rows[3, 0] == pytest.approx(
+        jacobi_rows_derivative(2.0, 0.0, 3, x)[3, 0], rel=1e-13
+    )
+
+
+def test_jacobi_rows_for_an_alpha_array_match_the_scalar_sweeps():
+    # vandermonde runs P_n^{2m+1,0} for every m at once; each table must be
+    # the scalar sweep's, and its derivative rows the shifted-parameter ones
+    x = np.linspace(-1.0, 1.0, 41)
+    alphas = [1.0, 9.0, 25.0]
+    values, rows = _jacobi_rows(np.array(alphas)[:, None], 0.0, 12, x, derivative=True)
+    for i, alpha in enumerate(alphas):
+        scalar_values, scalar_rows = _jacobi_rows(alpha, 0.0, 12, x, derivative=True)
+        assert np.array_equal(values[:, i], scalar_values)
+        assert np.array_equal(rows[:, i], scalar_rows)
+        assert np.array_equal(scalar_values, _jacobi_rows(alpha, 0.0, 12, x))
+        ref = jacobi_rows_derivative(alpha, 0.0, 12, x)
+        assert np.max(np.abs(scalar_rows - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-12
 
 
 # ----------------------------------------------------------- enumeration
@@ -218,9 +245,23 @@ def test_gradient_matches_finite_differences():
     assert np.max(np.abs(ev.d_xi2 - fd2) / scale) <= 1e-6
 
 
-def test_gradient_refused_at_collapsed_vertex():
-    with pytest.raises(CollapsedVertexError):
-        vandermonde(BasisSpec(3), [(-1.0, 1.0 - 1e-12)], derivatives=True)
+@pytest.mark.parametrize(
+    "point",
+    [(-1.0, 1.0), (-1.0, 1.0 - 1e-12), (-1.0 + 1e-12, 1.0 - 5e-11), (-1.0 + 4e-11, 1.0 - 1e-10)],
+)
+def test_values_and_gradients_at_and_next_to_collapsed_vertex(point):
+    spec = BasisSpec(5)
+    ev = vandermonde(spec, [point], derivatives=True)
+    # exact rational evaluation of the sympy polynomial and its partials
+    at = {XI1: sp.Rational(point[0]), XI2: sp.Rational(point[1])}
+    for k, (m, n) in enumerate(spec.indices):
+        g = symbolic_polynomial(m, n)
+        for got, expr in (
+            (ev.values[0, k], g),
+            (ev.d_xi1[0, k], sp.diff(g, XI1)),
+            (ev.d_xi2[0, k], sp.diff(g, XI2)),
+        ):
+            assert got == pytest.approx(float(expr.subs(at)), rel=1e-12, abs=1e-12)
 
 
 # ----------------------------------------------------------- vandermonde
@@ -260,11 +301,6 @@ def test_vandermonde_values_regular_at_collapsed_vertex():
     for n in range(7):
         unnorm = ev.values[0, rank_of(0, n)] / norm_constant(0, n)
         assert unnorm == pytest.approx(n + 1.0, rel=1e-13)
-
-
-def test_vandermonde_derivatives_refused_at_vertex():
-    with pytest.raises(CollapsedVertexError):
-        vandermonde(BasisSpec(2), [(-1.0, 1.0)], derivatives=True)
 
 
 # ------------------------------------------------------------ integrals

@@ -8,6 +8,8 @@ from triquad.domain import points_inside
 from triquad.optimizer import (
     OptimizerConfig,
     _barrier_terms,
+    _init_collapsed_tensor,
+    _levenberg_marquardt,
     optimize,
     residual,
     residual_jacobian,
@@ -109,6 +111,20 @@ def test_barrier_is_infinite_on_an_edge_without_warning():
         warnings.simplefilter("error")
         assert _barrier_terms(on_edge) == (np.inf, None, None)
         assert _barrier_terms(outside) == (np.inf, None, None)
+
+
+def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
+    # a strictly interior point within 1e-10 of the top vertex (-1, 1): the
+    # search needs basis gradients there and must not raise
+    x0 = _init_collapsed_tensor(2)
+    x0[0] = (-1.0 + 1e-12, 1.0 - 5e-11)
+    assert np.all(points_inside(x0))
+    pts, res, _, converged = _levenberg_marquardt(
+        BasisSpec(2), BasisSpec(4), x0.ravel(), OptimizerConfig(target_e=2)
+    )
+    assert converged
+    assert res <= 1e-14
+    assert np.all(points_inside(pts))
 
 
 def test_optimize_d1_meets_table_row():

@@ -8,7 +8,6 @@ PUBLIC_NAMES = [
     "BasisEvaluation",
     "BasisSpec",
     "CertificationReport",
-    "CollapsedVertexError",
     "D3_SYMMETRIC",
     "DegenerateConfigurationError",
     "OptimizeResult",

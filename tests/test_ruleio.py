@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,27 @@ def midpoint_rule():
         points=np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]]),
         weights=np.full(3, 2.0 / 3.0),
     )
+
+
+def test_emitted_header_keys_keep_their_order():
+    rule = replace(midpoint_rule(), metadata={"generator": "triquad", "seed": 7})
+    text = emit_rule(rule.with_certification(certify(rule)))
+    keys = [
+        line[2:].split(" = ")[0]
+        for line in text.splitlines()
+        if line.startswith("# ") and " = " in line
+    ]
+    assert keys == [
+        "d",
+        "n_points",
+        "strength",
+        "max_error",
+        "symmetry",
+        "positive_weights",
+        "all_interior",
+        "generator",
+        "seed",
+    ]
 
 
 def test_parse_midpoint_rule():
