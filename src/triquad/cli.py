@@ -15,8 +15,8 @@ from pathlib import Path
 from .basis import BasisSpec, dim_poly
 from .domain import ref_to_bary, ref_to_unit
 from .optimizer import AllRestartsDegenerateError, OptimizerConfig, optimize
-from .rule import CERTIFY_TOL, QuadratureRule, certify, dof_bound
-from .ruleio import Registry, RuleParseError, emit_rule, parse_points_xyw, parse_rule
+from .rule import CERTIFY_TOL, OracleDisagreementError, QuadratureRule, certify, dof_bound
+from .ruleio import Registry, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
 from .weights import DegenerateConfigurationError, newton_cotes_weights
 
@@ -256,15 +256,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (RuleParseError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # RuleParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateConfigurationError, AllRestartsDegenerateError) as exc:
+    except (
+        DegenerateConfigurationError,
+        AllRestartsDegenerateError,
+        OracleDisagreementError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 A rule's *strength* is the largest degree D such that it integrates every
 polynomial of total degree <= D exactly (to tolerance).  Certification
-measures the max-norm residual over the orthonormal basis functions,
-degree shell by degree shell, and cross-checks the outcome against the
-independent monomial oracle so a basis bug cannot silently certify.
+runs two independent oracles: the unit-triangle monomials, walked degree
+by degree, and one tabulation of the orthonormal basis whose residuals
+are reduced shell by shell.  A basis bug cannot silently certify, because
+the two strengths must agree.
 """
 
 from __future__ import annotations
@@ -127,18 +128,6 @@ def dof_bound(d: int) -> int:
     return t
 
 
-def _shell_errors(rule: QuadratureRule, degree: int) -> float:
-    """Max-norm quadrature residual over the normalized basis shell m+n = degree."""
-    spec = BasisSpec(degree)
-    v = vandermonde(spec, rule.points).values
-    lo = dim_poly(degree - 1)
-    approx = v[:, lo:].T @ rule.weights
-    exact = np.zeros(spec.dim - lo)
-    if degree == 0:
-        exact[0] = 2.0
-    return float(np.max(np.abs(approx - exact)))
-
-
 def _monomial_shell_error(rule: QuadratureRule, degree: int) -> float:
     """Max residual of unit-triangle monomials of exact total degree `degree`."""
     xy = ref_to_unit(rule.points)
@@ -154,36 +143,40 @@ def _monomial_shell_error(rule: QuadratureRule, degree: int) -> float:
 def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> CertificationReport:
     """Certify the rule's strength against the orthonormal basis.
 
-    Ascends degree by degree and stops at the first shell whose max-norm
-    residual exceeds `tolerance`; the failing shell's error is kept in
-    per_degree_error for diagnostics.  The resulting strength is
-    cross-checked against the monomial oracle at the same tolerance and an
-    OracleDisagreementError is raised on mismatch.
+    The monomial oracle runs first and ascends to its first failing degree.
+    The basis is then tabulated once, at one degree past that strength; its
+    graded enumeration holds every lower shell as leading columns, so one
+    residual vector gives each shell's max-norm error.  The basis strength
+    is the degree before the first shell whose error is not within
+    `tolerance`.  Shells past the monomial strength plus one cannot change
+    the verdict: the strengths agree exactly when the basis passes every
+    shell through the monomial strength and fails the next one, as in a
+    walk over every degree.  On disagreement OracleDisagreementError is
+    raised.  per_degree_error holds the shells through the first failing one.
     """
-    per_degree: dict[int, float] = {}
-    strength = -1
-    for t in range(STRENGTH_CAP + 1):
-        err = _shell_errors(rule, t)
-        per_degree[t] = err
-        if err > tolerance:
-            break
-        strength = t
-
     mono_strength = -1
     for t in range(STRENGTH_CAP + 1):
         if _monomial_shell_error(rule, t) > tolerance:
             break
         mono_strength = t
 
-    if mono_strength != strength:
+    top = min(mono_strength + 1, STRENGTH_CAP)
+    res = vandermonde(BasisSpec(top), rule.points).values.T @ rule.weights
+    res[0] -= 2.0
+    errors = np.maximum.reduceat(
+        np.abs(res), [dim_poly(t - 1) for t in range(top + 1)]
+    )
+    failing = np.flatnonzero(~(errors <= tolerance))
+    strength = int(failing[0]) - 1 if failing.size else top
+    if strength != mono_strength:
+        at_least = "" if failing.size else "at least "
         raise OracleDisagreementError(
-            f"basis residuals certify strength {strength} but the monomial "
-            f"oracle certifies {mono_strength}"
+            f"basis residuals certify strength {at_least}{strength} but the "
+            f"monomial oracle certifies {mono_strength}"
         )
 
-    max_error = max(
-        (e for t, e in per_degree.items() if t <= strength), default=0.0
-    )
+    per_degree = {t: float(e) for t, e in enumerate(errors[: strength + 2])}
+    max_error = float(np.max(errors[: strength + 1], initial=0.0))
     return CertificationReport(
         strength=strength,
         max_error=max_error,
@@ -198,23 +191,23 @@ def classify_symmetry(rule: QuadratureRule, tolerance: float = SYMMETRY_TOL) -> 
     """D3 invariance check of the weighted point set.
 
     The six triangle symmetries act as permutations of the barycentric
-    coordinates.  For each group element the transformed points must match
-    the originals bijectively (greedy nearest-neighbor in reference
-    coordinates) with matching weights.
+    coordinates.  For each group element every transformed point's nearest
+    original point (max-norm in reference coordinates) must lie within
+    `tolerance` and carry a weight within `tolerance` of its own, and no
+    original point may be the nearest to two transformed ones.  NaN never
+    matches.
     """
     bary = ref_to_bary(rule.points)
     ref = rule.points
     wts = rule.weights
-    n = rule.n_points
+    rows = np.arange(rule.n_points)
     for perm in permutations(range(3)):
         transformed = 2.0 * bary[:, list(perm)][:, :2] - 1.0
-        used = np.zeros(n, dtype=bool)
-        for i in range(n):
-            dist = np.max(np.abs(ref - transformed[i]), axis=1)
-            j = int(np.argmin(dist))
-            if dist[j] > tolerance or used[j] or abs(wts[i] - wts[j]) > tolerance:
-                return ASYMMETRIC
-            used[j] = True
+        dist = np.max(np.abs(ref[None, :, :] - transformed[:, None, :]), axis=2)
+        j = np.argmin(dist, axis=1)
+        matched = (dist[rows, j] <= tolerance) & (np.abs(wts - wts[j]) <= tolerance)
+        if not matched.all() or np.unique(j).size < rule.n_points:
+            return ASYMMETRIC
     return D3_SYMMETRIC
 
 

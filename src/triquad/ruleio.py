@@ -14,6 +14,7 @@ so stored rules can be checked for tampering.
 from __future__ import annotations
 
 import hashlib
+import math
 import warnings
 from pathlib import Path
 
@@ -47,7 +48,7 @@ def _read_records(text: str) -> tuple[dict[str, str], np.ndarray]:
     """Header fields and the (n, 3) array of record lines of a rule text.
 
     Lines starting with '#' are comments; those holding key=value fill the
-    header.  Every other non-blank line must hold three numbers.
+    header.  Every other non-blank line must hold three finite numbers.
     """
     header: dict[str, str] = {}
     records: list[list[float]] = []
@@ -68,9 +69,12 @@ def _read_records(text: str) -> tuple[dict[str, str], np.ndarray]:
                 lineno,
             )
         try:
-            records.append([float(f) for f in fields])
+            values = [float(f) for f in fields]
         except ValueError as exc:
             raise RuleParseError(f"unparseable number ({exc})", lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise RuleParseError(f"non-finite number in {line!r}", lineno)
+        records.append(values)
     if not records:
         raise RuleParseError("no point records found")
     return header, np.array(records)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import triquad.rule
 from triquad.cli import main
 
 MIDPOINT_FILE = """\
@@ -64,6 +65,36 @@ def test_verify_truncated_file_fails(tmp_path, capsys):
     path.write_text("0.5 0.5 0.5\n0.5 0.0\n")
     assert main(["verify", str(path)]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "record,line",
+    [("0.0 0.5 nan", 5), ("0.0 inf 0.33333333333333334", 5)],
+    ids=["nan_weight", "inf_coordinate"],
+)
+def test_verify_refuses_non_finite_records(tmp_path, capsys, record, line):
+    # a NaN weight used to certify strength 60 and pass any header claim
+    text = MIDPOINT_FILE.replace("strength = 2", "strength = 60")
+    text = text.replace("0.0 0.5 0.33333333333333334", record)
+    path = tmp_path / "non_finite.txt"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 2
+    assert f"line {line}: non-finite" in capsys.readouterr().err
+
+
+def test_verify_reports_oracle_disagreement_in_one_line(monkeypatch, capsys, midpoint_path):
+    original = triquad.rule.vandermonde
+
+    def scaled_constant(spec, points, derivatives=False):
+        ev = original(spec, points, derivatives)
+        ev.values[:, 0] *= 2.0
+        return ev
+
+    monkeypatch.setattr(triquad.rule, "vandermonde", scaled_constant)
+    assert main(["verify", str(midpoint_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: basis residuals certify strength")
 
 
 def test_verify_missing_file_fails(tmp_path, capsys):

@@ -1,16 +1,27 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
-from triquad.domain import bary_to_ref
+import triquad.rule
+from triquad.basis import BasisSpec, dim_poly, vandermonde
+from triquad.domain import bary_to_ref, ref_to_bary
+from triquad.optimizer import _init_collapsed_tensor
 from triquad.rule import (
     ASYMMETRIC,
+    CERTIFY_TOL,
     D3_SYMMETRIC,
+    STRENGTH_CAP,
+    SYMMETRY_TOL,
+    OracleDisagreementError,
     QuadratureRule,
+    _monomial_shell_error,
     certify,
     classify_symmetry,
     dof_bound,
     validate,
 )
+from triquad.weights import newton_cotes_weights
 
 MIDPOINT_RULE = QuadratureRule(
     cardinal_degree=1,
@@ -77,6 +88,92 @@ def test_certify_invariant_under_symmetry_transform():
         assert abs(report.max_error - base.max_error) <= 1e-13
 
 
+def _walk_certify(rule, tolerance=CERTIFY_TOL):
+    """Reference: one basis tabulation per degree, ascending to the first
+    failing shell, then the monomial walk; (strength, per-degree errors)."""
+    per_degree = {}
+    strength = -1
+    for t in range(STRENGTH_CAP + 1):
+        v = vandermonde(BasisSpec(t), rule.points).values
+        approx = v[:, dim_poly(t - 1):].T @ rule.weights
+        if t == 0:
+            approx[0] -= 2.0
+        per_degree[t] = float(np.max(np.abs(approx)))
+        if per_degree[t] > tolerance:
+            break
+        strength = t
+    mono_strength = -1
+    for t in range(STRENGTH_CAP + 1):
+        if _monomial_shell_error(rule, t) > tolerance:
+            break
+        mono_strength = t
+    if mono_strength != strength:
+        raise OracleDisagreementError(f"{strength} != {mono_strength}")
+    return strength, per_degree
+
+
+def _newton_cotes_rules():
+    """Newton-Cotes rules with sum|w| <= 100 on collapsed Gauss nodes and on
+    random interior points, d = 1..6, each also with point 0 moved."""
+    rng = np.random.default_rng(11)
+    rules = []
+    for d in range(1, 7):
+        spec = BasisSpec(d)
+        gauss = _init_collapsed_tensor(d)
+        sets = [(gauss, newton_cotes_weights(spec, gauss).weights)]
+        while len(sets) < 3:
+            uv = rng.random((spec.dim, 2))
+            fold = uv.sum(axis=1) > 1.0
+            uv[fold] = 1.0 - uv[fold]
+            pts = bary_to_ref(uv)
+            weights = newton_cotes_weights(spec, pts).weights
+            if np.abs(weights).sum() <= 100.0:
+                sets.append((pts, weights))
+        for pts, weights in sets:
+            for shift in (0.0, 1e-9, 1e-3):
+                moved = pts.copy()
+                moved[0, 0] += shift
+                rules.append(QuadratureRule(None, moved, weights))
+    return rules
+
+
+NEWTON_COTES_RULES = _newton_cotes_rules()
+
+
+def test_certify_tabulates_the_basis_once(monkeypatch):
+    calls = []
+    original = triquad.rule.vandermonde
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].degree)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(triquad.rule, "vandermonde", counting)
+    for rule in [MIDPOINT_RULE, CENTROID_RULE] + NEWTON_COTES_RULES[::3]:
+        calls.clear()
+        report = certify(rule)
+        assert calls == [report.strength + 1]
+
+
+@pytest.mark.parametrize("rule", [MIDPOINT_RULE, CENTROID_RULE] + NEWTON_COTES_RULES)
+def test_certify_matches_the_per_degree_walk(rule):
+    strength, per_degree = _walk_certify(rule)
+    report = certify(rule)
+    assert report.strength == strength
+    assert sorted(report.per_degree_error) == sorted(per_degree)
+    floor = 4.0 * np.finfo(float).eps * np.abs(rule.weights).sum()
+    for t, ref in per_degree.items():
+        assert abs(report.per_degree_error[t] - ref) <= floor * max(1.0, abs(ref))
+
+
+def test_certify_never_passes_a_nan_shell():
+    # NaN compares false both ways; the monomial walk misses it, the basis must not
+    weights = MIDPOINT_RULE.weights.copy()
+    weights[1] = np.nan
+    with pytest.raises(OracleDisagreementError, match="strength -1 "):
+        certify(QuadratureRule(1, MIDPOINT_RULE.points, weights))
+
+
 @pytest.mark.parametrize(
     "d,expected",
     [
@@ -112,6 +209,77 @@ def test_classify_detects_weight_mismatch():
     rule = QuadratureRule(
         1, MIDPOINT_RULE.points.copy(), np.array([0.7, 0.7, 0.6])
     )
+    assert classify_symmetry(rule) == ASYMMETRIC
+
+
+def _generic_orbit(shuffle_seed):
+    """The 6 permutations of barycentric (0.1, 0.25, 0.65), in shuffled order."""
+    orbit = np.array([
+        (0.1, 0.25), (0.25, 0.1), (0.1, 0.65), (0.65, 0.1), (0.25, 0.65), (0.65, 0.25),
+    ])
+    order = np.random.default_rng(shuffle_seed).permutation(6)
+    return bary_to_ref(orbit[order]), np.full(6, 2.0 / 6.0)
+
+
+def test_classify_shuffled_generic_orbit_is_symmetric():
+    points, weights = _generic_orbit(3)
+    assert classify_symmetry(QuadratureRule(None, points, weights)) == D3_SYMMETRIC
+
+
+def test_classify_generic_orbit_with_one_moved_weight_is_asymmetric():
+    points, weights = _generic_orbit(3)
+    weights[4] += 1e-9
+    with pytest.warns(UserWarning, match="sum"):
+        rule = QuadratureRule(None, points, weights)
+    assert classify_symmetry(rule) == ASYMMETRIC
+
+
+def _loop_classify(rule, tolerance=SYMMETRY_TOL):
+    """Reference: greedy point-by-point D3 matching with a used-point mask."""
+    bary = ref_to_bary(rule.points)
+    for perm in permutations(range(3)):
+        transformed = 2.0 * bary[:, list(perm)][:, :2] - 1.0
+        used = np.zeros(rule.n_points, dtype=bool)
+        for i in range(rule.n_points):
+            dist = np.max(np.abs(rule.points - transformed[i]), axis=1)
+            j = int(np.argmin(dist))
+            if dist[j] > tolerance or used[j] or abs(rule.weights[i] - rule.weights[j]) > tolerance:
+                return ASYMMETRIC
+            used[j] = True
+    return D3_SYMMETRIC
+
+
+def _orbit_rules():
+    """Centroid, 3- and 6-point orbits in shuffled order, intact and perturbed."""
+    rng = np.random.default_rng(7)
+    orbit6, _ = _generic_orbit(0)
+    orbit3 = bary_to_ref(np.array([(0.2, 0.2), (0.2, 0.6), (0.6, 0.2)]))
+    centroid = CENTROID_RULE.points
+    rules = []
+    for parts in ([orbit3], [orbit6], [centroid, orbit3], [centroid, orbit3, orbit6]):
+        points = np.vstack(parts)
+        weights = np.concatenate([np.full(len(p), 0.1 * (k + 1)) for k, p in enumerate(parts)])
+        weights *= 2.0 / weights.sum()
+        for shift in (0.0, 1e-11, 1e-9):
+            moved_point, moved_weight = points.copy(), weights.copy()
+            moved_point[-1, 0] += shift
+            moved_weight[-1] += shift
+            moved_weight[0] -= shift
+            for pts, wts in ((moved_point, weights), (points, moved_weight)):
+                order = rng.permutation(len(pts))
+                rules.append(QuadratureRule(None, pts[order], wts[order]))
+    return rules + NEWTON_COTES_RULES[::3]
+
+
+@pytest.mark.parametrize("rule", _orbit_rules())
+def test_classify_matches_the_point_by_point_loop(rule):
+    assert classify_symmetry(rule) == _loop_classify(rule)
+
+
+def test_classify_refuses_to_match_one_point_twice():
+    # both copies of the centroid have the first copy as their nearest point
+    points = np.array([[-1.0 / 3.0, -1.0 / 3.0]] * 2)
+    rule = QuadratureRule(None, points, np.ones(2))
     assert classify_symmetry(rule) == ASYMMETRIC
 
 

@@ -148,6 +148,21 @@ def test_xyw_adapter_rejects_garbage():
         parse_points_xyw("0.5 0.5\n")
 
 
+@pytest.mark.parametrize("parse", [parse_rule, parse_points_xyw])
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("0.5 0.5 0.5\n0.5 0.0 0.5\n0.0 0.5 nan\n", 3),
+        ("0.5 0.5 0.5\ninf 0.0 0.25\n0.0 0.5 0.25\n", 2),
+    ],
+    ids=["nan_weight", "inf_coordinate"],
+)
+def test_parsers_reject_non_finite_fields(parse, text, line):
+    with pytest.raises(RuleParseError, match=f"line {line}: non-finite") as info:
+        parse(text)
+    assert info.value.line == line
+
+
 # --------------------------------------------------------------- registry
 
 
