@@ -23,6 +23,16 @@ which never forms eta.  Values and gradients therefore come from one
 division-free path at every point of the closed triangle, the collapsed
 vertex included.
 
+A tabulation is two sweeps.  The value sweep runs the Q_m recurrence and
+the P_n^{2m+1,0} recurrence for every m at once, and gathers the columns.
+The derivative sweep differentiates both recurrences, reading the value
+tables rather than recomputing them; a values-only tabulation keeps those
+tables, so derivatives can be added later for the same points without
+repeating the value sweep.  Everything that depends on the degree alone
+(the recurrence coefficients for the vector of alphas, the (m, n) gather
+indices and the normalization constants) is built once per degree and
+cached.
+
 Basis enumeration is graded lexicographic and frozen: total degree
 ascending, m ascending within each degree.  Residual vectors, rule files
 and reports all index basis functions in this order.
@@ -31,8 +41,9 @@ and reports all index basis functions in this order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -61,39 +72,51 @@ def rank_of(m: int, n: int) -> int:
     return dim_poly(m + n - 1) + m
 
 
-def _jacobi_rows(
-    alpha: float | np.ndarray, beta: float, nmax: int, x: np.ndarray, derivative: bool = False
-):
-    """Table of P_n^{alpha,beta}(x) for n = 0..nmax, shape (nmax+1, len(x)).
+class _JacobiRecurrence:
+    """Coefficients of the P_n^{alpha,beta} three-term recurrence, n <= nmax.
 
-    An array `alpha` broadcasts against x, giving one table per alpha in
-    the same sweep: shape (nmax+1,) + broadcast(alpha, x).shape.  With
-    derivative=True returns (table, d/dx table), the latter from the
-    differentiated recurrence.
+    An array `alpha` gives one coefficient set per alpha; the sweeps
+    broadcast it against the points.  Built once per (alpha, beta, nmax),
+    so a sweep does no per-call coefficient arithmetic.
     """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
-    dout = np.zeros_like(out) if derivative else None
-    out[0] = 1.0
-    if nmax >= 1:
-        out[1] = 0.5 * ((alpha + beta + 2.0) * x + (alpha - beta))
-        if derivative:
-            dout[1] = 0.5 * (alpha + beta + 2.0)
-    for k in range(1, nmax):
-        a1 = 2.0 * (k + 1) * (k + alpha + beta + 1) * (2 * k + alpha + beta)
-        a2 = (2 * k + alpha + beta + 1) * (alpha * alpha - beta * beta)
-        a3 = (
-            (2 * k + alpha + beta)
-            * (2 * k + alpha + beta + 1)
-            * (2 * k + alpha + beta + 2)
-        )
-        a4 = 2.0 * (k + alpha) * (k + beta) * (2 * k + alpha + beta + 2)
-        out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
-        if derivative:
+
+    def __init__(self, alpha: float | np.ndarray, beta: float, nmax: int):
+        self.nmax = nmax
+        self.alpha_shape = np.shape(alpha)
+        self.slope = alpha + beta + 2.0
+        self.offset = alpha - beta
+        self.steps = []
+        for k in range(1, nmax):
+            a1 = 2.0 * (k + 1) * (k + alpha + beta + 1) * (2 * k + alpha + beta)
+            a2 = (2 * k + alpha + beta + 1) * (alpha * alpha - beta * beta)
+            a3 = (
+                (2 * k + alpha + beta)
+                * (2 * k + alpha + beta + 1)
+                * (2 * k + alpha + beta + 2)
+            )
+            a4 = 2.0 * (k + alpha) * (k + beta) * (2 * k + alpha + beta + 2)
+            self.steps.append((a1, a2, a3, a4))
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        """Table of P_n(x), shape (nmax+1,) + broadcast(alpha, x).shape."""
+        out = np.empty((self.nmax + 1,) + np.broadcast_shapes(self.alpha_shape, x.shape))
+        out[0] = 1.0
+        if self.nmax >= 1:
+            out[1] = 0.5 * (self.slope * x + self.offset)
+        for k, (a1, a2, a3, a4) in enumerate(self.steps, start=1):
+            out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
+        return out
+
+    def derivatives(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """d/dx of the table `out` = values(x), from the differentiated recurrence."""
+        dout = np.zeros_like(out)
+        if self.nmax >= 1:
+            dout[1] = 0.5 * self.slope
+        for k, (a1, a2, a3, a4) in enumerate(self.steps, start=1):
             dout[k + 1] = (
                 a3 * out[k] + (a2 + a3 * x) * dout[k] - a4 * dout[k - 1]
             ) / a1
-    return (out, dout) if derivative else out
+        return dout
 
 
 def norm_constant(m: int, n: int) -> float:
@@ -120,21 +143,119 @@ class BasisSpec:
     def indices(self) -> tuple[tuple[int, int], ...]:
         return multi_indices(self.degree)
 
-    def constants(self) -> np.ndarray:
-        return np.array([norm_constant(m, n) for m, n in self.indices])
-
 
 @dataclass(frozen=True)
 class BasisEvaluation:
     """Vandermonde-style tabulation of all basis functions at a point set.
 
     values[j, k] is the k-th basis function at the j-th point; the optional
-    derivative blocks have the same shape.
+    derivative blocks have the same shape.  A values-only tabulation keeps
+    the value tables its derivative sweep reads (`_sweep`).
     """
 
     values: np.ndarray
     d_xi1: np.ndarray | None = None
     d_xi2: np.ndarray | None = None
+    _sweep: "_ValueSweep | None" = field(default=None, repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Per-degree constants of a tabulation, built once per degree."""
+
+    jacobi: _JacobiRecurrence  # P_n^{2m+1,0} for every m, alpha as a column
+    ms: np.ndarray  # (m, n) of column k is (ms[k], ns[k])
+    ns: np.ndarray
+    c: np.ndarray  # normalization constant of column k, shape (dim, 1)
+
+
+@lru_cache(maxsize=None)
+def _plan(degree: int) -> _Plan:
+    alpha = 2.0 * np.arange(degree + 1)[:, None] + 1.0
+    indices = multi_indices(degree)
+    ms, ns = np.array(indices).T
+    c = np.array([norm_constant(m, n) for m, n in indices])[:, None]
+    jacobi = _JacobiRecurrence(alpha, 0.0, degree)
+    # every caller at this degree shares these arrays
+    for a in (ms, ns, c, jacobi.slope, jacobi.offset, *chain(*jacobi.steps)):
+        a.setflags(write=False)
+    return _Plan(jacobi, ms, ns, c)
+
+
+@dataclass(frozen=True)
+class _ValueSweep:
+    """The tables of a value sweep that its derivative sweep reads."""
+
+    plan: _Plan
+    xi2: np.ndarray
+    t: np.ndarray
+    s: np.ndarray
+    s2: np.ndarray
+    q: np.ndarray  # q[m] = Q_m
+    jac: np.ndarray  # jac[n, m] = P_n^{2m+1,0}(xi2)
+    qk: np.ndarray  # Q_m and P_n^{2m+1,0} gathered per column (m, n)
+    jk: np.ndarray
+
+
+def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
+    """Basis values at `pts`, keeping the tables for a derivative sweep."""
+    xi1, xi2 = pts.T
+    deg = plan.jacobi.nmax
+
+    # Q_m = s^m P_m(eta)
+    t = xi1 + 0.5 * (1.0 + xi2)
+    s = 0.5 * (1.0 - xi2)
+    s2 = s * s
+    q = np.empty((deg + 1,) + t.shape)
+    q[0] = 1.0
+    if deg >= 1:
+        q[1] = t
+    for m in range(1, deg):
+        q[m + 1] = ((2 * m + 1) * t * q[m] - m * s2 * q[m - 1]) / (m + 1)
+
+    # jac[n, m] = P_n^{2m+1,0}(xi2) for every m at once; column k of the
+    # tabulation is c_k * Q_m * P_n^{2m+1,0} with (m, n) = indices[k]
+    jac = plan.jacobi.values(xi2)
+    qk, jk = q[plan.ms], jac[plan.ns, plan.ms]
+    # (point, function) tables, C-contiguous: BLAS products downstream round
+    # by memory layout, and the search follows them
+    values = np.ascontiguousarray((plan.c * qk * jk).T)
+    sweep = _ValueSweep(plan, xi2, t, s, s2, q, jac, qk, jk)
+    return BasisEvaluation(values, _sweep=sweep)
+
+
+def _derivative_sweep(ev: BasisEvaluation) -> BasisEvaluation:
+    """`ev` with both first-derivative blocks, from its kept value tables.
+
+    Differentiates the Q_m and P_n^{2m+1,0} recurrences; the value tables
+    are read, not recomputed.
+    """
+    sw = ev._sweep
+    plan, t, s, s2, q = sw.plan, sw.t, sw.s, sw.s2, sw.q
+    deg = plan.jacobi.nmax
+
+    # dQ_m/dxi1, dQ_m/dxi2
+    q1 = np.zeros_like(q)
+    q2 = np.zeros_like(q)
+    if deg >= 1:
+        q1[1] = 1.0
+        q2[1] = 0.5
+    for m in range(1, deg):
+        q1[m + 1] = (
+            (2 * m + 1) * (q[m] + t * q1[m]) - m * s2 * q1[m - 1]
+        ) / (m + 1)
+        q2[m + 1] = (
+            (2 * m + 1) * (0.5 * q[m] + t * q2[m])
+            + m * (s * q[m - 1] - s2 * q2[m - 1])
+        ) / (m + 1)
+
+    djac = plan.jacobi.derivatives(sw.xi2, sw.jac)
+    ms, ns, c = plan.ms, plan.ns, plan.c
+    d_xi1 = c * q1[ms] * sw.jk
+    d_xi2 = c * (q2[ms] * sw.jk + sw.qk * djac[ns, ms])
+    return BasisEvaluation(
+        ev.values, np.ascontiguousarray(d_xi1.T), np.ascontiguousarray(d_xi2.T)
+    )
 
 
 def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEvaluation:
@@ -142,53 +263,14 @@ def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEval
 
     points: (n, 2) array-like in reference coordinates, anywhere in the
     closed triangle.  With derivatives=True the two first-derivative
-    blocks are tabulated as well, by differentiating the Q_m and
-    P_n^{2m+1,0} recurrences alongside the values.
+    blocks are tabulated as well: the value sweep followed by the
+    derivative sweep.
     """
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
-    xi1, xi2 = pts.T
-    deg = spec.degree
-
-    # Q_m = s^m P_m(eta) and its partials dQ_m/dxi1, dQ_m/dxi2
-    t = xi1 + 0.5 * (1.0 + xi2)
-    s = 0.5 * (1.0 - xi2)
-    s2 = s * s
-    q = np.empty((deg + 1,) + t.shape)
-    q1 = np.zeros_like(q) if derivatives else None
-    q2 = np.zeros_like(q) if derivatives else None
-    q[0] = 1.0
-    if deg >= 1:
-        q[1] = t
-        if derivatives:
-            q1[1] = 1.0
-            q2[1] = 0.5
-    for m in range(1, deg):
-        q[m + 1] = ((2 * m + 1) * t * q[m] - m * s2 * q[m - 1]) / (m + 1)
-        if derivatives:
-            q1[m + 1] = (
-                (2 * m + 1) * (q[m] + t * q1[m]) - m * s2 * q1[m - 1]
-            ) / (m + 1)
-            q2[m + 1] = (
-                (2 * m + 1) * (0.5 * q[m] + t * q2[m])
-                + m * (s * q[m - 1] - s2 * q2[m - 1])
-            ) / (m + 1)
-
-    # jac[n, m] = P_n^{2m+1,0}(xi2) for every m at once; column k of the
-    # tabulation is c_k * Q_m * P_n^{2m+1,0} with (m, n) = indices[k]
-    alpha = 2.0 * np.arange(deg + 1)[:, None] + 1.0
-    rows = _jacobi_rows(alpha, 0.0, deg, xi2, derivative=derivatives)
-    jac, djac = rows if derivatives else (rows, None)
-    ms, ns = np.array(spec.indices).T
-    c = spec.constants()[:, None]
-    qk, jk = q[ms], jac[ns, ms]
-    blocks = [c * qk * jk]
-    if derivatives:
-        blocks += [c * q1[ms] * jk, c * (q2[ms] * jk + qk * djac[ns, ms])]
-    # values, d_xi1, d_xi2 as C-contiguous (point, function) tables: BLAS
-    # products downstream round by memory layout, and the search follows them
-    return BasisEvaluation(*np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1)))
+    ev = _value_sweep(_plan(spec.degree), pts)
+    return _derivative_sweep(ev) if derivatives else ev
 
 
 def integrals_vector(spec: BasisSpec) -> np.ndarray:

@@ -10,20 +10,27 @@ Gauss-Newton handles without trouble.
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
 solve the unbiased problem; a weight hinge steers toward positive weights.
-Each configuration is evaluated once, into an `_EvalState`; a trial step
-leaving the triangle is rejected before that, and one producing a
-near-singular Vandermonde system is rejected outright.
+Every configuration the search visits is evaluated once, into an
+`_EvalState`, at the cost of values only: basis values, the weight solve,
+the shell residual, the hinge and the barrier value decide whether a trial
+step is accepted.  Derivatives (the basis derivative sweep, the weight
+Jacobian, the residual Jacobian and the barrier's gradient and Hessian)
+are formed only for a configuration the search steps from: the start, an
+accepted trial or a kick.  A trial step leaving the triangle is rejected
+before evaluation, and one producing a near-singular Vandermonde system is
+rejected outright.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, vandermonde
+from .basis import BasisSpec, _derivative_sweep, vandermonde
 from .domain import as_point_array, bary_to_ref, ref_to_bary
 from .rule import CertificationReport, QuadratureRule, certify, dof_bound
 from .weights import (
@@ -107,36 +114,50 @@ def _check_specs(spec_d: BasisSpec, spec_de: BasisSpec) -> None:
 
 
 class _EvalState:
-    """Everything the search uses at one configuration, each computed once.
+    """One configuration the search visits.
 
-    `res`/`jacobian`: the shell residual and its Jacobian, as returned by
-    `residual_jacobian`; `r`/`jac` append the weight hinge max(margin - w, 0)
-    and its Jacobian; `barrier*` hold the value, gradient and Hessian blocks
-    of `_barrier_terms`.
+    Construction costs values only: one values tabulation, the weight
+    solve, the shell residual `res`, the hinge-augmented `r`
+    (hinge max(margin - w, 0) appended), `hinge_active` and the barrier
+    value, which is all a trial step needs to be accepted or rejected.
+    `linearize()` adds, once, what a step from this configuration needs:
+    `jacobian` (the shell residual's, as returned by `residual_jacobian`),
+    `jac` (with the hinge rows) and the barrier's gradient and Hessian
+    blocks.  It reuses the kept value tables and the solve's factorization.
     """
 
-    __slots__ = ("points", "res", "jacobian", "r", "jac", "hinge_active",
-                 "barrier", "barrier_grad", "barrier_hess")
+    __slots__ = ("points", "res", "r", "hinge_active", "barrier", "jacobian",
+                 "jac", "barrier_grad", "barrier_hess", "_parts")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points):
         pts = as_point_array(points)
-        ev = vandermonde(spec_de, pts, derivatives=True)
+        ev = vandermonde(spec_de, pts)
         lu_piv, w, _, _ = _solve_system(spec_d, ev)
-        dim_lo = spec_d.dim
         self.points = pts
-        v_hi = ev.values[:, dim_lo:]
-        self.res = v_hi.T @ w
+        self.res = ev.values[:, spec_d.dim:].T @ w
+        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - w, 0.0)
+        active = hinge > 0.0
+        self.r = np.concatenate([self.res, hinge])
+        self.hinge_active = bool(np.any(active))
+        self.barrier = _barrier_value(ref_to_bary(pts))
+        self.jacobian = self.jac = self.barrier_grad = self.barrier_hess = None
+        self._parts = (ev, lu_piv, w, active)
+
+    def linearize(self) -> None:
+        """Tabulate derivatives and form the Jacobians; a no-op after the first call."""
+        if self.jac is not None:
+            return
+        ev, lu_piv, w, active = self._parts
+        self._parts = None
+        ev = _derivative_sweep(ev)
+        dim_lo = w.shape[0]
         wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
-        jac = v_hi.T @ wjac
+        jac = ev.values[:, dim_lo:].T @ wjac
         jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
         jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
         self.jacobian = jac
-        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / dim_lo - w, 0.0)
-        active = hinge > 0.0
-        self.r = np.concatenate([self.res, hinge])
         self.jac = np.vstack([jac, np.where(active[:, None], -wjac, 0.0)])
-        self.hinge_active = bool(np.any(active))
-        self.barrier, self.barrier_grad, self.barrier_hess = _barrier_terms(pts)
+        _, self.barrier_grad, self.barrier_hess = _barrier_terms(self.points)
 
     @property
     def max_residual(self) -> float:
@@ -163,16 +184,25 @@ def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarr
     dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).
     """
     _check_specs(spec_d, spec_de)
-    return _EvalState(spec_d, spec_de, points).jacobian
+    state = _EvalState(spec_d, spec_de, points)
+    state.linearize()
+    return state.jacobian
+
+
+def _barrier_value(bary: np.ndarray) -> float:
+    """-sum log(barycentric); inf when a point lies on or outside an edge."""
+    if np.any(bary <= 0.0):
+        return np.inf
+    return -float(np.log(bary).sum())
 
 
 def _barrier_terms(points: np.ndarray):
     """Value, gradient and (N, 2, 2) Hessian blocks of -sum log(barycentric);
     (inf, None, None) when a point lies on or outside an edge."""
     bary = ref_to_bary(points)
-    if np.any(bary <= 0.0):
+    value = _barrier_value(bary)
+    if value == np.inf:
         return np.inf, None, None
-    value = -float(np.log(bary).sum())
     # barycentric gradients are constant: b1 -> (1/2, 0), b2 -> (0, 1/2),
     # b3 -> (-1/2, -1/2); the barrier Hessian is exact since b is affine
     q = 0.5 / bary
@@ -232,6 +262,7 @@ def _levenberg_marquardt(
             if state.max_residual <= tol and not state.hinge_active:
                 return state.points, state.max_residual, iters, True
 
+            state.linearize()  # derivatives only where a step starts
             gn = state.jac.T @ state.jac
             grad = state.jac.T @ state.r
             if mu > 0.0:
@@ -361,6 +392,15 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         raise ValueError("cardinal degree must be at least 1")
     if config.target_e < 0:
         raise ValueError("target_e must be nonnegative")
+    if config.restarts_for(d) < 1:
+        raise ValueError(f"restarts must be at least 1, got {config.restarts}")
+    if config.max_iterations < 1:
+        raise ValueError(
+            f"max_iterations must be at least 1, got {config.max_iterations}"
+        )
+    tol = config.residual_tolerance
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"residual_tolerance must be finite and positive, got {tol!r}")
     target = d + config.target_e
     if target > dof_bound(d):
         warnings.warn(

@@ -10,6 +10,7 @@ the two strengths must agree.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import permutations
@@ -69,6 +70,15 @@ class QuadratureRule:
             raise ValueError(
                 f"{pts.shape[0]} points but {wts.shape[0]} weights"
             )
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+        if bad.size:
+            xi1, xi2 = pts[bad[0]]
+            raise ValueError(
+                f"point {bad[0]} is not finite: ({float(xi1)!r}, {float(xi2)!r})"
+            )
+        bad = np.flatnonzero(~np.isfinite(wts))
+        if bad.size:
+            raise ValueError(f"weight {bad[0]} is not finite: {float(wts[bad[0]])!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
         if self.cardinal_degree is not None and not self.is_cardinal:
@@ -153,7 +163,10 @@ def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> Certificati
     shell through the monomial strength and fails the next one, as in a
     walk over every degree.  On disagreement OracleDisagreementError is
     raised.  per_degree_error holds the shells through the first failing one.
+    A `tolerance` that is not finite and positive raises ValueError.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     mono_strength = -1
     for t in range(STRENGTH_CAP + 1):
         if _monomial_shell_error(rule, t) > tolerance:

@@ -6,7 +6,8 @@ import sympy as sp
 
 from triquad.basis import (
     BasisSpec,
-    _jacobi_rows,
+    _derivative_sweep,
+    _JacobiRecurrence,
     dim_poly,
     gram_matrix,
     integrals_vector,
@@ -15,7 +16,7 @@ from triquad.basis import (
     rank_of,
     vandermonde,
 )
-from triquad.domain import gauss_quadrature
+from triquad.domain import as_point_array, gauss_quadrature
 
 
 XI1, XI2 = sp.symbols("xi1 xi2")
@@ -42,6 +43,15 @@ def random_interior(rng, count):
 def values_at(spec, idx, pts):
     """Basis function g_idx at every point of `pts`."""
     return vandermonde(spec, pts).values[:, rank_of(*idx)]
+
+
+def _jacobi_rows(alpha, beta, nmax, x, derivative=False):
+    """Table of P_n^{alpha,beta}(x) for n = 0..nmax (and its d/dx table with
+    derivative=True) from the recurrence sweeps vandermonde runs."""
+    x = np.asarray(x, dtype=float)
+    recurrence = _JacobiRecurrence(alpha, beta, nmax)
+    out = recurrence.values(x)
+    return (out, recurrence.derivatives(x, out)) if derivative else out
 
 
 def jacobi_rows_derivative(alpha, beta, nmax, x):
@@ -301,6 +311,89 @@ def test_vandermonde_values_regular_at_collapsed_vertex():
     for n in range(7):
         unnorm = ev.values[0, rank_of(0, n)] / norm_constant(0, n)
         assert unnorm == pytest.approx(n + 1.0, rel=1e-13)
+
+
+def _reference_jacobi_rows(alpha, beta, nmax, x, derivative=False):
+    """The one-pass Jacobi sweep that vandermonde used before the per-degree
+    plan: coefficients recomputed per call, derivatives in the same loop."""
+    out = np.empty((nmax + 1,) + np.broadcast_shapes(np.shape(alpha), x.shape))
+    dout = np.zeros_like(out) if derivative else None
+    out[0] = 1.0
+    if nmax >= 1:
+        out[1] = 0.5 * ((alpha + beta + 2.0) * x + (alpha - beta))
+        if derivative:
+            dout[1] = 0.5 * (alpha + beta + 2.0)
+    for k in range(1, nmax):
+        a1 = 2.0 * (k + 1) * (k + alpha + beta + 1) * (2 * k + alpha + beta)
+        a2 = (2 * k + alpha + beta + 1) * (alpha * alpha - beta * beta)
+        a3 = (
+            (2 * k + alpha + beta)
+            * (2 * k + alpha + beta + 1)
+            * (2 * k + alpha + beta + 2)
+        )
+        a4 = 2.0 * (k + alpha) * (k + beta) * (2 * k + alpha + beta + 2)
+        out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
+        if derivative:
+            dout[k + 1] = (
+                a3 * out[k] + (a2 + a3 * x) * dout[k] - a4 * dout[k - 1]
+            ) / a1
+    return (out, dout) if derivative else out
+
+
+def _reference_vandermonde(spec, points, derivatives=False):
+    """vandermonde as one interleaved value-and-derivative pass, with every
+    per-degree constant rebuilt per call: the reference for bitwise equality."""
+    xi1, xi2 = as_point_array(points).T
+    deg = spec.degree
+    t = xi1 + 0.5 * (1.0 + xi2)
+    s = 0.5 * (1.0 - xi2)
+    s2 = s * s
+    q = np.empty((deg + 1,) + t.shape)
+    q1 = np.zeros_like(q) if derivatives else None
+    q2 = np.zeros_like(q) if derivatives else None
+    q[0] = 1.0
+    if deg >= 1:
+        q[1] = t
+        if derivatives:
+            q1[1] = 1.0
+            q2[1] = 0.5
+    for m in range(1, deg):
+        q[m + 1] = ((2 * m + 1) * t * q[m] - m * s2 * q[m - 1]) / (m + 1)
+        if derivatives:
+            q1[m + 1] = (
+                (2 * m + 1) * (q[m] + t * q1[m]) - m * s2 * q1[m - 1]
+            ) / (m + 1)
+            q2[m + 1] = (
+                (2 * m + 1) * (0.5 * q[m] + t * q2[m])
+                + m * (s * q[m - 1] - s2 * q2[m - 1])
+            ) / (m + 1)
+    alpha = 2.0 * np.arange(deg + 1)[:, None] + 1.0
+    rows = _reference_jacobi_rows(alpha, 0.0, deg, xi2, derivative=derivatives)
+    jac, djac = rows if derivatives else (rows, None)
+    ms, ns = np.array(spec.indices).T
+    c = np.array([norm_constant(m, n) for m, n in spec.indices])[:, None]
+    qk, jk = q[ms], jac[ns, ms]
+    blocks = [c * qk * jk]
+    if derivatives:
+        blocks += [c * q1[ms] * jk, c * (q2[ms] * jk + qk * djac[ns, ms])]
+    return np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("degree", range(27))
+def test_vandermonde_is_bitwise_the_reference(degree):
+    spec = BasisSpec(degree)
+    corners = [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]  # (-1, 1) is the collapsed vertex
+    pts = np.vstack([random_interior(np.random.default_rng(degree), 30), corners])
+    values_only = vandermonde(spec, pts)
+    (ref_values,) = _reference_vandermonde(spec, pts)
+    assert values_only.d_xi1 is None and values_only.d_xi2 is None
+    assert np.array_equal(values_only.values, ref_values)
+    ref = _reference_vandermonde(spec, pts, derivatives=True)
+    # a derivative call, and a derivative sweep on a kept values-only call
+    for ev in (vandermonde(spec, pts, derivatives=True), _derivative_sweep(values_only)):
+        for block, expected in zip((ev.values, ev.d_xi1, ev.d_xi2), ref):
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, expected)
 
 
 # ------------------------------------------------------------ integrals

@@ -97,6 +97,32 @@ def test_verify_reports_oracle_disagreement_in_one_line(monkeypatch, capsys, mid
     assert err[0].startswith("error: basis residuals certify strength")
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
+def test_verify_refuses_a_bad_tolerance(capsys, midpoint_path, tolerance):
+    # nan used to report an oracle disagreement, -1 to certify strength -1
+    assert main(["verify", str(midpoint_path), "--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize(
+    "options,field",
+    [
+        (["--restarts", "0"], "restarts"),
+        (["--restarts", "-2"], "restarts"),
+        (["--restarts", "1", "--tolerance", "nan"], "residual_tolerance"),
+        (["--restarts", "1", "--tolerance", "0"], "residual_tolerance"),
+    ],
+    ids=["restarts_zero", "restarts_negative", "tolerance_nan", "tolerance_zero"],
+)
+def test_generate_refuses_invalid_search_settings(capsys, options, field):
+    assert main(["generate", "--d", "1", "--e", "1"] + options) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {field} must be")
+
+
 def test_verify_missing_file_fails(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.txt")]) == 2
     assert "error" in capsys.readouterr().err

@@ -3,7 +3,8 @@ import warnings
 import numpy as np
 import pytest
 
-from triquad.basis import BasisSpec, dim_poly
+import triquad.optimizer
+from triquad.basis import BasisSpec, dim_poly, vandermonde
 from triquad.domain import points_inside
 from triquad.optimizer import (
     OptimizerConfig,
@@ -15,6 +16,7 @@ from triquad.optimizer import (
     residual_jacobian,
 )
 from triquad.rule import certify
+from triquad.weights import _solve_system, _weight_jacobian_from_parts
 
 MIDPOINTS = np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]])
 VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
@@ -71,6 +73,65 @@ def test_residual_jacobian_matches_finite_differences(d, e):
             ) / (2.0 * h)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(jac - fd)) / scale <= 1e-5
+
+
+def _eager_residual_jacobian(spec_d, spec_de, points):
+    """The shell Jacobian from one derivative tabulation, formed eagerly."""
+    ev = vandermonde(spec_de, points, derivatives=True)
+    lu_piv, w, _, _ = _solve_system(spec_d, ev)
+    dim_lo = spec_d.dim
+    wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
+    jac = ev.values[:, dim_lo:].T @ wjac
+    jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
+    jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
+    return jac
+
+
+@pytest.mark.parametrize("d,e", [(1, 1), (2, 2), (4, 3), (6, 5)])
+def test_residual_jacobian_is_bitwise_the_eager_one(d, e):
+    spec_d, spec_de = BasisSpec(d), BasisSpec(d + e)
+    for seed in range(3):
+        pts = random_interior(np.random.default_rng(100 * d + seed), spec_d.dim)
+        assert np.array_equal(
+            residual_jacobian(spec_d, spec_de, pts),
+            _eager_residual_jacobian(spec_d, spec_de, pts),
+        )
+
+
+def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
+    events = []  # ("values", ev) per tabulation, ("sweep", ev) per derivative sweep
+    tabulate, sweep = triquad.optimizer.vandermonde, triquad.optimizer._derivative_sweep
+
+    def counting_tabulate(spec, points, derivatives=False):
+        ev = tabulate(spec, points, derivatives)
+        events.append(("values", ev))
+        return ev
+
+    def counting_sweep(ev):
+        events.append(("sweep", ev))
+        return sweep(ev)
+
+    monkeypatch.setattr(triquad.optimizer, "vandermonde", counting_tabulate)
+    monkeypatch.setattr(triquad.optimizer, "_derivative_sweep", counting_sweep)
+    _, _, iters, converged = _levenberg_marquardt(
+        BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2).ravel(),
+        OptimizerConfig(target_e=2),
+    )
+    assert converged
+    swept = [ev for kind, ev in events if kind == "sweep"]
+    tabulated = [ev for kind, ev in events if kind == "values"]
+    # one sweep per linearized configuration, at most one per iteration
+    assert len({id(ev) for ev in swept}) == len(swept) <= iters
+    # each sweep is of the configuration tabulated last (the start, the
+    # accepted trial or a kick); a rejected trial is followed by another
+    # tabulation before the search steps again, so it is never swept
+    last = None
+    for kind, ev in events:
+        if kind == "values":
+            last = ev
+        else:
+            assert ev is last
+    assert len(tabulated) - len(swept) >= 100  # the rejected trials
 
 
 def test_residual_jacobian_zero_extension_is_empty():
@@ -178,6 +239,24 @@ def test_optimize_output_passes_independent_certification():
     assert result.converged
     report = certify(result.rule, tolerance=1e-12)
     assert report.strength >= 4
+
+
+@pytest.mark.parametrize(
+    "settings,field",
+    [
+        ({"restarts": 0}, "restarts"),
+        ({"restarts": -1}, "restarts"),
+        ({"max_iterations": 0}, "max_iterations"),
+        ({"residual_tolerance": float("nan")}, "residual_tolerance"),
+        ({"residual_tolerance": float("inf")}, "residual_tolerance"),
+        ({"residual_tolerance": 0.0}, "residual_tolerance"),
+        ({"residual_tolerance": -1e-14}, "residual_tolerance"),
+    ],
+)
+def test_optimize_refuses_invalid_search_settings(settings, field):
+    config = OptimizerConfig(**{"target_e": 1, "restarts": 1, **settings})
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        optimize(1, config)
 
 
 def test_optimize_rejects_bad_inputs():

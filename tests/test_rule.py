@@ -167,11 +167,18 @@ def test_certify_matches_the_per_degree_walk(rule):
 
 
 def test_certify_never_passes_a_nan_shell():
-    # NaN compares false both ways; the monomial walk misses it, the basis must not
-    weights = MIDPOINT_RULE.weights.copy()
-    weights[1] = np.nan
+    # NaN compares false both ways; the monomial walk misses it, the basis must not.
+    # The rule refuses a NaN at construction, so it is set in place afterwards
+    rule = QuadratureRule(1, MIDPOINT_RULE.points, MIDPOINT_RULE.weights.copy())
+    rule.weights[1] = np.nan
     with pytest.raises(OracleDisagreementError, match="strength -1 "):
-        certify(QuadratureRule(1, MIDPOINT_RULE.points, weights))
+        certify(rule)
+
+
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1.0])
+def test_certify_refuses_a_tolerance_that_is_not_finite_and_positive(tolerance):
+    with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+        certify(MIDPOINT_RULE, tolerance=tolerance)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +317,34 @@ def test_validate_flags_exterior_point():
 def test_rule_rejects_inconsistent_lengths():
     with pytest.raises(ValueError):
         QuadratureRule(None, np.zeros((3, 2)), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "row,column,value,message",
+    [
+        (1, 0, np.nan, r"point 1 is not finite: \(nan, 0.0\)"),
+        (2, 1, -np.inf, r"point 2 is not finite: \(-1.0, -inf\)"),
+        (0, None, np.nan, "weight 0 is not finite: nan"),
+        (2, None, np.inf, "weight 2 is not finite: inf"),
+    ],
+)
+def test_rule_refuses_non_finite_points_and_weights(row, column, value, message):
+    points = MIDPOINT_RULE.points.copy()
+    weights = MIDPOINT_RULE.weights.copy()
+    if column is None:
+        weights[row] = value
+    else:
+        points[row, column] = value
+    with pytest.raises(ValueError, match=message):
+        QuadratureRule(1, points, weights)
+
+
+def test_rule_names_the_first_non_finite_entry():
+    points = MIDPOINT_RULE.points.copy()
+    points[1:] = np.nan
+    weights = np.full(3, np.nan)
+    with pytest.raises(ValueError, match="point 1 is not finite"):
+        QuadratureRule(1, points, weights)
 
 
 def test_rule_rejects_wrong_cardinal_count():
