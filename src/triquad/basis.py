@@ -23,15 +23,17 @@ which never forms eta.  Values and gradients therefore come from one
 division-free path at every point of the closed triangle, the collapsed
 vertex included.
 
-A tabulation is two sweeps.  The value sweep runs the Q_m recurrence and
-the P_n^{2m+1,0} recurrence for every m at once, and gathers the columns.
-The derivative sweep differentiates both recurrences, reading the value
-tables rather than recomputing them; a values-only tabulation keeps those
-tables, so derivatives can be added later for the same points without
-repeating the value sweep.  Everything that depends on the degree alone
-(the recurrence coefficients for the vector of alphas, the (m, n) gather
-indices and the normalization constants) is built once per degree and
-cached.
+A tabulation is two sweeps.  The value sweep runs the Q_m recurrence and,
+in the same loop, the P_n^{2m+1,0} recurrence for every m at once, and
+gathers the columns.  The derivative sweep differentiates both
+recurrences, reading the value tables rather than recomputing them; a
+values-only tabulation keeps those tables, so derivatives can be added
+later for the same points without repeating the value sweep.  Everything
+that depends on the degree alone is built once per degree and cached in a
+plan: the P_n^{2m+1,0} recurrence coefficients for the vector of alphas
+(the general P_n^{alpha,beta} ones with beta = 0 substituted, since no
+other beta occurs), the (m, n) gather indices and the normalization
+constants.
 
 Basis enumeration is graded lexicographic and frozen: total degree
 ascending, m ascending within each degree.  Residual vectors, rule files
@@ -70,53 +72,6 @@ def rank_of(m: int, n: int) -> int:
     if m < 0 or n < 0:
         raise ValueError("multi-index entries must be nonnegative")
     return dim_poly(m + n - 1) + m
-
-
-class _JacobiRecurrence:
-    """Coefficients of the P_n^{alpha,beta} three-term recurrence, n <= nmax.
-
-    An array `alpha` gives one coefficient set per alpha; the sweeps
-    broadcast it against the points.  Built once per (alpha, beta, nmax),
-    so a sweep does no per-call coefficient arithmetic.
-    """
-
-    def __init__(self, alpha: float | np.ndarray, beta: float, nmax: int):
-        self.nmax = nmax
-        self.alpha_shape = np.shape(alpha)
-        self.slope = alpha + beta + 2.0
-        self.offset = alpha - beta
-        self.steps = []
-        for k in range(1, nmax):
-            a1 = 2.0 * (k + 1) * (k + alpha + beta + 1) * (2 * k + alpha + beta)
-            a2 = (2 * k + alpha + beta + 1) * (alpha * alpha - beta * beta)
-            a3 = (
-                (2 * k + alpha + beta)
-                * (2 * k + alpha + beta + 1)
-                * (2 * k + alpha + beta + 2)
-            )
-            a4 = 2.0 * (k + alpha) * (k + beta) * (2 * k + alpha + beta + 2)
-            self.steps.append((a1, a2, a3, a4))
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        """Table of P_n(x), shape (nmax+1,) + broadcast(alpha, x).shape."""
-        out = np.empty((self.nmax + 1,) + np.broadcast_shapes(self.alpha_shape, x.shape))
-        out[0] = 1.0
-        if self.nmax >= 1:
-            out[1] = 0.5 * (self.slope * x + self.offset)
-        for k, (a1, a2, a3, a4) in enumerate(self.steps, start=1):
-            out[k + 1] = ((a2 + a3 * x) * out[k] - a4 * out[k - 1]) / a1
-        return out
-
-    def derivatives(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """d/dx of the table `out` = values(x), from the differentiated recurrence."""
-        dout = np.zeros_like(out)
-        if self.nmax >= 1:
-            dout[1] = 0.5 * self.slope
-        for k, (a1, a2, a3, a4) in enumerate(self.steps, start=1):
-            dout[k + 1] = (
-                a3 * out[k] + (a2 + a3 * x) * dout[k] - a4 * dout[k - 1]
-            ) / a1
-        return dout
 
 
 def norm_constant(m: int, n: int) -> float:
@@ -163,7 +118,10 @@ class BasisEvaluation:
 class _Plan:
     """Per-degree constants of a tabulation, built once per degree."""
 
-    jacobi: _JacobiRecurrence  # P_n^{2m+1,0} for every m, alpha as a column
+    degree: int
+    alpha: np.ndarray  # 2m + 1 for every m, as a column
+    slope: np.ndarray  # P_1^{alpha,0}(x) = (slope * x + alpha) / 2
+    steps: tuple  # (a1, a2, a3, a4): P_{k+1}^{alpha,0} from P_k, P_{k-1}, k >= 1
     ms: np.ndarray  # (m, n) of column k is (ms[k], ns[k])
     ns: np.ndarray
     c: np.ndarray  # normalization constant of column k, shape (dim, 1)
@@ -172,14 +130,24 @@ class _Plan:
 @lru_cache(maxsize=None)
 def _plan(degree: int) -> _Plan:
     alpha = 2.0 * np.arange(degree + 1)[:, None] + 1.0
+    # the P_n^{alpha,beta} three-term recurrence coefficients at beta = 0
+    steps = tuple(
+        (
+            2.0 * (k + 1) * (k + alpha + 1) * (2 * k + alpha),
+            (2 * k + alpha + 1) * (alpha * alpha),
+            (2 * k + alpha) * (2 * k + alpha + 1) * (2 * k + alpha + 2),
+            2.0 * (k + alpha) * k * (2 * k + alpha + 2),
+        )
+        for k in range(1, degree)
+    )
     indices = multi_indices(degree)
     ms, ns = np.array(indices).T
     c = np.array([norm_constant(m, n) for m, n in indices])[:, None]
-    jacobi = _JacobiRecurrence(alpha, 0.0, degree)
+    plan = _Plan(degree, alpha, alpha + 2.0, steps, ms, ns, c)
     # every caller at this degree shares these arrays
-    for a in (ms, ns, c, jacobi.slope, jacobi.offset, *chain(*jacobi.steps)):
+    for a in (alpha, plan.slope, ms, ns, c, *chain(*steps)):
         a.setflags(write=False)
-    return _Plan(jacobi, ms, ns, c)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -200,22 +168,24 @@ class _ValueSweep:
 def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
     """Basis values at `pts`, keeping the tables for a derivative sweep."""
     xi1, xi2 = pts.T
-    deg = plan.jacobi.nmax
+    deg = plan.degree
 
-    # Q_m = s^m P_m(eta)
+    # q[m] = Q_m = s^m P_m(eta); jac[n, m] = P_n^{2m+1,0}(xi2) for every m
+    # at once.  Column k of the tabulation is c_k * Q_m * P_n^{2m+1,0} with
+    # (m, n) = indices[k]
     t = xi1 + 0.5 * (1.0 + xi2)
     s = 0.5 * (1.0 - xi2)
     s2 = s * s
     q = np.empty((deg + 1,) + t.shape)
-    q[0] = 1.0
+    jac = np.empty((deg + 1, deg + 1) + t.shape)
+    q[0] = jac[0] = 1.0
     if deg >= 1:
         q[1] = t
-    for m in range(1, deg):
+        jac[1] = 0.5 * (plan.slope * xi2 + plan.alpha)
+    for m, (a1, a2, a3, a4) in enumerate(plan.steps, start=1):
         q[m + 1] = ((2 * m + 1) * t * q[m] - m * s2 * q[m - 1]) / (m + 1)
+        jac[m + 1] = ((a2 + a3 * xi2) * jac[m] - a4 * jac[m - 1]) / a1
 
-    # jac[n, m] = P_n^{2m+1,0}(xi2) for every m at once; column k of the
-    # tabulation is c_k * Q_m * P_n^{2m+1,0} with (m, n) = indices[k]
-    jac = plan.jacobi.values(xi2)
     qk, jk = q[plan.ms], jac[plan.ns, plan.ms]
     # (point, function) tables, C-contiguous: BLAS products downstream round
     # by memory layout, and the search follows them
@@ -231,16 +201,17 @@ def _derivative_sweep(ev: BasisEvaluation) -> BasisEvaluation:
     are read, not recomputed.
     """
     sw = ev._sweep
-    plan, t, s, s2, q = sw.plan, sw.t, sw.s, sw.s2, sw.q
-    deg = plan.jacobi.nmax
+    plan, xi2, t, s, s2, q, jac = sw.plan, sw.xi2, sw.t, sw.s, sw.s2, sw.q, sw.jac
 
-    # dQ_m/dxi1, dQ_m/dxi2
+    # dQ_m/dxi1, dQ_m/dxi2 and dP_n^{2m+1,0}/dxi2
     q1 = np.zeros_like(q)
     q2 = np.zeros_like(q)
-    if deg >= 1:
+    djac = np.zeros_like(jac)
+    if plan.degree >= 1:
         q1[1] = 1.0
         q2[1] = 0.5
-    for m in range(1, deg):
+        djac[1] = 0.5 * plan.slope
+    for m, (a1, a2, a3, a4) in enumerate(plan.steps, start=1):
         q1[m + 1] = (
             (2 * m + 1) * (q[m] + t * q1[m]) - m * s2 * q1[m - 1]
         ) / (m + 1)
@@ -248,8 +219,10 @@ def _derivative_sweep(ev: BasisEvaluation) -> BasisEvaluation:
             (2 * m + 1) * (0.5 * q[m] + t * q2[m])
             + m * (s * q[m - 1] - s2 * q2[m - 1])
         ) / (m + 1)
+        djac[m + 1] = (
+            a3 * jac[m] + (a2 + a3 * xi2) * djac[m] - a4 * djac[m - 1]
+        ) / a1
 
-    djac = plan.jacobi.derivatives(sw.xi2, sw.jac)
     ms, ns, c = plan.ms, plan.ns, plan.c
     d_xi1 = c * q1[ms] * sw.jk
     d_xi2 = c * (q2[ms] * sw.jk + sw.qk * djac[ns, ms])

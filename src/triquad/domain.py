@@ -23,11 +23,9 @@ from scipy.special import roots_jacobi
 #: Absolute tolerance (reference coordinates) for interior-or-boundary tests.
 INTERIOR_TOL = 1e-12
 
-#: Reference triangle vertices, one per row.
-REF_VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
-
 # Equilateral triangle with unit edge, centroid at the origin.  The vertex
-# rows correspond to REF_VERTICES under the affine map of ref_to_equilateral.
+# rows are the images of the reference vertices (-1, -1), (1, -1), (-1, 1)
+# under the affine map of ref_to_equilateral.
 _SQRT3 = math.sqrt(3.0)
 EQUILATERAL_VERTICES = np.array([
     [-0.5, -0.5 / _SQRT3],

@@ -10,14 +10,14 @@ Gauss-Newton handles without trouble.
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
 solve the unbiased problem; a weight hinge steers toward positive weights.
-Every configuration the search visits is evaluated once, into an
-`_EvalState`, at the cost of values only: basis values, the weight solve,
-the shell residual, the hinge and the barrier value decide whether a trial
-step is accepted.  Derivatives (the basis derivative sweep, the weight
-Jacobian, the residual Jacobian and the barrier's gradient and Hessian)
-are formed only for a configuration the search steps from: the start, an
-accepted trial or a kick.  A trial step leaving the triangle is rejected
-before evaluation, and one producing a near-singular Vandermonde system is
+Every configuration the search visits is one `WeightSolution` (basis
+values, the weight solve and the shell residual) wrapped in an
+`_EvalState` that adds the hinge and the barrier value; that much decides
+whether a trial step is accepted.  Derivatives (the solution's weight and
+shell Jacobians and the barrier's gradient and Hessian) are formed only
+for a configuration the search steps from: the start, an accepted trial
+or a kick.  A trial step leaving the triangle is rejected before
+evaluation, and one producing a near-singular Vandermonde system is
 rejected outright.
 """
 
@@ -30,14 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, _derivative_sweep, vandermonde
+from .basis import BasisSpec, vandermonde
 from .domain import as_point_array, bary_to_ref, ref_to_bary
 from .rule import CertificationReport, QuadratureRule, certify, dof_bound
 from .weights import (
     DegenerateConfigurationError,
+    WeightSolution,
     _factorize,
-    _solve_system,
-    _weight_jacobian_from_parts,
     newton_cotes_weights,
 )
 
@@ -108,60 +107,46 @@ class AllRestartsDegenerateError(RuntimeError):
     """Every restart collapsed onto a degenerate configuration."""
 
 
-def _check_specs(spec_d: BasisSpec, spec_de: BasisSpec) -> None:
-    if spec_de.degree < spec_d.degree:
-        raise ValueError("extended degree must be at least the cardinal degree")
-
-
 class _EvalState:
-    """One configuration the search visits.
+    """One configuration the search visits: its `WeightSolution` plus the
+    LM's own policy terms.
 
-    Construction costs values only: one values tabulation, the weight
-    solve, the shell residual `res`, the hinge-augmented `r`
-    (hinge max(margin - w, 0) appended), `hinge_active` and the barrier
-    value, which is all a trial step needs to be accepted or rejected.
-    `linearize()` adds, once, what a step from this configuration needs:
-    `jacobian` (the shell residual's, as returned by `residual_jacobian`),
-    `jac` (with the hinge rows) and the barrier's gradient and Hessian
-    blocks.  It reuses the kept value tables and the solve's factorization.
+    Construction costs values only: the solution (values tabulation, weight
+    solve, shell residual), the hinge-augmented residual `r` (hinge
+    max(margin - w, 0) appended), `hinge_active`, the barycentrics and the
+    barrier value, which is all a trial step needs to be accepted or
+    rejected.  `linearize()` adds, once, what a step from this configuration
+    needs: `jac` (the shell Jacobian with the hinge rows) and the barrier's
+    gradient and Hessian blocks.
     """
 
-    __slots__ = ("points", "res", "r", "hinge_active", "barrier", "jacobian",
-                 "jac", "barrier_grad", "barrier_hess", "_parts")
+    __slots__ = ("sol", "points", "r", "hinge_active", "bary", "barrier",
+                 "jac", "barrier_grad", "barrier_hess")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points):
-        pts = as_point_array(points)
-        ev = vandermonde(spec_de, pts)
-        lu_piv, w, _, _ = _solve_system(spec_d, ev)
-        self.points = pts
-        self.res = ev.values[:, spec_d.dim:].T @ w
-        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - w, 0.0)
-        active = hinge > 0.0
-        self.r = np.concatenate([self.res, hinge])
-        self.hinge_active = bool(np.any(active))
-        self.barrier = _barrier_value(ref_to_bary(pts))
-        self.jacobian = self.jac = self.barrier_grad = self.barrier_hess = None
-        self._parts = (ev, lu_piv, w, active)
+        self.points = as_point_array(points)
+        self.sol = sol = WeightSolution(spec_d, self.points, spec_de)
+        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - sol.weights, 0.0)
+        self.r = np.concatenate([sol.shell_residual, hinge])
+        self.hinge_active = bool(np.any(hinge > 0.0))
+        self.bary = ref_to_bary(self.points)
+        self.barrier = _barrier_value(self.bary)
+        self.jac = self.barrier_grad = self.barrier_hess = None
 
     def linearize(self) -> None:
-        """Tabulate derivatives and form the Jacobians; a no-op after the first call."""
+        """Form the Jacobian and barrier derivatives; a no-op after the first call."""
         if self.jac is not None:
             return
-        ev, lu_piv, w, active = self._parts
-        self._parts = None
-        ev = _derivative_sweep(ev)
-        dim_lo = w.shape[0]
-        wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
-        jac = ev.values[:, dim_lo:].T @ wjac
-        jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
-        jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
-        self.jacobian = jac
-        self.jac = np.vstack([jac, np.where(active[:, None], -wjac, 0.0)])
-        _, self.barrier_grad, self.barrier_hess = _barrier_terms(self.points)
+        sol = self.sol.linearize()
+        active = self.r[sol.shell_residual.size:] > 0.0
+        hinge_rows = np.where(active[:, None], -sol.weight_jacobian, 0.0)
+        self.jac = np.vstack([sol.shell_jacobian, hinge_rows])
+        self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
 
     @property
     def max_residual(self) -> float:
-        return float(np.max(np.abs(self.res))) if self.res.size else 0.0
+        res = self.sol.shell_residual
+        return float(np.max(np.abs(res))) if res.size else 0.0
 
 
 def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -171,10 +156,7 @@ def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
     weights of `points`; the integrals vanish because every shell function
     is orthogonal to constants.
     """
-    _check_specs(spec_d, spec_de)
-    ev = vandermonde(spec_de, points)
-    _, w, _, _ = _solve_system(spec_d, ev)
-    return ev.values[:, spec_d.dim:].T @ w
+    return WeightSolution(spec_d, points, spec_de).shell_residual
 
 
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -183,10 +165,7 @@ def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarr
     Column 2j + c differentiates with respect to coordinate c of point j:
     dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).
     """
-    _check_specs(spec_d, spec_de)
-    state = _EvalState(spec_d, spec_de, points)
-    state.linearize()
-    return state.jacobian
+    return WeightSolution(spec_d, points, spec_de).linearize().shell_jacobian
 
 
 def _barrier_value(bary: np.ndarray) -> float:
@@ -196,13 +175,9 @@ def _barrier_value(bary: np.ndarray) -> float:
     return -float(np.log(bary).sum())
 
 
-def _barrier_terms(points: np.ndarray):
-    """Value, gradient and (N, 2, 2) Hessian blocks of -sum log(barycentric);
-    (inf, None, None) when a point lies on or outside an edge."""
-    bary = ref_to_bary(points)
-    value = _barrier_value(bary)
-    if value == np.inf:
-        return np.inf, None, None
+def _barrier_derivatives(bary: np.ndarray):
+    """Gradient and (N, 2, 2) Hessian blocks of -sum log(barycentric), for
+    strictly positive barycentrics `bary`."""
     # barycentric gradients are constant: b1 -> (1/2, 0), b2 -> (0, 1/2),
     # b3 -> (-1/2, -1/2); the barrier Hessian is exact since b is affine
     q = 0.5 / bary
@@ -214,7 +189,7 @@ def _barrier_terms(points: np.ndarray):
     hess[:, 0, 0] = s[:, 0] + s[:, 2]
     hess[:, 1, 1] = s[:, 1] + s[:, 2]
     hess[:, 0, 1] = hess[:, 1, 0] = s[:, 2]
-    return value, grad, hess
+    return grad, hess
 
 
 def _levenberg_marquardt(
@@ -390,6 +365,8 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
+    if config.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {config.seed}")
     if config.target_e < 0:
         raise ValueError("target_e must be nonnegative")
     if config.restarts_for(d) < 1:

@@ -20,6 +20,7 @@ import numpy as np
 from .basis import BasisSpec, dim_poly, vandermonde
 from .domain import (
     INTERIOR_TOL,
+    MONOMIAL_DEGREE_CAP,
     as_point_array,
     monomial_integral,
     points_inside,
@@ -36,8 +37,8 @@ CERTIFY_TOL = 1e-12
 #: Default point/weight matching tolerance for symmetry classification.
 SYMMETRY_TOL = 1e-10
 
-#: Upper bound on the strength search (also the monomial-oracle cap).
-STRENGTH_CAP = 60
+#: Upper bound on the strength search: the monomial oracle's degree cap.
+STRENGTH_CAP = MONOMIAL_DEGREE_CAP
 
 
 class OracleDisagreementError(RuntimeError):

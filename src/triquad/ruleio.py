@@ -265,9 +265,6 @@ class Registry:
                 f"registry digest mismatch for {name}: file was modified"
             )
 
-    def rules(self) -> list[QuadratureRule]:
-        return [self.load(name) for name in self.names()]
-
     def table_rows(self) -> list[dict]:
         """Summary rows in the style of the published results table."""
         rows = []

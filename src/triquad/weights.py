@@ -10,20 +10,26 @@ these weights are unique.  The derivative of the weights with respect to
 the point coordinates follows from differentiating through the solve:
 with b constant,  dw = -V^{-T} (dV^T) w.
 
-This module owns the one solve and its two acceptance gates
-(CONDITION_LIMIT, RESIDUAL_LIMIT).  The optimizer reuses that solve on its
-degree-(d+e) tabulation, whose first dim P_d columns are V, and builds the
-shell residual and its Jacobian from the returned factorization.
+`WeightSolution` is the one evaluation of a point set.  It tabulates the
+basis of an extended degree d+e >= d once (values only), takes V as the
+first dim P_d columns, factors and gates the solve (CONDITION_LIMIT,
+RESIDUAL_LIMIT), and forms the residual of the shell d < m+n <= d+e,
+
+    r_k = sum_j w_j g_k(z_j),
+
+whose integrals vanish because every shell function is orthogonal to
+constants.  `linearize()` adds the derivatives from the kept tabulation and
+factorization: the weight Jacobian and the shell Jacobian
+dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).  The weight functions
+here and the optimizer's residual, Jacobian and search all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
-from .basis import BasisEvaluation, BasisSpec, integrals_vector, vandermonde
+from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
 
 #: Condition-estimate threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
@@ -40,15 +46,6 @@ class DegenerateConfigurationError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
-@dataclass(frozen=True)
-class WeightSolution:
-    """Newton-Cotes weights with solve diagnostics."""
-
-    weights: np.ndarray
-    condition_estimate: float
-    solve_residual: float
-
-
 def _factorize(a: np.ndarray):
     """LU-factor `a` and estimate its 1-norm condition number."""
     lu, piv = lu_factor(a)
@@ -62,69 +59,76 @@ def _factorize(a: np.ndarray):
     return (lu, piv), cond
 
 
-def _solve_system(spec: BasisSpec, ev: BasisEvaluation):
-    """The one Newton-Cotes solve: factor V^T, gate it, solve for the weights.
+class WeightSolution:
+    """Newton-Cotes weights of dim P_d points, their diagnostics and shell residual.
 
-    `ev` tabulates a basis of any degree >= spec.degree at dim P_d points;
-    V is its first spec.dim columns.  Returns (lu_and_piv, weights,
-    condition, residual) so callers can reuse the factorization.
+    `spec_ext` (default `spec`) is the extended degree d+e; `shell_residual`
+    is empty when it equals d.  `weight_jacobian` (N, 2N) and
+    `shell_jacobian` (n_shell, 2N) are None until `linearize()`; column
+    2j + c differentiates with respect to coordinate c (xi1, xi2) of point j.
+
+    Raises ValueError for a wrong point count or an extended degree below d,
+    and DegenerateConfigurationError when the condition estimate exceeds
+    CONDITION_LIMIT or the back-substitution residual exceeds RESIDUAL_LIMIT.
     """
-    npts = ev.values.shape[0]
-    if npts != spec.dim:
-        raise ValueError(
-            f"need exactly dim P_{spec.degree} = {spec.dim} points, got {npts}"
-        )
-    a = ev.values[:, : spec.dim].T
-    lu_piv, cond = _factorize(a)
-    b = integrals_vector(spec)
-    if cond > CONDITION_LIMIT:
-        raise DegenerateConfigurationError(
-            f"degenerate configuration: condition estimate {cond:.3e} "
-            f"exceeds {CONDITION_LIMIT:.1e}",
-            cond,
-        )
-    w = lu_solve(lu_piv, b)
-    residual = float(np.max(np.abs(a @ w - b)))
-    if residual > RESIDUAL_LIMIT:
-        raise DegenerateConfigurationError(
-            f"degenerate configuration: solve residual {residual:.3e} "
-            f"exceeds {RESIDUAL_LIMIT:.1e}",
-            cond,
-        )
-    return lu_piv, w, cond, residual
+
+    def __init__(self, spec: BasisSpec, points, spec_ext: BasisSpec | None = None):
+        spec_ext = spec if spec_ext is None else spec_ext
+        if spec_ext.degree < spec.degree:
+            raise ValueError("extended degree must be at least the cardinal degree")
+        ev = vandermonde(spec_ext, points)
+        npts = ev.values.shape[0]
+        if npts != spec.dim:
+            raise ValueError(
+                f"need exactly dim P_{spec.degree} = {spec.dim} points, got {npts}"
+            )
+        a = ev.values[:, : spec.dim].T
+        lu_piv, cond = _factorize(a)
+        b = integrals_vector(spec)
+        if cond > CONDITION_LIMIT:
+            raise DegenerateConfigurationError(
+                f"degenerate configuration: condition estimate {cond:.3e} "
+                f"exceeds {CONDITION_LIMIT:.1e}",
+                cond,
+            )
+        w = lu_solve(lu_piv, b)
+        residual = float(np.max(np.abs(a @ w - b)))
+        if residual > RESIDUAL_LIMIT:
+            raise DegenerateConfigurationError(
+                f"degenerate configuration: solve residual {residual:.3e} "
+                f"exceeds {RESIDUAL_LIMIT:.1e}",
+                cond,
+            )
+        self.weights = w
+        self.condition_estimate = cond
+        self.solve_residual = residual
+        self.shell_residual = ev.values[:, spec.dim:].T @ w
+        self.weight_jacobian = self.shell_jacobian = None
+        self._ev, self._lu_piv = ev, lu_piv
+
+    def linearize(self) -> WeightSolution:
+        """Form both Jacobians from the kept tabulation and factorization, once."""
+        if self.shell_jacobian is None:
+            ev = _derivative_sweep(self._ev)
+            w = self.weights
+            n = w.shape[0]
+            # -V^{-T} (dV^T) w: rhs column 2j+c is w_j * d g(.)/d xi_c at z_j
+            rhs = np.empty((n, 2 * n))
+            rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
+            rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
+            self.weight_jacobian = wjac = -lu_solve(self._lu_piv, rhs)
+            jac = ev.values[:, n:].T @ wjac
+            jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
+            jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T
+            self.shell_jacobian = jac
+        return self
 
 
 def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:
-    """Unique weights making `points` exact on all of P_d.
-
-    Raises DegenerateConfigurationError when the condition estimate exceeds
-    CONDITION_LIMIT or the back-substitution residual exceeds RESIDUAL_LIMIT.
-    """
-    ev = vandermonde(spec, points)
-    _, w, cond, residual = _solve_system(spec, ev)
-    return WeightSolution(weights=w, condition_estimate=cond, solve_residual=residual)
+    """Unique weights making `points` exact on all of P_d."""
+    return WeightSolution(spec, points)
 
 
 def weight_jacobian(spec: BasisSpec, points) -> np.ndarray:
-    """Derivatives of every weight with respect to every point coordinate.
-
-    Returns an (N, 2N) matrix; column 2j + c holds dw/d(coordinate c of
-    point j), with coordinates ordered (xi1, xi2).  Computed from the
-    implicit-function identity dw = -V^{-T} (dV^T) w.
-    """
-    ev = vandermonde(spec, points, derivatives=True)
-    lu_piv, w, _, _ = _solve_system(spec, ev)
-    return _weight_jacobian_from_parts(ev, lu_piv, w)
-
-
-def _weight_jacobian_from_parts(ev: BasisEvaluation, lu_piv, w: np.ndarray) -> np.ndarray:
-    """Assemble -V^{-T} (dV^T) w from the derivative blocks of `ev`.
-
-    Only the first N = len(w) columns of the blocks (the basis of P_d) enter.
-    """
-    n = w.shape[0]
-    # rhs column 2j+c is w_j * d g(.)/d xi_c at z_j, over all basis functions
-    rhs = np.empty((n, 2 * n))
-    rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
-    rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
-    return -lu_solve(lu_piv, rhs)
+    """Derivatives of every weight with respect to every point coordinate, (N, 2N)."""
+    return WeightSolution(spec, points).linearize().weight_jacobian

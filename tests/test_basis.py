@@ -7,7 +7,6 @@ import sympy as sp
 from triquad.basis import (
     BasisSpec,
     _derivative_sweep,
-    _JacobiRecurrence,
     dim_poly,
     gram_matrix,
     integrals_vector,
@@ -47,11 +46,11 @@ def values_at(spec, idx, pts):
 
 def _jacobi_rows(alpha, beta, nmax, x, derivative=False):
     """Table of P_n^{alpha,beta}(x) for n = 0..nmax (and its d/dx table with
-    derivative=True) from the recurrence sweeps vandermonde runs."""
-    x = np.asarray(x, dtype=float)
-    recurrence = _JacobiRecurrence(alpha, beta, nmax)
-    out = recurrence.values(x)
-    return (out, recurrence.derivatives(x, out)) if derivative else out
+    derivative=True) from the reference sweep, which
+    test_vandermonde_is_bitwise_the_reference ties vandermonde to."""
+    return _reference_jacobi_rows(
+        alpha, beta, nmax, np.asarray(x, dtype=float), derivative=derivative
+    )
 
 
 def jacobi_rows_derivative(alpha, beta, nmax, x):

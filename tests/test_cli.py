@@ -113,8 +113,10 @@ def test_verify_refuses_a_bad_tolerance(capsys, midpoint_path, tolerance):
         (["--restarts", "-2"], "restarts"),
         (["--restarts", "1", "--tolerance", "nan"], "residual_tolerance"),
         (["--restarts", "1", "--tolerance", "0"], "residual_tolerance"),
+        (["--restarts", "1", "--seed", "-1"], "seed"),
     ],
-    ids=["restarts_zero", "restarts_negative", "tolerance_nan", "tolerance_zero"],
+    ids=["restarts_zero", "restarts_negative", "tolerance_nan", "tolerance_zero",
+         "seed_negative"],
 )
 def test_generate_refuses_invalid_search_settings(capsys, options, field):
     assert main(["generate", "--d", "1", "--e", "1"] + options) == 2

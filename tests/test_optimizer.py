@@ -2,13 +2,15 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
-import triquad.optimizer
-from triquad.basis import BasisSpec, dim_poly, vandermonde
-from triquad.domain import points_inside
+import triquad.weights
+from triquad.basis import BasisSpec, dim_poly, integrals_vector, vandermonde
+from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     OptimizerConfig,
-    _barrier_terms,
+    _barrier_derivatives,
+    _barrier_value,
     _init_collapsed_tensor,
     _levenberg_marquardt,
     optimize,
@@ -16,7 +18,7 @@ from triquad.optimizer import (
     residual_jacobian,
 )
 from triquad.rule import certify
-from triquad.weights import _solve_system, _weight_jacobian_from_parts
+from triquad.weights import newton_cotes_weights, weight_jacobian
 
 MIDPOINTS = np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]])
 VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
@@ -75,32 +77,62 @@ def test_residual_jacobian_matches_finite_differences(d, e):
     assert np.max(np.abs(jac - fd)) / scale <= 1e-5
 
 
-def _eager_residual_jacobian(spec_d, spec_de, points):
-    """The shell Jacobian from one derivative tabulation, formed eagerly."""
+def _eager_solution(spec_d, spec_de, points):
+    """Weights, weight Jacobian, shell residual and shell Jacobian from one
+    derivative tabulation, formed eagerly."""
     ev = vandermonde(spec_de, points, derivatives=True)
-    lu_piv, w, _, _ = _solve_system(spec_d, ev)
-    dim_lo = spec_d.dim
-    wjac = _weight_jacobian_from_parts(ev, lu_piv, w)
-    jac = ev.values[:, dim_lo:].T @ wjac
-    jac[:, 0::2] += w[None, :] * ev.d_xi1[:, dim_lo:].T
-    jac[:, 1::2] += w[None, :] * ev.d_xi2[:, dim_lo:].T
-    return jac
+    n = spec_d.dim
+    lu_piv = lu_factor(ev.values[:, :n].T)
+    w = lu_solve(lu_piv, integrals_vector(spec_d))
+    rhs = np.empty((n, 2 * n))
+    rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
+    rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
+    wjac = -lu_solve(lu_piv, rhs)
+    jac = ev.values[:, n:].T @ wjac
+    jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
+    jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T
+    return {
+        "newton_cotes_weights": w,
+        "weight_jacobian": wjac,
+        "residual": ev.values[:, n:].T @ w,
+        "residual_jacobian": jac,
+    }
 
 
-@pytest.mark.parametrize("d,e", [(1, 1), (2, 2), (4, 3), (6, 5)])
-def test_residual_jacobian_is_bitwise_the_eager_one(d, e):
+ENTRY_POINTS = {
+    "newton_cotes_weights": lambda sd, _, pts: newton_cotes_weights(sd, pts).weights,
+    "weight_jacobian": lambda sd, _, pts: weight_jacobian(sd, pts),
+    "residual": residual,
+    "residual_jacobian": residual_jacobian,
+}
+
+
+@pytest.mark.parametrize(
+    "entry,d,e",
+    [
+        pytest.param(
+            entry, d, e,
+            id=f"{d}-{e}" if entry == "residual_jacobian" else f"{entry}-{d}-{e}",
+        )
+        for entry in ENTRY_POINTS
+        for d, e in [(1, 1), (2, 2), (4, 3), (6, 5)]
+    ],
+)
+def test_residual_jacobian_is_bitwise_the_eager_one(entry, d, e):
+    # every entry point reads the one evaluation; each must match the eager
+    # formula bit for bit
     spec_d, spec_de = BasisSpec(d), BasisSpec(d + e)
     for seed in range(3):
         pts = random_interior(np.random.default_rng(100 * d + seed), spec_d.dim)
         assert np.array_equal(
-            residual_jacobian(spec_d, spec_de, pts),
-            _eager_residual_jacobian(spec_d, spec_de, pts),
+            ENTRY_POINTS[entry](spec_d, spec_de, pts),
+            _eager_solution(spec_d, spec_de, pts)[entry],
         )
 
 
 def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
     events = []  # ("values", ev) per tabulation, ("sweep", ev) per derivative sweep
-    tabulate, sweep = triquad.optimizer.vandermonde, triquad.optimizer._derivative_sweep
+    tabulate, sweep = triquad.weights.vandermonde, triquad.weights._derivative_sweep
 
     def counting_tabulate(spec, points, derivatives=False):
         ev = tabulate(spec, points, derivatives)
@@ -111,8 +143,8 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
         events.append(("sweep", ev))
         return sweep(ev)
 
-    monkeypatch.setattr(triquad.optimizer, "vandermonde", counting_tabulate)
-    monkeypatch.setattr(triquad.optimizer, "_derivative_sweep", counting_sweep)
+    monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
+    monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
     _, _, iters, converged = _levenberg_marquardt(
         BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2).ravel(),
         OptimizerConfig(target_e=2),
@@ -138,6 +170,12 @@ def test_residual_jacobian_zero_extension_is_empty():
     pts = random_interior(np.random.default_rng(3), 6)
     jac = residual_jacobian(BasisSpec(2), BasisSpec(2), pts)
     assert jac.shape == (0, 12)
+
+
+def _barrier_terms(points):
+    """Value, gradient and Hessian blocks of the barrier at interior points."""
+    bary = ref_to_bary(points)
+    return (_barrier_value(bary), *_barrier_derivatives(bary))
 
 
 def test_barrier_matches_finite_differences():
@@ -170,8 +208,8 @@ def test_barrier_is_infinite_on_an_edge_without_warning():
     outside = np.array([[-0.5, -0.5], [0.7, -0.2]])  # b3 < 0 at the second
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _barrier_terms(on_edge) == (np.inf, None, None)
-        assert _barrier_terms(outside) == (np.inf, None, None)
+        assert _barrier_value(ref_to_bary(on_edge)) == np.inf
+        assert _barrier_value(ref_to_bary(outside)) == np.inf
 
 
 def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
@@ -251,6 +289,7 @@ def test_optimize_output_passes_independent_certification():
         ({"residual_tolerance": float("inf")}, "residual_tolerance"),
         ({"residual_tolerance": 0.0}, "residual_tolerance"),
         ({"residual_tolerance": -1e-14}, "residual_tolerance"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):

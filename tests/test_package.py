@@ -1,3 +1,7 @@
+import importlib
+import importlib.util
+from pathlib import Path
+
 import triquad
 
 # The public API: what the CLI and documented library use need.  A name
@@ -47,3 +51,16 @@ def test_public_names_are_the_intended_list():
 def test_every_public_name_resolves_on_the_package():
     missing = [name for name in triquad.__all__ if not hasattr(triquad, name)]
     assert missing == []
+
+
+def test_every_benchmark_span_binding_resolves():
+    # the benchmark traces a layer by swapping a wrapper in at each binding;
+    # a binding that no longer resolves would silently drop that layer
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.BINDINGS
+    for module_name, attr, _ in spans.BINDINGS:
+        target = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(target), f"{module_name}.{attr}"

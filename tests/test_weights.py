@@ -9,6 +9,7 @@ from triquad.optimizer import residual, residual_jacobian
 from triquad.weights import (
     CONDITION_LIMIT,
     DegenerateConfigurationError,
+    WeightSolution,
     newton_cotes_weights,
     weight_jacobian,
 )
@@ -153,7 +154,27 @@ def test_every_solve_path_names_the_exceeded_limit(path):
         SOLVE_PATHS[path](collinear_points())
 
 
+@pytest.mark.parametrize(
+    "path", [residual, residual_jacobian], ids=["residual", "residual_jacobian"]
+)
+def test_every_shell_path_refuses_an_extended_degree_below_the_cardinal(path):
+    points = random_interior(np.random.default_rng(4), 6)
+    with pytest.raises(ValueError, match="^extended degree must be at least"):
+        path(BasisSpec(2), BasisSpec(1), points)
+
+
 # ---------------------------------------------------------------- jacobian
+
+
+def test_linearize_is_idempotent_and_returns_the_solution():
+    points = random_interior(np.random.default_rng(5), 6)
+    sol = WeightSolution(BasisSpec(2), points, BasisSpec(4))
+    assert sol.weight_jacobian is None and sol.shell_jacobian is None
+    assert sol.linearize() is sol
+    wjac, jac = sol.weight_jacobian, sol.shell_jacobian
+    assert wjac.shape == (6, 12) and jac.shape == (9, 12)
+    sol.linearize()
+    assert sol.weight_jacobian is wjac and sol.shell_jacobian is jac
 
 
 def test_weight_jacobian_single_point_is_zero():
