@@ -169,10 +169,12 @@ def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarr
 
 
 def _barrier_value(bary: np.ndarray) -> float:
-    """-sum log(barycentric); inf when a point lies on or outside an edge."""
-    if np.any(bary <= 0.0):
+    """-sum log(barycentric); inf unless every barycentric is finite and
+    positive (a point on or outside an edge, or not a number)."""
+    if not np.all(bary > 0.0):
         return np.inf
-    return -float(np.log(bary).sum())
+    value = -float(np.log(bary).sum())
+    return value if math.isfinite(value) else np.inf
 
 
 def _barrier_derivatives(bary: np.ndarray):
@@ -261,7 +263,8 @@ def _levenberg_marquardt(
                     lam *= 10.0
                     continue
                 trial = state.points + step.reshape(n, 2)
-                if np.any(ref_to_bary(trial) <= 0.0):
+                # a NaN coordinate fails every comparison: test for inside
+                if not np.all(ref_to_bary(trial) > 0.0):
                     lam *= 10.0
                     continue
                 try:

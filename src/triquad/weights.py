@@ -22,12 +22,20 @@ constants.  `linearize()` adds the derivatives from the kept tabulation and
 factorization: the weight Jacobian and the shell Jacobian
 dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).  The weight functions
 here and the optimizer's residual, Jacobian and search all read it.
+
+The solve calls LAPACK's getrf, gecon and getrs through handles resolved
+once at import, not through scipy's `lu_factor`/`lu_solve` wrappers, whose
+per-call argument handling costs more than factoring an N = 28 system.
+The wrappers run the same routines on the same arrays, so the weights are
+the same bits.  Their finiteness check is kept, with its ValueError text;
+an exactly zero pivot, where `lu_factor` only warns, is a degenerate
+configuration with condition estimate inf.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
 
@@ -46,12 +54,25 @@ class DegenerateConfigurationError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
+# every matrix factored here is float64
+_getrf, _getrs, _gecon = get_lapack_funcs(
+    ("getrf", "getrs", "gecon"), dtype=np.float64
+)
+
+
 def _factorize(a: np.ndarray):
-    """LU-factor `a` and estimate its 1-norm condition number."""
-    lu, piv = lu_factor(a)
-    gecon = get_lapack_funcs("gecon", (a,))
-    anorm = np.linalg.norm(a, 1)
-    rcond, info = gecon(lu, anorm, norm="1")
+    """LU-factor `a` and estimate its 1-norm condition number.
+
+    The condition estimate is inf for an exactly singular `a` (a zero
+    pivot).  Raises ValueError, with scipy's `lu_factor` text, unless
+    every entry is finite.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lu, piv, info = _getrf(a)
+    if info > 0:  # an exactly zero pivot: singular, whatever gecon would say
+        return (lu, piv), float("inf")
+    rcond, info = _gecon(lu, np.linalg.norm(a, 1), norm="1")
     if info != 0 or rcond <= 0.0 or not np.isfinite(rcond):
         cond = float("inf")
     else:
@@ -67,9 +88,10 @@ class WeightSolution:
     `shell_jacobian` (n_shell, 2N) are None until `linearize()`; column
     2j + c differentiates with respect to coordinate c (xi1, xi2) of point j.
 
-    Raises ValueError for a wrong point count or an extended degree below d,
-    and DegenerateConfigurationError when the condition estimate exceeds
-    CONDITION_LIMIT or the back-substitution residual exceeds RESIDUAL_LIMIT.
+    Raises ValueError for a wrong point count, an extended degree below d
+    or a non-finite basis value, and DegenerateConfigurationError when the
+    condition estimate exceeds CONDITION_LIMIT (inf for an exactly singular
+    system) or the back-substitution residual exceeds RESIDUAL_LIMIT.
     """
 
     def __init__(self, spec: BasisSpec, points, spec_ext: BasisSpec | None = None):
@@ -91,7 +113,7 @@ class WeightSolution:
                 f"exceeds {CONDITION_LIMIT:.1e}",
                 cond,
             )
-        w = lu_solve(lu_piv, b)
+        w, _ = _getrs(*lu_piv, b)
         residual = float(np.max(np.abs(a @ w - b)))
         if residual > RESIDUAL_LIMIT:
             raise DegenerateConfigurationError(
@@ -116,7 +138,7 @@ class WeightSolution:
             rhs = np.empty((n, 2 * n))
             rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
             rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
-            self.weight_jacobian = wjac = -lu_solve(self._lu_piv, rhs)
+            self.weight_jacobian = wjac = -_getrs(*self._lu_piv, rhs)[0]
             jac = ev.values[:, n:].T @ wjac
             jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
             jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T

@@ -378,21 +378,50 @@ def _reference_vandermonde(spec, points, derivatives=False):
     return np.ascontiguousarray(np.stack(blocks).transpose(0, 2, 1))
 
 
+def _nan_filled(alloc):
+    """`alloc` (np.empty or np.empty_like) returning float arrays full of NaN."""
+
+    def filled(*args, **kwargs):
+        out = alloc(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    return filled
+
+
 @pytest.mark.parametrize("degree", range(27))
-def test_vandermonde_is_bitwise_the_reference(degree):
+def test_vandermonde_is_bitwise_the_reference(degree, monkeypatch):
+    # uninitialized memory reads as NaN here, so a row of the recurrence
+    # stacks that is read before it is written shows as a mismatch
+    monkeypatch.setattr(np, "empty", _nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", _nan_filled(np.empty_like))
     spec = BasisSpec(degree)
     corners = [(-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0)]  # (-1, 1) is the collapsed vertex
-    pts = np.vstack([random_interior(np.random.default_rng(degree), 30), corners])
-    values_only = vandermonde(spec, pts)
-    (ref_values,) = _reference_vandermonde(spec, pts)
-    assert values_only.d_xi1 is None and values_only.d_xi2 is None
-    assert np.array_equal(values_only.values, ref_values)
-    ref = _reference_vandermonde(spec, pts, derivatives=True)
-    # a derivative call, and a derivative sweep on a kept values-only call
-    for ev in (vandermonde(spec, pts, derivatives=True), _derivative_sweep(values_only)):
-        for block, expected in zip((ev.values, ev.d_xi1, ev.d_xi2), ref):
-            assert block.flags.c_contiguous
-            assert np.array_equal(block, expected)
+    rng = np.random.default_rng(degree)
+    point_sets = [
+        np.vstack([random_interior(rng, 30), corners]),
+        np.array(corners),
+        np.array([(-1.0, 1.0)]),
+        random_interior(rng, 1),
+    ]
+    with np.errstate(all="raise"):
+        for pts in point_sets:
+            values_only = vandermonde(spec, pts)
+            (ref_values,) = _reference_vandermonde(spec, pts)
+            assert values_only.d_xi1 is None and values_only.d_xi2 is None
+            assert np.array_equal(values_only.values, ref_values)
+            ref = _reference_vandermonde(spec, pts, derivatives=True)
+            # a derivative call, and a derivative sweep on a kept values-only
+            # call, twice (the sweep rewrites kept operands in place)
+            for ev in (
+                vandermonde(spec, pts, derivatives=True),
+                _derivative_sweep(values_only),
+                _derivative_sweep(values_only),
+            ):
+                for block, expected in zip((ev.values, ev.d_xi1, ev.d_xi2), ref):
+                    assert block.flags.c_contiguous
+                    assert np.array_equal(block, expected)
 
 
 # ------------------------------------------------------------ integrals

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lu_factor, lu_solve
 
+import triquad.optimizer
 import triquad.weights
 from triquad.basis import BasisSpec, dim_poly, integrals_vector, vandermonde
 from triquad.domain import points_inside, ref_to_bary
@@ -210,6 +211,30 @@ def test_barrier_is_infinite_on_an_edge_without_warning():
         warnings.simplefilter("error")
         assert _barrier_value(ref_to_bary(on_edge)) == np.inf
         assert _barrier_value(ref_to_bary(outside)) == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_barrier_is_infinite_for_non_finite_barycentrics(bad):
+    bary = np.array([[0.2, 0.3, 0.5], [bad, 0.5, 0.5]])
+    assert _barrier_value(bary) == np.inf
+
+
+def test_a_nan_trial_step_is_rejected(monkeypatch):
+    # a NaN step gives a NaN trial point, which fails every comparison: the
+    # search must reject it like a step out of the triangle, not solve at it
+    solve, steps = np.linalg.solve, []
+
+    def nan_first_step(a, b):
+        step = solve(a, b)
+        if not steps:
+            step[0] = np.nan
+        steps.append(step)
+        return step
+
+    monkeypatch.setattr(triquad.optimizer.np.linalg, "solve", nan_first_step)
+    result = optimize(1, OptimizerConfig(target_e=1, seed=0, restarts=1))
+    assert np.isnan(steps[0][0]) and len(steps) > 1
+    assert result.converged
 
 
 def test_search_from_a_point_next_to_the_collapsed_vertex_converges():

@@ -132,6 +132,25 @@ def test_degenerate_configuration_detected():
         newton_cotes_weights(BasisSpec(2), collinear_points())
 
 
+def test_an_exactly_singular_system_is_degenerate_with_infinite_condition():
+    # two coincident points at d = 1: the LU factorization meets an exactly
+    # zero pivot, which is a degenerate configuration, not a warning
+    points = np.array([[-0.6, -0.2], [-0.6, -0.2], [0.1, -0.7]])
+    with pytest.raises(
+        DegenerateConfigurationError, match="^degenerate configuration: condition estimate inf"
+    ) as info:
+        newton_cotes_weights(BasisSpec(1), points)
+    assert info.value.condition_estimate == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_point_is_refused_before_the_solve(bad):
+    points = MIDPOINTS.copy()
+    points[1, 0] = bad
+    with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        newton_cotes_weights(BasisSpec(1), points)
+
+
 # every path to the weights of dim P_2 = 6 points goes through one solve
 SOLVE_PATHS = {
     "newton_cotes_weights": lambda pts: newton_cotes_weights(BasisSpec(2), pts),
