@@ -3,6 +3,10 @@
 Subcommands: generate, verify, weights, bound, table, plot, convert.
 Every failure exits nonzero with a one-line diagnostic on stderr; --json
 switches reports to machine-readable output with fixed field names.
+
+`main` parses with one parser per process, built on its first call (not
+at import) and reused by every later call; `build_parser` returns a fresh
+one.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .basis import BasisSpec, dim_poly
@@ -252,8 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # building costs a help formatter per argument; parsing leaves the
+    # parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # RuleParseError is a ValueError

@@ -115,21 +115,22 @@ class _EvalState:
     solve, shell residual), the hinge-augmented residual `r` (hinge
     max(margin - w, 0) appended), `hinge_active`, the barycentrics and the
     barrier value, which is all a trial step needs to be accepted or
-    rejected.  `linearize()` adds, once, what a step from this configuration
-    needs: `jac` (the shell Jacobian with the hinge rows) and the barrier's
-    gradient and Hessian blocks.
+    rejected.  A caller that has already formed `ref_to_bary(points)`
+    passes it as `bary`.  `linearize()` adds, once, what a step from this
+    configuration needs: `jac` (the shell Jacobian with the hinge rows) and
+    the barrier's gradient and Hessian blocks.
     """
 
     __slots__ = ("sol", "points", "r", "hinge_active", "bary", "barrier",
                  "jac", "barrier_grad", "barrier_hess")
 
-    def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points):
+    def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points, bary=None):
         self.points = as_point_array(points)
         self.sol = sol = WeightSolution(spec_d, self.points, spec_de)
         hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - sol.weights, 0.0)
         self.r = np.concatenate([sol.shell_residual, hinge])
         self.hinge_active = bool(np.any(hinge > 0.0))
-        self.bary = ref_to_bary(self.points)
+        self.bary = ref_to_bary(self.points) if bary is None else bary
         self.barrier = _barrier_value(self.bary)
         self.jac = self.barrier_grad = self.barrier_hess = None
 
@@ -263,12 +264,13 @@ def _levenberg_marquardt(
                     lam *= 10.0
                     continue
                 trial = state.points + step.reshape(n, 2)
+                trial_bary = ref_to_bary(trial)
                 # a NaN coordinate fails every comparison: test for inside
-                if not np.all(ref_to_bary(trial) > 0.0):
+                if not np.all(trial_bary > 0.0):
                     lam *= 10.0
                     continue
                 try:
-                    trial_state = _EvalState(spec_d, spec_de, trial)
+                    trial_state = _EvalState(spec_d, spec_de, trial, trial_bary)
                 except DegenerateConfigurationError:
                     lam *= 10.0
                     continue

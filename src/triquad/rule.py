@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -139,24 +140,47 @@ def dof_bound(d: int) -> int:
     return t
 
 
-def _monomial_shell_error(rule: QuadratureRule, degree: int) -> float:
-    """Max residual of unit-triangle monomials of exact total degree `degree`."""
+@lru_cache(maxsize=STRENGTH_CAP + 1)
+def _shell_integrals(degree: int) -> tuple[float, ...]:
+    """Exact unit-triangle integrals of x^a y^(degree - a), a = 0..degree."""
+    return tuple(monomial_integral(a, degree - a) for a in range(degree + 1))
+
+
+def _monomial_shell_errors(rule: QuadratureRule):
+    """Yield the max residual of the unit-triangle monomials of exact total
+    degree 0, 1, ..., STRENGTH_CAP, one shell at a time.
+
+    The power tables x^t and y^t grow by one entry per shell, so a monomial
+    costs one product and one dot with the weights.
+    """
     xy = ref_to_unit(rule.points)
+    x, y = xy[:, 0], xy[:, 1]
     w_unit = rule.weights / 4.0  # reference area 2 -> unit area 1/2
-    worst = 0.0
-    for a in range(degree + 1):
-        b = degree - a
-        approx = float(w_unit @ (xy[:, 0] ** a * xy[:, 1] ** b))
-        worst = max(worst, abs(approx - monomial_integral(a, b)))
-    return worst
+    xp, yp = [], []
+    for degree in range(STRENGTH_CAP + 1):
+        # scalar powers of the strided columns: each entry is the value a
+        # per-shell x ** a would give, so the shell errors keep their bits
+        xp.append(x ** degree)
+        yp.append(y ** degree)
+        exact = _shell_integrals(degree)
+        worst = 0.0
+        for a in range(degree + 1):
+            # one dot per monomial: a shell as one matrix product sums in
+            # another order and moves large signed-weight errors
+            approx = float(w_unit @ (xp[a] * yp[degree - a]))
+            worst = max(worst, abs(approx - exact[a]))
+        yield worst
 
 
 def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> CertificationReport:
     """Certify the rule's strength against the orthonormal basis.
 
     The monomial oracle runs first and ascends to its first failing degree.
-    The basis is then tabulated once, at one degree past that strength; its
-    graded enumeration holds every lower shell as leading columns, so one
+    It forms the unit-triangle coordinates and weights once per call, grows
+    one table of coordinate powers shell by shell, and reads the exact
+    integrals of each shell from a table cached per degree.  The basis is
+    then tabulated once, at one degree past that strength; its graded
+    enumeration holds every lower shell as leading columns, so one
     residual vector gives each shell's max-norm error.  The basis strength
     is the degree before the first shell whose error is not within
     `tolerance`.  Shells past the monomial strength plus one cannot change
@@ -169,8 +193,8 @@ def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> Certificati
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     mono_strength = -1
-    for t in range(STRENGTH_CAP + 1):
-        if _monomial_shell_error(rule, t) > tolerance:
+    for t, error in enumerate(_monomial_shell_errors(rule)):
+        if error > tolerance:
             break
         mono_strength = t
 

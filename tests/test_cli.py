@@ -1,9 +1,26 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import triquad.rule
 from triquad.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "perfbench" / "corpus"
+REPORT_FIELDS = {
+    "strength",
+    "max_error",
+    "positive_weights",
+    "all_interior",
+    "symmetry",
+    "n_points",
+    "d",
+}
 
 MIDPOINT_FILE = """\
 # d = 1
@@ -40,15 +57,7 @@ def test_verify_midpoint_rule(capsys, midpoint_path):
 def test_verify_json_fields(capsys, midpoint_path):
     assert main(["verify", str(midpoint_path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert set(report) == {
-        "strength",
-        "max_error",
-        "positive_weights",
-        "all_interior",
-        "symmetry",
-        "n_points",
-        "d",
-    }
+    assert set(report) == REPORT_FIELDS
     assert report["strength"] == 2
     assert report["n_points"] == 3
 
@@ -271,3 +280,75 @@ def test_convert_xyw_adapter_with_scale(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     total = sum(float(l.split()[2]) for l in lines)
     assert total == pytest.approx(1.0, abs=1e-14)
+
+
+def test_reused_parser_drops_the_previous_calls_flags(capsys, midpoint_path):
+    assert main(["verify", str(midpoint_path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["strength"] == 2
+    assert main(["verify", str(midpoint_path)]) == 0
+    assert capsys.readouterr().out.startswith("strength=2 max_error=")
+
+
+def test_reused_parser_gives_each_call_its_own_options(capsys, midpoint_path):
+    for path, d, n in [(midpoint_path, 1, 3), (CORPUS / "tri_d2_s4.txt", 2, 6)]:
+        assert main(["weights", str(path), "--d", str(d)]) == 0
+        out = capsys.readouterr().out
+        assert f"# d = {d}\n" in out
+        assert len([l for l in out.splitlines() if l and not l.startswith("#")]) == n
+
+
+def test_parser_survives_an_unknown_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["bound", "--d", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "N=21 3N=63 max_degree=9"
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys, midpoint_path):
+    main(["bound", "--d", "1"])
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert main(["bound", "--d", "2"]) == 0
+    assert main(["verify", str(midpoint_path), "--json"]) == 0
+    assert main(["weights", str(midpoint_path), "--d", "1"]) == 0
+    assert built == []
+
+
+def _fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        timeout=120, check=False,
+    )
+
+
+def test_module_entry_point_verifies_in_a_fresh_interpreter():
+    proc = _fresh_python("-m", "triquad.cli", "verify", str(CORPUS / "tri_d1_s2.txt"), "--json")
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert set(report) == REPORT_FIELDS
+    assert (report["strength"], report["n_points"], report["d"]) == (2, 3, 1)
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "original = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    original(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import triquad.cli\n"
+        "print(len(built))\n"
+    )
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -1,11 +1,12 @@
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import triquad.rule
 from triquad.basis import BasisSpec, dim_poly, vandermonde
-from triquad.domain import bary_to_ref, ref_to_bary
+from triquad.domain import bary_to_ref, monomial_integral, ref_to_bary, ref_to_unit
 from triquad.optimizer import _init_collapsed_tensor
 from triquad.rule import (
     ASYMMETRIC,
@@ -15,12 +16,13 @@ from triquad.rule import (
     SYMMETRY_TOL,
     OracleDisagreementError,
     QuadratureRule,
-    _monomial_shell_error,
+    _monomial_shell_errors,
     certify,
     classify_symmetry,
     dof_bound,
     validate,
 )
+from triquad.ruleio import parse_rule
 from triquad.weights import newton_cotes_weights
 
 MIDPOINT_RULE = QuadratureRule(
@@ -103,8 +105,8 @@ def _walk_certify(rule, tolerance=CERTIFY_TOL):
             break
         strength = t
     mono_strength = -1
-    for t in range(STRENGTH_CAP + 1):
-        if _monomial_shell_error(rule, t) > tolerance:
+    for t, error in enumerate(_monomial_shell_errors(rule)):
+        if error > tolerance:
             break
         mono_strength = t
     if mono_strength != strength:
@@ -164,6 +166,49 @@ def test_certify_matches_the_per_degree_walk(rule):
     floor = 4.0 * np.finfo(float).eps * np.abs(rule.weights).sum()
     for t, ref in per_degree.items():
         assert abs(report.per_degree_error[t] - ref) <= floor * max(1.0, abs(ref))
+
+
+def _inline_shell_error(rule, degree):
+    """Reference: the monomial shell error formed from scratch for one shell."""
+    xy = ref_to_unit(rule.points)
+    w_unit = rule.weights / 4.0
+    worst = 0.0
+    for a in range(degree + 1):
+        b = degree - a
+        approx = float(w_unit @ (xy[:, 0] ** a * xy[:, 1] ** b))
+        worst = max(worst, abs(approx - monomial_integral(a, b)))
+    return worst
+
+
+def _oracle_rules():
+    """Corpus rules, Newton-Cotes rules d = 1..10 on collapsed Gauss nodes
+    (sum|w| up to ~1e4 at d = 10) and random rules with signed weights."""
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    rules = [
+        pytest.param(parse_rule(path.read_text()), id=path.stem)
+        for path in sorted(corpus.glob("tri_*.txt"))
+    ]
+    for d in range(1, 11):
+        pts = _init_collapsed_tensor(d)
+        rule = QuadratureRule(d, pts, newton_cotes_weights(BasisSpec(d), pts).weights)
+        rules.append(pytest.param(rule, id=f"newton_cotes_d{d}"))
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 17, 40):
+        uv = rng.random((n, 2))
+        fold = uv.sum(axis=1) > 1.0
+        uv[fold] = 1.0 - uv[fold]
+        weights = rng.standard_normal(n)
+        weights += (2.0 - weights.sum()) / n
+        rule = QuadratureRule(None, bary_to_ref(uv), weights)
+        rules.append(pytest.param(rule, id=f"signed_n{n}"))
+    return rules
+
+
+@pytest.mark.parametrize("rule", _oracle_rules())
+def test_monomial_walk_is_bitwise_the_per_shell_formula(rule):
+    walk = _monomial_shell_errors(rule)
+    for degree in range(21):
+        assert next(walk).hex() == _inline_shell_error(rule, degree).hex(), degree
 
 
 def test_certify_never_passes_a_nan_shell():
