@@ -36,7 +36,6 @@ from .rule import (
     certify,
     classify_symmetry,
     dof_bound,
-    validate,
 )
 from .ruleio import Registry, RuleParseError, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
@@ -80,7 +79,6 @@ __all__ = [
     "rank_of",
     "residual",
     "residual_jacobian",
-    "validate",
     "vandermonde",
     "weight_jacobian",
 ]

@@ -4,9 +4,8 @@ Subcommands: generate, verify, weights, bound, table, plot, convert.
 Every failure exits nonzero with a one-line diagnostic on stderr; --json
 switches reports to machine-readable output with fixed field names.
 
-`main` parses with one parser per process, built on its first call (not
-at import) and reused by every later call; `build_parser` returns a fresh
-one.
+`build_parser` builds one parser per process, on its first call (not at
+import), and returns that parser to every later call, `main`'s included.
 """
 
 from __future__ import annotations
@@ -192,7 +191,10 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    # building costs a help formatter per argument; parsing leaves the
+    # parser unchanged, so one serves every call
     parser = argparse.ArgumentParser(
         prog="triquad",
         description="Generate, certify, store, and plot quadrature rules on the triangle.",
@@ -257,15 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # building costs a help formatter per argument; parsing leaves the
-    # parser unchanged, so one serves every call
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # RuleParseError is a ValueError

@@ -72,13 +72,14 @@ def ref_to_equilateral(points) -> np.ndarray:
     return ref_to_bary(points) @ EQUILATERAL_VERTICES[[1, 2, 0]]
 
 
-def points_inside(points, tol: float = INTERIOR_TOL) -> np.ndarray:
-    """Boolean mask of interior-or-boundary points (reference tolerance)."""
+def points_inside(points) -> np.ndarray:
+    """Boolean mask of interior-or-boundary points, within INTERIOR_TOL in
+    reference coordinates."""
     pts = as_point_array(points)
     return (
-        (pts[:, 0] >= -1.0 - tol)
-        & (pts[:, 1] >= -1.0 - tol)
-        & (pts[:, 0] + pts[:, 1] <= tol)
+        (pts[:, 0] >= -1.0 - INTERIOR_TOL)
+        & (pts[:, 1] >= -1.0 - INTERIOR_TOL)
+        & (pts[:, 0] + pts[:, 1] <= INTERIOR_TOL)
     )
 
 

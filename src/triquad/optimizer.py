@@ -223,7 +223,7 @@ def _levenberg_marquardt(
         state = _EvalState(spec_d, spec_de, x0.reshape(n, 2))
     except DegenerateConfigurationError:
         return x0.reshape(n, 2), np.inf, 0, False
-    best_x, best_res = state.points.copy(), state.max_residual
+    best = state  # no code writes an _EvalState's points in place
 
     while iters < config.max_iterations:
         stage_stalled = False
@@ -235,8 +235,8 @@ def _levenberg_marquardt(
         ):
             iters += 1
             stage_iters += 1
-            if state.max_residual < best_res:
-                best_res, best_x = state.max_residual, state.points.copy()
+            if state.max_residual < best.max_residual:
+                best = state
             if state.max_residual <= tol and not state.hinge_active:
                 return state.points, state.max_residual, iters, True
 
@@ -289,16 +289,16 @@ def _levenberg_marquardt(
             if not accepted:
                 stage_stalled = True  # no acceptable step at this barrier strength
 
-        if state.max_residual < best_res:
-            best_res, best_x = state.max_residual, state.points.copy()
+        if state.max_residual < best.max_residual:
+            best = state
         if state.max_residual <= tol and not (state.hinge_active and not stage_stalled):
             return state.points, state.max_residual, iters, True
         if mu == 0.0 and stage_stalled:
             if rng is None or iters >= config.max_iterations:
                 break  # local minimum, no budget or no randomness to escape
             # basin hop: perturb the best configuration seen and re-anneal
-            kick_scale = 0.08 if best_res > 1e-3 else 0.02
-            kicked = _init_perturbed(rng, best_x, scale=kick_scale)
+            kick_scale = 0.08 if best.max_residual > 1e-3 else 0.02
+            kicked = _init_perturbed(rng, best.points, scale=kick_scale)
             try:
                 state = _EvalState(spec_d, spec_de, kicked)
             except DegenerateConfigurationError:
@@ -310,7 +310,7 @@ def _levenberg_marquardt(
             mu = 0.0 if mu < 1e-15 else mu / 10.0
         lam = min(lam, 1e-3)  # fresh damping: the objective just changed
 
-    return best_x, best_res, iters, best_res <= tol
+    return best.points, best.max_residual, iters, best.max_residual <= tol
 
 
 def _init_collapsed_tensor(d: int) -> np.ndarray:
@@ -332,10 +332,11 @@ def _random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
     return bary_to_ref(uv)
 
 
-def _init_random(rng: np.random.Generator, spec_d: BasisSpec, tries: int = 50) -> np.ndarray:
-    """Random interior points, resampled until the system is well conditioned."""
+def _init_random(rng: np.random.Generator, spec_d: BasisSpec) -> np.ndarray:
+    """Random interior points, resampled until the system is well conditioned;
+    after 50 draws the best conditioned one."""
     best, best_cond = None, np.inf
-    for _ in range(tries):
+    for _ in range(50):
         pts = _random_interior(rng, spec_d.dim)
         _, cond = _factorize(vandermonde(spec_d, pts).values.T)
         if cond < best_cond:
@@ -394,19 +395,17 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     spec_de = BasisSpec(target)
 
     candidates: list[_Candidate] = []
-    best_points: np.ndarray | None = None
-    best_res = np.inf
-    n_run = 0
     started = time.time()
     for r in range(config.restarts_for(d)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
         if r == 0:
             x0 = _init_collapsed_tensor(d)
-        elif r % 3 == 2 and best_points is not None:
-            x0 = _init_perturbed(rng, best_points)
+        elif r % 3 == 2 and candidates:
+            # perturb the lowest residual so far; min keeps the first of equals
+            lowest = min(candidates, key=lambda c: c.max_residual)
+            x0 = _init_perturbed(rng, lowest.points)
         else:
             x0 = _init_random(rng, spec_d)
-        n_run += 1
         pts, res_inf, iters, converged = _levenberg_marquardt(
             spec_d, spec_de, x0.ravel(), config, rng=rng
         )
@@ -426,8 +425,6 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
             restart=r,
         )
         candidates.append(cand)
-        if res_inf < best_res:
-            best_res, best_points = res_inf, pts
         if config.verbose:
             print(
                 f"restart {r}: residual {res_inf:.3e} after {iters} iterations"
@@ -438,7 +435,7 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
 
     if not candidates:
         raise AllRestartsDegenerateError(
-            f"all {n_run} restarts hit degenerate configurations"
+            f"all {r + 1} restarts hit degenerate configurations"
         )
 
     best = min(
@@ -450,11 +447,8 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         "generator": "triquad",
         "seed": config.seed,
         "target_strength": target,
-        "restarts_run": n_run,
         "restart": best.restart,
         "iterations": best.iterations,
-        "converged": best.converged,
-        "best_residual": best.max_residual,
         "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
         "elapsed_seconds": round(time.time() - started, 3),
     }
@@ -471,5 +465,5 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         report=report,
         converged=best.converged,
         best_residual=best.max_residual,
-        restarts_run=n_run,
+        restarts_run=r + 1,
     )

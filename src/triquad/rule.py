@@ -20,7 +20,6 @@ import numpy as np
 
 from .basis import BasisSpec, dim_poly, vandermonde
 from .domain import (
-    INTERIOR_TOL,
     MONOMIAL_DEGREE_CAP,
     as_point_array,
     monomial_integral,
@@ -35,7 +34,7 @@ ASYMMETRIC = "asymmetric"
 #: Default max-norm residual for a degree shell to count as exact.
 CERTIFY_TOL = 1e-12
 
-#: Default point/weight matching tolerance for symmetry classification.
+#: Point/weight matching tolerance for symmetry classification.
 SYMMETRY_TOL = 1e-10
 
 #: Upper bound on the strength search: the monomial oracle's degree cap.
@@ -83,10 +82,9 @@ class QuadratureRule:
             raise ValueError(f"weight {bad[0]} is not finite: {float(wts[bad[0]])!r}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        if self.cardinal_degree is not None and not self.is_cardinal:
-            raise ValueError(
-                f"{wts.shape[0]} points is not dim P_{self.cardinal_degree}"
-            )
+        d = self.cardinal_degree
+        if d is not None and wts.shape[0] != dim_poly(d):
+            raise ValueError(f"{wts.shape[0]} points is not dim P_{d}")
         if abs(wts.sum() - 2.0) > 1e-12:
             # foreign rules parsed at looser file tolerance may land here
             warnings.warn(
@@ -98,13 +96,6 @@ class QuadratureRule:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def is_cardinal(self) -> bool:
-        return (
-            self.cardinal_degree is not None
-            and self.n_points == dim_poly(self.cardinal_degree)
-        )
 
     def with_certification(self, report: "CertificationReport") -> "QuadratureRule":
         meta = dict(self.metadata)
@@ -225,13 +216,13 @@ def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> Certificati
     )
 
 
-def classify_symmetry(rule: QuadratureRule, tolerance: float = SYMMETRY_TOL) -> str:
+def classify_symmetry(rule: QuadratureRule) -> str:
     """D3 invariance check of the weighted point set.
 
     The six triangle symmetries act as permutations of the barycentric
     coordinates.  For each group element every transformed point's nearest
     original point (max-norm in reference coordinates) must lie within
-    `tolerance` and carry a weight within `tolerance` of its own, and no
+    SYMMETRY_TOL and carry a weight within SYMMETRY_TOL of its own, and no
     original point may be the nearest to two transformed ones.  NaN never
     matches.
     """
@@ -243,22 +234,8 @@ def classify_symmetry(rule: QuadratureRule, tolerance: float = SYMMETRY_TOL) -> 
         transformed = 2.0 * bary[:, list(perm)][:, :2] - 1.0
         dist = np.max(np.abs(ref[None, :, :] - transformed[:, None, :]), axis=2)
         j = np.argmin(dist, axis=1)
-        matched = (dist[rows, j] <= tolerance) & (np.abs(wts - wts[j]) <= tolerance)
+        matched = (dist[rows, j] <= SYMMETRY_TOL) & (np.abs(wts - wts[j]) <= SYMMETRY_TOL)
         if not matched.all() or np.unique(j).size < rule.n_points:
             return ASYMMETRIC
     return D3_SYMMETRIC
 
-
-def validate(rule: QuadratureRule) -> list[str]:
-    """Positivity and interiority violations, one message per offense."""
-    violations = []
-    for i, w in enumerate(rule.weights):
-        if not w > 0.0:
-            violations.append(f"weight {i} is not positive: {float(w)!r}")
-    inside = points_inside(rule.points, INTERIOR_TOL)
-    for i in np.nonzero(~inside)[0]:
-        xi1, xi2 = rule.points[i]
-        violations.append(
-            f"point {i} lies outside the triangle: ({float(xi1)!r}, {float(xi2)!r})"
-        )
-    return violations

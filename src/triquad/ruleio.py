@@ -114,11 +114,8 @@ def parse_rule(text: str) -> QuadratureRule:
             raise RuleParseError(f"header d is not an integer: {header['d']!r}")
         if dim_poly(d) != n:
             d = None  # foreign rule with a stale header; treat as non-cardinal
-            metadata["non_cardinal"] = True
     else:
         d = _infer_cardinal_degree(n)
-        if d is None:
-            metadata["non_cardinal"] = True
     return QuadratureRule(
         cardinal_degree=d,
         points=points,
@@ -181,8 +178,13 @@ def parse_points_xyw(text: str, weight_scale: float | None = None) -> Quadrature
     Interprets (x, y) as unit-triangle Cartesian coordinates.  Weights are
     multiplied by weight_scale to reach the internal sum(w) = 2 convention;
     when omitted, the scale is inferred from the weight sum (assuming the
-    file integrates the constant exactly in its own convention).
+    file integrates the constant exactly in its own convention).  A given
+    weight_scale that is not finite and positive raises ValueError.
     """
+    if weight_scale is not None and not (
+        math.isfinite(weight_scale) and weight_scale > 0.0
+    ):
+        raise ValueError(f"weight_scale must be finite and positive, got {weight_scale!r}")
     _, records = _read_records(text)
     weights = records[:, 2]
     if weight_scale is None:
@@ -190,16 +192,11 @@ def parse_points_xyw(text: str, weight_scale: float | None = None) -> Quadrature
         if abs(total) < 1e-30:
             raise RuleParseError("weight sum is zero; pass an explicit weight scale")
         weight_scale = 2.0 / total
-    points = bary_to_ref(records[:, :2])
-    d = _infer_cardinal_degree(len(weights))
-    metadata: dict = {"source_format": "xyw", "weight_scale": weight_scale}
-    if d is None:
-        metadata["non_cardinal"] = True
     return QuadratureRule(
-        cardinal_degree=d,
-        points=points,
+        cardinal_degree=_infer_cardinal_degree(len(weights)),
+        points=bary_to_ref(records[:, :2]),
         weights=weight_scale * weights,
-        metadata=metadata,
+        metadata={"source_format": "xyw", "weight_scale": weight_scale},
     )
 
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,16 @@ def test_verify_refuses_a_bad_tolerance(capsys, midpoint_path, tolerance):
     assert err[0].startswith("error: tolerance must be finite and positive")
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-4"])
+def test_verify_refuses_a_bad_weight_scale(capsys, midpoint_path, scale):
+    argv = ["verify", str(midpoint_path), "--input-format", "xyw", "--weight-scale", scale]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"error: weight_scale must be finite and positive, got {float(scale)!r}"
+    ]
+
+
 @pytest.mark.parametrize(
     "options,field",
     [
@@ -132,6 +143,18 @@ def test_generate_refuses_invalid_search_settings(capsys, options, field):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {field} must be")
+
+
+def test_generate_reports_an_unconverged_search(capsys):
+    assert main(["generate", "--d", "3", "--e", "3", "--restarts", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"unconverged: best residual \S+ after 2 restarts \(certified strength \d+\)",
+        lines[0],
+    )
 
 
 def test_verify_missing_file_fails(tmp_path, capsys):

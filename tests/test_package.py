@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "rank_of",
     "residual",
     "residual_jacobian",
-    "validate",
     "vandermonde",
     "weight_jacobian",
 ]
@@ -64,3 +63,9 @@ def test_every_benchmark_span_binding_resolves():
     for module_name, attr, _ in spans.BINDINGS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_every_public_name_is_documented_in_the_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    undocumented = [name for name in triquad.__all__ if f"`{name}`" not in readme]
+    assert undocumented == []

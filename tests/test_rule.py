@@ -20,7 +20,6 @@ from triquad.rule import (
     certify,
     classify_symmetry,
     dof_bound,
-    validate,
 )
 from triquad.ruleio import parse_rule
 from triquad.weights import newton_cotes_weights
@@ -335,28 +334,20 @@ def test_classify_refuses_to_match_one_point_twice():
     assert classify_symmetry(rule) == ASYMMETRIC
 
 
-def test_validate_clean_rule():
-    assert validate(MIDPOINT_RULE) == []
-
-
 def test_validate_flags_negative_weight():
-    rule = QuadratureRule(
+    report = certify(QuadratureRule(
         None,
         np.array([[0.0, -1.0], [0.0, 0.0]]),
         np.array([2.1, -0.1]),
-    )
-    violations = validate(rule)
-    assert len(violations) == 1
-    assert "not positive" in violations[0]
+    ))
+    assert (report.positive_weights, report.all_interior) == (False, True)
 
 
 def test_validate_flags_exterior_point():
     # barycentric (1.1, -0.05) sits outside the triangle
     pts = bary_to_ref(np.array([[1.1, -0.05], [1.0 / 3.0, 1.0 / 3.0]]))
-    rule = QuadratureRule(None, pts, np.array([1.0, 1.0]))
-    violations = validate(rule)
-    assert len(violations) == 1
-    assert "outside" in violations[0]
+    report = certify(QuadratureRule(None, pts, np.array([1.0, 1.0])))
+    assert (report.positive_weights, report.all_interior) == (True, False)
 
 
 def test_rule_rejects_inconsistent_lengths():

@@ -163,6 +163,29 @@ def test_parsers_reject_non_finite_fields(parse, text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), 0.0, -4.0])
+def test_xyw_adapter_refuses_a_bad_weight_scale(scale):
+    with pytest.raises(ValueError, match="weight_scale must be finite and positive"):
+        parse_points_xyw(MIDPOINT_FILE, weight_scale=scale)
+
+
+@pytest.mark.parametrize(
+    "parse,text",
+    [
+        (parse_rule, "# d = 1\n0.5 0.25 0.5\n0.25 0.5 0.5\n"),
+        (parse_rule, "0.5 0.25 0.5\n0.25 0.5 0.5\n"),
+        (parse_points_xyw, "0.5 0.25 0.5\n0.25 0.5 0.5\n"),
+    ],
+    ids=["stale_header", "no_header", "xyw"],
+)
+def test_two_records_parse_as_a_non_cardinal_rule(parse, text):
+    rule = parse(text)
+    assert rule.cardinal_degree is None
+    emitted = emit_rule(rule)
+    assert not any(line.startswith("# d =") for line in emitted.splitlines())
+    assert parse_rule(emitted).cardinal_degree is None
+
+
 # --------------------------------------------------------------- registry
 
 
