@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: generate, verify, weights, bound, table, plot, convert.
-Every failure exits nonzero with a one-line diagnostic on stderr; --json
+Every failure exits nonzero with a one-line diagnostic on stderr, and each
+library warning is printed there as one "warning: <message>" line; --json
 switches reports to machine-readable output with fixed field names.
 
 `build_parser` builds one parser per process, on its first call (not at
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from functools import cache
 from pathlib import Path
 
@@ -68,7 +70,7 @@ def _cmd_generate(args) -> int:
         verbose=args.verbose,
     )
     result = optimize(args.d, config)
-    rule, report = result.rule, result.report
+    rule, report = result.rule, result.rule.certification
     if not result.converged:
         print(
             f"unconverged: best residual {result.best_residual:.3e} after "
@@ -261,18 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:  # RuleParseError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        DegenerateConfigurationError,
-        AllRestartsDegenerateError,
-        OracleDisagreementError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        # the filters still pick what shows; one line replaces the source dump
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except (ValueError, OSError) as exc:  # RuleParseError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (
+            DegenerateConfigurationError,
+            AllRestartsDegenerateError,
+            OracleDisagreementError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

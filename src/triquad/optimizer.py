@@ -24,15 +24,14 @@ rejected outright.
 from __future__ import annotations
 
 import math
-import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .basis import BasisSpec, vandermonde
 from .domain import as_point_array, bary_to_ref, ref_to_bary
-from .rule import CertificationReport, QuadratureRule, certify, dof_bound
+from .rule import QuadratureRule, certify, dof_bound
 from .weights import (
     DegenerateConfigurationError,
     WeightSolution,
@@ -51,6 +50,9 @@ WEIGHT_MARGIN_FRAC = 0.1
 #: Log-barrier strength of the first anneal stage.
 BARRIER_START = 1e-8
 
+#: Levenberg-Marquardt iterations per restart, kicks included.
+MAX_ITERATIONS = 2000
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -61,7 +63,6 @@ class OptimizerConfig:
     """
 
     target_e: int = 1
-    max_iterations: int = 2000
     residual_tolerance: float = 1e-14
     restarts: int | None = None  # None: 50 for d <= 5, 500 for d >= 6
     seed: int = 0
@@ -82,8 +83,6 @@ class _Candidate:
     max_residual: float
     condition: float
     converged: bool
-    iterations: int
-    restart: int
 
     @property
     def positive(self) -> bool:
@@ -97,7 +96,6 @@ class _Candidate:
 @dataclass(frozen=True)
 class OptimizeResult:
     rule: QuadratureRule
-    report: CertificationReport
     converged: bool
     best_residual: float
     restarts_run: int
@@ -200,13 +198,13 @@ def _levenberg_marquardt(
     spec_de: BasisSpec,
     x0: np.ndarray,
     config: OptimizerConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, float, int, bool]:
     """Damped Gauss-Newton with annealed log barrier and stall kicks.
 
     When the unbiased problem stalls in a local minimum with iteration
-    budget left and an `rng` supplied, the best configuration is perturbed
-    and the barrier anneal rerun (deterministic basin hopping).  Returns
+    budget left, the best configuration is perturbed with `rng` and the
+    barrier anneal rerun (deterministic basin hopping).  Returns
     (points, max_residual, iterations, converged).
     """
     n = spec_d.dim
@@ -225,11 +223,11 @@ def _levenberg_marquardt(
         return x0.reshape(n, 2), np.inf, 0, False
     best = state  # no code writes an _EvalState's points in place
 
-    while iters < config.max_iterations:
+    while iters < MAX_ITERATIONS:
         stage_stalled = False
         stage_iters = 0
         while (
-            iters < config.max_iterations
+            iters < MAX_ITERATIONS
             and stage_iters < stage_cap
             and not stage_stalled
         ):
@@ -294,8 +292,8 @@ def _levenberg_marquardt(
         if state.max_residual <= tol and not (state.hinge_active and not stage_stalled):
             return state.points, state.max_residual, iters, True
         if mu == 0.0 and stage_stalled:
-            if rng is None or iters >= config.max_iterations:
-                break  # local minimum, no budget or no randomness to escape
+            if iters >= MAX_ITERATIONS:
+                break  # local minimum, no budget left to escape
             # basin hop: perturb the best configuration seen and re-anneal
             kick_scale = 0.08 if best.max_residual > 1e-3 else 0.02
             kicked = _init_perturbed(rng, best.points, scale=kick_scale)
@@ -366,8 +364,8 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     the config seed, so identical configs reproduce identical results.
     Returns the tie-break winner: converged first, then positive weights,
     then strictly interior points, then smallest residual, then smallest
-    condition estimate.  The result is flagged unconverged when no restart
-    reached the residual tolerance.
+    condition estimate, certified into `rule.certification`.  The result
+    is flagged unconverged when no restart reached the residual tolerance.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
@@ -377,10 +375,6 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         raise ValueError("target_e must be nonnegative")
     if config.restarts_for(d) < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    if config.max_iterations < 1:
-        raise ValueError(
-            f"max_iterations must be at least 1, got {config.max_iterations}"
-        )
     tol = config.residual_tolerance
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"residual_tolerance must be finite and positive, got {tol!r}")
@@ -395,7 +389,6 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     spec_de = BasisSpec(target)
 
     candidates: list[_Candidate] = []
-    started = time.time()
     for r in range(config.restarts_for(d)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
         if r == 0:
@@ -421,8 +414,6 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
             max_residual=res_inf,
             condition=sol.condition_estimate,
             converged=converged,
-            iterations=iters,
-            restart=r,
         )
         candidates.append(cand)
         if config.verbose:
@@ -443,26 +434,14 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         key=lambda c: (not c.converged, not c.positive, not c.interior,
                        c.max_residual, c.condition),
     )
-    metadata = {
-        "generator": "triquad",
-        "seed": config.seed,
-        "target_strength": target,
-        "restart": best.restart,
-        "iterations": best.iterations,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "elapsed_seconds": round(time.time() - started, 3),
-    }
     rule = QuadratureRule(
         cardinal_degree=d,
         points=best.points,
         weights=best.weights,
-        metadata=metadata,
+        metadata={"generator": "triquad", "seed": config.seed},
     )
-    report = certify(rule)
-    rule = rule.with_certification(report)
     return OptimizeResult(
-        rule=rule,
-        report=report,
+        rule=replace(rule, certification=certify(rule)),
         converged=best.converged,
         best_residual=best.max_residual,
         restarts_run=r + 1,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 
@@ -50,18 +50,32 @@ class OracleDisagreementError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class CertificationReport:
+    """Outcome of a strength certification."""
+
+    strength: int
+    max_error: float
+    per_degree_error: dict[int, float]
+    positive_weights: bool
+    all_interior: bool
+    symmetry: str
+
+
+@dataclass(frozen=True)
 class QuadratureRule:
     """An immutable point-and-weight set on the reference triangle.
 
     `cardinal_degree` is the degree d with N = dim P_d for rules of the
     cardinal type; imported foreign rules may have no such d (None).
     Weights follow the internal convention sum(w) = 2, the triangle area.
+    `certification` is the rule's one `CertificationReport`, or None until
+    it is certified (a parsed file's header claims stay in `metadata`).
     """
 
     cardinal_degree: int | None
     points: np.ndarray
     weights: np.ndarray
-    certified_strength: int | None = None
+    certification: CertificationReport | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -96,28 +110,6 @@ class QuadratureRule:
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-    def with_certification(self, report: "CertificationReport") -> "QuadratureRule":
-        meta = dict(self.metadata)
-        meta.update(
-            max_error=report.max_error,
-            symmetry=report.symmetry,
-            positive_weights=report.positive_weights,
-            all_interior=report.all_interior,
-        )
-        return replace(self, certified_strength=report.strength, metadata=meta)
-
-
-@dataclass(frozen=True)
-class CertificationReport:
-    """Outcome of a strength certification."""
-
-    strength: int
-    max_error: float
-    per_degree_error: dict[int, float]
-    positive_weights: bool
-    all_interior: bool
-    symmetry: str
 
 
 def dof_bound(d: int) -> int:

@@ -84,7 +84,7 @@ def parse_rule(text: str) -> QuadratureRule:
     """Parse rule-file text into a rule in the internal convention.
 
     Header claims (d, strength, ...) land in rule.metadata under
-    'header_*' keys; the rule itself stays uncertified until certify runs.
+    'header_*' keys and stay uncertified: `certification` is None.
     Points outside the triangle only warn, since foreign rules may
     legitimately contain them.
     """
@@ -131,25 +131,25 @@ def _fmt(x: float) -> str:
 def emit_rule(rule: QuadratureRule) -> str:
     """Serialize a rule; round-trips through parse_rule to 1e-15.
 
+    Only a certified rule has the strength through all_interior lines.
     The header records provenance but never timestamps, keeping emission
     byte-deterministic for a given rule.
     """
-    meta = rule.metadata
+    meta, cert = rule.metadata, rule.certification
     lines = [
         "# triangle quadrature rule",
         "# format: b1 b2 weight  (barycentric coordinates; weights sum to 1)",
     ]
-    fields = {
-        "d": rule.cardinal_degree,
-        "n_points": rule.n_points,
-        "strength": rule.certified_strength,
-        "max_error": _maybe_format_error(meta.get("max_error")),
-        "symmetry": meta.get("symmetry"),
-        "positive_weights": _yes_no(meta.get("positive_weights")),
-        "all_interior": _yes_no(meta.get("all_interior")),
-        "generator": meta.get("generator"),
-        "seed": meta.get("seed"),
-    }
+    fields = {"d": rule.cardinal_degree, "n_points": rule.n_points}
+    if cert is not None:
+        fields.update(
+            strength=cert.strength,
+            max_error=f"{cert.max_error:.3e}",
+            symmetry=cert.symmetry,
+            positive_weights="yes" if cert.positive_weights else "no",
+            all_interior="yes" if cert.all_interior else "no",
+        )
+    fields.update(generator=meta.get("generator"), seed=meta.get("seed"))
     for key, value in fields.items():
         if value is not None:
             lines.append(f"# {key} = {value}")
@@ -158,18 +158,6 @@ def emit_rule(rule: QuadratureRule) -> str:
     for i in range(rule.n_points):
         lines.append(f"{_fmt(bary[i, 0])} {_fmt(bary[i, 1])} {_fmt(w_file[i])}")
     return "\n".join(lines) + "\n"
-
-
-def _maybe_format_error(err) -> str | None:
-    if err is None:
-        return None
-    return f"{float(err):.3e}"
-
-
-def _yes_no(value) -> str | None:
-    if value is None or isinstance(value, str):
-        return value
-    return "yes" if value else "no"
 
 
 def parse_points_xyw(text: str, weight_scale: float | None = None) -> QuadratureRule:
@@ -196,7 +184,6 @@ def parse_points_xyw(text: str, weight_scale: float | None = None) -> Quadrature
         cardinal_degree=_infer_cardinal_degree(len(weights)),
         points=bary_to_ref(records[:, :2]),
         weights=weight_scale * weights,
-        metadata={"source_format": "xyw", "weight_scale": weight_scale},
     )
 
 
@@ -210,7 +197,7 @@ class Registry:
 
     def rule_filename(self, rule: QuadratureRule) -> str:
         d = rule.cardinal_degree if rule.cardinal_degree is not None else "x"
-        s = rule.certified_strength if rule.certified_strength is not None else "x"
+        s = rule.certification.strength if rule.certification is not None else "x"
         return f"tri_d{d}_s{s}.txt"
 
     def save(self, rule: QuadratureRule) -> Path:

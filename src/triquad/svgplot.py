@@ -49,12 +49,11 @@ def plot_rule(rule: QuadratureRule) -> str:
     radii = _MAX_RADIUS * np.sqrt(np.abs(rule.weights) / wmax)
 
     d = rule.cardinal_degree
-    s = rule.certified_strength
     title = f"triangle quadrature rule: {rule.n_points} points"
     if d is not None:
         title += f", d={d}"
-    if s is not None:
-        title += f", strength={s}"
+    if rule.certification is not None:
+        title += f", strength={rule.certification.strength}"
 
     path = "M {} {} L {} {} L {} {} Z".format(
         *(f"{c:.2f}" for c in corners.ravel())

@@ -157,6 +157,29 @@ def test_generate_reports_an_unconverged_search(capsys):
     )
 
 
+def test_generate_prints_the_bound_warning_as_one_line(capsys):
+    assert main(["generate", "--d", "1", "--e", "5", "--restarts", "1"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == (
+        "warning: target degree 6 exceeds the degrees-of-freedom bound 2; "
+        "the counting argument makes it infeasible"
+    )
+    assert re.fullmatch(
+        r"unconverged: best residual \S+ after 1 restarts \(certified strength \d+\)",
+        lines[1],
+    )
+
+
+def test_verify_prints_the_exterior_point_warning_as_one_line(tmp_path, capsys):
+    path = tmp_path / "exterior.txt"
+    path.write_text("1.1 -0.05 0.5\n0.2 0.2 0.5\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: 1 point(s) outside the triangle (records [1])"
+    ]
+
+
 def test_verify_missing_file_fails(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "nope.txt")]) == 2
     assert "error" in capsys.readouterr().err

@@ -148,7 +148,7 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
     _, _, iters, converged = _levenberg_marquardt(
         BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2).ravel(),
-        OptimizerConfig(target_e=2),
+        OptimizerConfig(target_e=2), np.random.default_rng(0),
     )
     assert converged
     swept = [ev for kind, ev in events if kind == "sweep"]
@@ -244,7 +244,8 @@ def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
     x0[0] = (-1.0 + 1e-12, 1.0 - 5e-11)
     assert np.all(points_inside(x0))
     pts, res, _, converged = _levenberg_marquardt(
-        BasisSpec(2), BasisSpec(4), x0.ravel(), OptimizerConfig(target_e=2)
+        BasisSpec(2), BasisSpec(4), x0.ravel(), OptimizerConfig(target_e=2),
+        np.random.default_rng(0),
     )
     assert converged
     assert res <= 1e-14
@@ -255,37 +256,39 @@ def test_optimize_d1_meets_table_row():
     result = optimize(1, OptimizerConfig(target_e=1, seed=0, restarts=10))
     assert result.converged
     assert result.best_residual <= 1e-14
-    report = result.report
+    report = result.rule.certification
     assert report.strength == 2
     assert report.positive_weights
     assert np.all(points_inside(result.rule.points))
     assert result.rule.n_points == 3
+    # the report is held once, in rule.certification, not copied into metadata
+    assert result.rule.metadata == {"generator": "triquad", "seed": 0}
 
 
 def test_optimize_d2_meets_table_row():
     result = optimize(2, OptimizerConfig(target_e=2, seed=0, restarts=10))
     assert result.converged
-    report = result.report
+    report = result.rule.certification
     assert report.strength == 4
     assert report.positive_weights and report.all_interior
     assert result.rule.n_points == 6
 
 
-def test_optimize_infeasible_target_warns_and_flags():
+def test_optimize_infeasible_target_warns_and_flags(monkeypatch):
     # d=3, e=3 asks for strength 6 = the counting bound; the reference
     # results only reach 5, so expect an honest unconverged outcome
-    config = OptimizerConfig(target_e=3, seed=0, restarts=2, max_iterations=300)
-    result = optimize(3, config)
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
+    result = optimize(3, OptimizerConfig(target_e=3, seed=0, restarts=2))
     assert not result.converged
     assert result.best_residual > 1e-14
     # the best candidate still certifies at its achieved strength
-    assert result.report.strength >= 3
+    assert result.rule.certification.strength >= 3
 
 
-def test_optimize_beyond_bound_warns():
-    config = OptimizerConfig(target_e=3, seed=0, restarts=1, max_iterations=50)
+def test_optimize_beyond_bound_warns(monkeypatch):
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 50)
     with pytest.warns(UserWarning, match="degrees-of-freedom"):
-        optimize(1, config)
+        optimize(1, OptimizerConfig(target_e=3, seed=0, restarts=1))
 
 
 def test_optimize_is_deterministic():
@@ -294,7 +297,7 @@ def test_optimize_is_deterministic():
     b = optimize(1, config)
     assert np.array_equal(a.rule.points, b.rule.points)
     assert np.array_equal(a.rule.weights, b.rule.weights)
-    assert a.report.max_error == b.report.max_error
+    assert a.rule.certification.max_error == b.rule.certification.max_error
 
 
 def test_optimize_output_passes_independent_certification():
@@ -309,12 +312,11 @@ def test_optimize_output_passes_independent_certification():
     [
         ({"restarts": 0}, "restarts"),
         ({"restarts": -1}, "restarts"),
-        ({"max_iterations": 0}, "max_iterations"),
+        ({"seed": -1}, "seed"),
         ({"residual_tolerance": float("nan")}, "residual_tolerance"),
         ({"residual_tolerance": float("inf")}, "residual_tolerance"),
         ({"residual_tolerance": 0.0}, "residual_tolerance"),
         ({"residual_tolerance": -1e-14}, "residual_tolerance"),
-        ({"seed": -1}, "seed"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):

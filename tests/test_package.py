@@ -1,6 +1,9 @@
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import triquad
 
@@ -69,3 +72,18 @@ def test_every_public_name_is_documented_in_the_readme():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     undocumented = [name for name in triquad.__all__ if f"`{name}`" not in readme]
     assert undocumented == []
+
+
+# The fields of the public records.  A new settings knob, or a second copy
+# of a fact one record already holds, must be added here on purpose.
+RECORD_FIELDS = {
+    "OptimizerConfig": ["target_e", "residual_tolerance", "restarts", "seed", "verbose"],
+    "QuadratureRule": ["cardinal_degree", "points", "weights", "certification", "metadata"],
+    "OptimizeResult": ["rule", "converged", "best_residual", "restarts_run"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_FIELDS))
+def test_record_fields_are_the_intended_lists(name):
+    fields = [f.name for f in dataclasses.fields(getattr(triquad, name))]
+    assert fields == RECORD_FIELDS[name]

@@ -12,6 +12,7 @@ from triquad.ruleio import (
     parse_points_xyw,
     parse_rule,
 )
+from triquad.svgplot import plot_rule
 
 MIDPOINT_FILE = """\
 0.5 0.5 0.33333333333333333
@@ -28,14 +29,17 @@ def midpoint_rule():
     )
 
 
-def test_emitted_header_keys_keep_their_order():
-    rule = replace(midpoint_rule(), metadata={"generator": "triquad", "seed": 7})
-    text = emit_rule(rule.with_certification(certify(rule)))
-    keys = [
+def header_keys(text):
+    return [
         line[2:].split(" = ")[0]
         for line in text.splitlines()
         if line.startswith("# ") and " = " in line
     ]
+
+
+def test_emitted_header_keys_keep_their_order():
+    rule = replace(midpoint_rule(), metadata={"generator": "triquad", "seed": 7})
+    keys = header_keys(emit_rule(replace(rule, certification=certify(rule))))
     assert keys == [
         "d",
         "n_points",
@@ -47,6 +51,11 @@ def test_emitted_header_keys_keep_their_order():
         "generator",
         "seed",
     ]
+
+
+def test_an_uncertified_rule_emits_no_certification_lines():
+    rule = replace(midpoint_rule(), metadata={"generator": "triquad", "seed": 7})
+    assert header_keys(emit_rule(rule)) == ["d", "n_points", "generator", "seed"]
 
 
 def test_parse_midpoint_rule():
@@ -114,6 +123,19 @@ def test_round_trip_preserves_certification():
     assert before.strength == after.strength
     assert np.max(np.abs(recovered.points - rule.points)) <= 1e-15
     assert np.max(np.abs(recovered.weights - rule.weights)) <= 1e-15
+    # the file's claims come back as header metadata, not as a certification
+    assert recovered.certification is None
+    assert recovered.metadata["header_strength"] == str(rule.certification.strength)
+    assert recovered.metadata["header_symmetry"] == rule.certification.symmetry
+
+
+def test_plot_title_names_only_a_certified_strength():
+    title = "<title>triangle quadrature rule: 3 points, d=1"
+    certified = optimize(1, OptimizerConfig(target_e=1, seed=0, restarts=10)).rule
+    assert f"{title}, strength=2</title>" in plot_rule(certified)
+    # a parsed file's strength claim is not certified, so the title omits it
+    claimed = parse_rule("# d = 1\n# strength = 2\n" + MIDPOINT_FILE)
+    assert f"{title}</title>" in plot_rule(claimed)
 
 
 def test_emit_is_deterministic():
