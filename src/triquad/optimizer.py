@@ -7,6 +7,10 @@ of unknowns (2N) exceeds the number of equations (dim P_{d+e} - dim P_d,
 by the degrees-of-freedom bound), leaving a solution manifold that damped
 Gauss-Newton handles without trouble.
 
+Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
+interior, well conditioned at large d; later restarts start from random
+points or perturb the best configuration so far.
+
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
 solve the unbiased problem; a weight hinge steers toward positive weights.
@@ -52,6 +56,13 @@ BARRIER_START = 1e-8
 
 #: Levenberg-Marquardt iterations per restart, kicks included.
 MAX_ITERATIONS = 2000
+
+#: Shrink toward the centroid of restart 0's warp-and-blend start.
+WARP_SHRINK = 0.05
+
+#: Warburton's optimized blend exponents alpha_opt for d = 1..15.
+_WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
+               1.3648, 1.4773, 1.4959, 1.5743, 1.5770, 1.6223, 1.6258)
 
 
 @dataclass(frozen=True)
@@ -204,8 +215,10 @@ def _levenberg_marquardt(
 
     When the unbiased problem stalls in a local minimum with iteration
     budget left, the best configuration is perturbed with `rng` and the
-    barrier anneal rerun (deterministic basin hopping).  Returns
-    (points, max_residual, iterations, converged).
+    barrier anneal rerun (deterministic basin hopping); a degenerate kick
+    is redrawn at half the scale, four draws at most.  Returns (points,
+    max_residual, iterations, converged); a degenerate start raises
+    DegenerateConfigurationError.
     """
     n = spec_d.dim
     tol = config.residual_tolerance
@@ -217,10 +230,7 @@ def _levenberg_marquardt(
     stage_cap = 60
     idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
 
-    try:
-        state = _EvalState(spec_d, spec_de, x0.reshape(n, 2))
-    except DegenerateConfigurationError:
-        return x0.reshape(n, 2), np.inf, 0, False
+    state = _EvalState(spec_d, spec_de, x0.reshape(n, 2))
     best = state  # no code writes an _EvalState's points in place
 
     while iters < MAX_ITERATIONS:
@@ -296,10 +306,14 @@ def _levenberg_marquardt(
                 break  # local minimum, no budget left to escape
             # basin hop: perturb the best configuration seen and re-anneal
             kick_scale = 0.08 if best.max_residual > 1e-3 else 0.02
-            kicked = _init_perturbed(rng, best.points, scale=kick_scale)
-            try:
-                state = _EvalState(spec_d, spec_de, kicked)
-            except DegenerateConfigurationError:
+            for _ in range(4):
+                kicked = _init_perturbed(rng, best.points, scale=kick_scale)
+                try:
+                    state = _EvalState(spec_d, spec_de, kicked)
+                    break
+                except DegenerateConfigurationError:
+                    kick_scale /= 2.0
+            else:
                 break
             mu = BARRIER_START
             lam = 1e-3
@@ -311,16 +325,29 @@ def _levenberg_marquardt(
     return best.points, best.max_residual, iters, best.max_residual <= tol
 
 
-def _init_collapsed_tensor(d: int) -> np.ndarray:
-    """Gauss-Legendre tensor nodes on the collapsed square, lower triangle."""
-    nodes, _ = np.polynomial.legendre.leggauss(d + 1)
-    pts = []
-    for i in range(d + 1):
-        for j in range(d + 1 - i):
-            eta, xi2 = nodes[i], nodes[j]
-            xi1 = (1.0 + eta) * (1.0 - xi2) / 2.0 - 1.0
-            pts.append((xi1, xi2))
-    return np.array(pts)
+def _init_warp_blend(d: int, tau: float) -> np.ndarray:
+    """Warburton's warp-and-blend nodes of degree d (`Nodes2D` in Hesthaven
+    & Warburton, Nodal Discontinuous Galerkin Methods, 2008), shrunk by
+    b' = (1 - tau) b + tau/3 so every point is interior.  The book's warps
+    in equilateral coordinates are applied here as barycentric shifts."""
+    alpha = _WARP_ALPHA[d - 1] if d <= len(_WARP_ALPHA) else 5.0 / 3.0
+    i, j = np.array([(i, j) for i in range(d + 1) for j in range(d + 1 - i)]).T
+    lam = np.column_stack([i, d - i - j, j]) / d
+    nxt, far = np.roll(lam, -1, axis=1), np.roll(lam, -2, axis=1)
+    # `Warpfactor`: the equispaced-to-Gauss-Lobatto shift at r, over 1 - r^2,
+    # interpolated in product form (factor j of l_i is (r - x_j) / (x_i - x_j))
+    r, equi = far - nxt, np.linspace(-1.0, 1.0, d + 1)
+    inner = np.polynomial.Legendre.basis(d).deriv().roots()
+    shift = np.concatenate([[-1.0], inner, [1.0]]) - equi
+    same = np.eye(d + 1, dtype=bool)
+    factors = (r[..., None, None] - equi) / (equi[:, None] - equi + same)
+    warp = np.where(same, 1.0, factors).prod(axis=-1) @ shift
+    warp = np.divide(warp, 1.0 - r * r, out=np.zeros_like(r), where=abs(r) < 1 - 1e-10)
+    warp *= 4.0 * nxt * far * (1.0 + (alpha * lam) ** 2)  # the blend
+    # warp k moves a point along the edge from vertex k + 1 toward vertex k + 2
+    lam += 0.5 * (np.roll(warp, -1, axis=1) - np.roll(warp, 1, axis=1))
+    # xi1 = 2 l3 - 1 and xi2 = 2 l1 - 1, as the book maps them
+    return bary_to_ref((1.0 - tau) * lam[:, [2, 0]] + tau / 3.0)
 
 
 def _random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -362,6 +389,9 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
 
     Runs restarts sequentially with per-restart RNG streams spawned from
     the config seed, so identical configs reproduce identical results.
+    Restart 0 starts from warp-and-blend nodes, restarts 2, 5, 8, ... from
+    the lowest-residual candidate perturbed, the others from random
+    points.  `verbose` prints one line per restart.
     Returns the tie-break winner: converged first, then positive weights,
     then strictly interior points, then smallest residual, then smallest
     condition estimate, certified into `rule.certification`.  The result
@@ -392,21 +422,21 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     for r in range(config.restarts_for(d)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
         if r == 0:
-            x0 = _init_collapsed_tensor(d)
+            x0 = _init_warp_blend(d, WARP_SHRINK)
         elif r % 3 == 2 and candidates:
             # perturb the lowest residual so far; min keeps the first of equals
             lowest = min(candidates, key=lambda c: c.max_residual)
             x0 = _init_perturbed(rng, lowest.points)
         else:
             x0 = _init_random(rng, spec_d)
-        pts, res_inf, iters, converged = _levenberg_marquardt(
-            spec_d, spec_de, x0.ravel(), config, rng=rng
-        )
-        if not np.isfinite(res_inf):
-            continue
         try:
+            pts, res_inf, iters, converged = _levenberg_marquardt(
+                spec_d, spec_de, x0.ravel(), config, rng=rng
+            )
             sol = newton_cotes_weights(spec_d, pts)
-        except DegenerateConfigurationError:
+        except DegenerateConfigurationError as exc:
+            if config.verbose:
+                print(f"restart {r}: degenerate ({exc.args[0]})")
             continue
         cand = _Candidate(
             points=pts,

@@ -1,4 +1,5 @@
 import warnings
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -12,14 +13,19 @@ from triquad.optimizer import (
     OptimizerConfig,
     _barrier_derivatives,
     _barrier_value,
-    _init_collapsed_tensor,
+    _init_warp_blend,
     _levenberg_marquardt,
     optimize,
     residual,
     residual_jacobian,
 )
 from triquad.rule import certify
-from triquad.weights import newton_cotes_weights, weight_jacobian
+from triquad.weights import (
+    DegenerateConfigurationError,
+    WeightSolution,
+    newton_cotes_weights,
+    weight_jacobian,
+)
 
 MIDPOINTS = np.array([[0.0, -1.0], [0.0, 0.0], [-1.0, 0.0]])
 VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
@@ -34,6 +40,18 @@ VERTEX_SHELL_RESIDUAL = np.array(
 def random_interior(rng, count):
     b = rng.dirichlet([2.0, 2.0, 2.0], size=count)
     return 2.0 * b[:, :2] - 1.0
+
+
+def _init_collapsed_tensor(d):
+    """Gauss-Legendre tensor nodes on the collapsed square, lower triangle."""
+    nodes, _ = np.polynomial.legendre.leggauss(d + 1)
+    pts = []
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            eta, xi2 = nodes[i], nodes[j]
+            xi1 = (1.0 + eta) * (1.0 - xi2) / 2.0 - 1.0
+            pts.append((xi1, xi2))
+    return np.array(pts)
 
 
 def test_residual_midpoints_is_zero():
@@ -330,3 +348,126 @@ def test_optimize_rejects_bad_inputs():
         optimize(0, OptimizerConfig(target_e=1))
     with pytest.raises(ValueError):
         optimize(1, OptimizerConfig(target_e=-1))
+
+
+@pytest.mark.parametrize("d", range(1, 17))  # d = 16 takes the 5/3 blend exponent
+def test_warp_blend_start_is_a_shrunk_symmetric_point_set(d):
+    tau = 0.05
+    pts = _init_warp_blend(d, tau)
+    assert pts.shape == (dim_poly(d), 2)
+    bary = ref_to_bary(pts)
+    assert np.all(bary >= tau / 3.0 - 1e-15)
+    # each permutation of the barycentrics maps the set onto itself
+    for perm in permutations(range(3)):
+        image = bary[:, perm]
+        gap = np.abs(image[:, None, :] - bary[None, :, :]).max(axis=2)
+        assert np.max(np.min(gap, axis=1)) <= 1e-13
+
+
+def _nodes2d_reference(d):
+    """The book's `Nodes2D`, loop for loop: warps in equilateral coordinates
+    (x, y), mapped back by l1 = (sqrt(3) y + 1) / 3, l3 = (1 - l1 + x) / 2."""
+    alpha_opt = [0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
+                 1.3648, 1.4773, 1.4959, 1.5743, 1.5770, 1.6223, 1.6258]
+    alpha = alpha_opt[d - 1] if d < 16 else 5.0 / 3.0
+    equi = np.linspace(-1.0, 1.0, d + 1)
+    inner = np.polynomial.Legendre.basis(d).deriv().roots()
+    gll = np.concatenate([[-1.0], inner, [1.0]])
+
+    def warpfactor(r):
+        warp = 0.0
+        for i in range(d + 1):
+            lagrange = 1.0
+            for j in range(d + 1):
+                if j != i:
+                    lagrange *= (r - equi[j]) / (equi[i] - equi[j])
+            warp += lagrange * (gll[i] - equi[i])
+        return warp / (1.0 - r * r) if abs(r) < 1.0 - 1e-10 else 0.0
+
+    pts = []
+    for n in range(d + 1):
+        for m in range(d + 1 - n):
+            l1, l3 = n / d, m / d
+            l2 = 1.0 - l1 - l3
+            x, y = l3 - l2, (2.0 * l1 - l2 - l3) / np.sqrt(3.0)
+            warps = [4.0 * b * c * warpfactor(c - b) * (1.0 + (alpha * a) ** 2)
+                     for a, b, c in ((l1, l2, l3), (l2, l3, l1), (l3, l1, l2))]
+            for k, w in enumerate(warps):
+                x += np.cos(2.0 * np.pi * k / 3.0) * w
+                y += np.sin(2.0 * np.pi * k / 3.0) * w
+            l1 = (np.sqrt(3.0) * y + 1.0) / 3.0
+            l3 = (1.0 - l1 + x) / 2.0
+            pts.append((2.0 * l3 - 1.0, 2.0 * l1 - 1.0))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_warp_blend_start_matches_the_equilateral_construction(d):
+    assert np.max(np.abs(_init_warp_blend(d, 0.0) - _nodes2d_reference(d))) <= 1e-14
+
+
+def test_warp_blend_start_passes_the_weight_gates_at_d14():
+    spec = BasisSpec(14)
+    sol = WeightSolution(spec, _init_warp_blend(14, 0.05))
+    assert sol.condition_estimate < 1e3
+    with pytest.raises(DegenerateConfigurationError, match="solve residual"):
+        WeightSolution(spec, _init_collapsed_tensor(14))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_d6_certifies_on_the_first_restart(seed):
+    result = optimize(6, OptimizerConfig(target_e=5, seed=seed, restarts=1))
+    assert result.converged
+    report = result.rule.certification
+    assert report.strength == 11
+    assert report.positive_weights and report.all_interior
+
+
+def test_a_degenerate_kick_is_retried_at_half_the_scale(monkeypatch):
+    # d = 1 cannot reach strength 4, so the search stalls and kicks; the
+    # first kick lands every point on the centroid, a singular system
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 800)
+    perturb, scales = triquad.optimizer._init_perturbed, []
+
+    def collapse_first_kick(rng, base, scale):
+        scales.append(scale)
+        pts = perturb(rng, base, scale)
+        return np.full_like(pts, -1.0 / 3.0) if len(scales) == 1 else pts
+
+    monkeypatch.setattr(triquad.optimizer, "_init_perturbed", collapse_first_kick)
+    _, _, iters, converged = _levenberg_marquardt(
+        BasisSpec(1), BasisSpec(4), _init_warp_blend(1, 0.05).ravel(),
+        OptimizerConfig(target_e=3), np.random.default_rng(0),
+    )
+    assert not converged
+    assert scales[1] == scales[0] / 2.0
+    assert iters == 800  # the restart kept its budget
+
+
+def test_a_degenerate_start_raises():
+    centroid = np.full(6, -1.0 / 3.0)  # three coincident points
+    with pytest.raises(DegenerateConfigurationError):
+        _levenberg_marquardt(
+            BasisSpec(1), BasisSpec(2), centroid, OptimizerConfig(),
+            np.random.default_rng(0),
+        )
+
+
+def test_verbose_reports_every_restart(monkeypatch, capsys):
+    # restart 0 ends on a degenerate start, restart 1 on points whose
+    # Newton-Cotes weights cannot be solved
+    starts = []
+
+    def degenerate_search(spec_d, spec_de, x0, config, rng):
+        starts.append(x0)
+        if len(starts) == 1:
+            raise DegenerateConfigurationError("degenerate configuration: start")
+        return np.full((spec_d.dim, 2), -1.0 / 3.0), 0.5, 7, False
+
+    monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
+    with pytest.raises(triquad.optimizer.AllRestartsDegenerateError):
+        optimize(2, OptimizerConfig(target_e=2, restarts=2, verbose=True))
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
+    assert lines[1].startswith("restart 1: degenerate (degenerate configuration: ")
+    assert len(lines) == 2

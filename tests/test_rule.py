@@ -7,7 +7,6 @@ import pytest
 import triquad.rule
 from triquad.basis import BasisSpec, dim_poly, vandermonde
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_bary, ref_to_unit
-from triquad.optimizer import _init_collapsed_tensor
 from triquad.rule import (
     ASYMMETRIC,
     CERTIFY_TOL,
@@ -111,6 +110,18 @@ def _walk_certify(rule, tolerance=CERTIFY_TOL):
     if mono_strength != strength:
         raise OracleDisagreementError(f"{strength} != {mono_strength}")
     return strength, per_degree
+
+
+def _init_collapsed_tensor(d):
+    """Gauss-Legendre tensor nodes on the collapsed square, lower triangle."""
+    nodes, _ = np.polynomial.legendre.leggauss(d + 1)
+    pts = []
+    for i in range(d + 1):
+        for j in range(d + 1 - i):
+            eta, xi2 = nodes[i], nodes[j]
+            xi1 = (1.0 + eta) * (1.0 - xi2) / 2.0 - 1.0
+            pts.append((xi1, xi2))
+    return np.array(pts)
 
 
 def _newton_cotes_rules():
