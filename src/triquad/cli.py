@@ -54,6 +54,8 @@ def _print_report(rule, report, as_json: bool) -> None:
 
 
 def _load_rule(path: str, input_format: str, weight_scale: float | None):
+    if weight_scale is not None and input_format != "xyw":
+        raise ValueError("--weight-scale applies only with --input-format xyw")
     text = Path(path).read_text()
     if input_format == "xyw":
         return parse_points_xyw(text, weight_scale)
@@ -66,7 +68,6 @@ def _cmd_generate(args) -> int:
         target_e=e,
         seed=args.seed,
         restarts=args.restarts,
-        residual_tolerance=args.tolerance,
         verbose=args.verbose,
     )
     result = optimize(args.d, config)
@@ -213,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--tolerance", type=float, default=1e-14)
     p.add_argument("--out", default=None, help="rule file destination (default stdout)")
     p.add_argument("--register", default=None, help="also save into this registry directory")
     p.add_argument("--verbose", action="store_true")

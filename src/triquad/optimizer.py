@@ -9,7 +9,8 @@ Gauss-Newton handles without trouble.
 
 Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
 interior, well conditioned at large d; later restarts start from random
-points or perturb the best configuration so far.
+points or perturb the best configuration so far.  A restart converges when
+its largest shell residual is at most RESIDUAL_TOLERANCE.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
@@ -17,12 +18,13 @@ solve the unbiased problem; a weight hinge steers toward positive weights.
 Every configuration the search visits is one `WeightSolution` (basis
 values, the weight solve and the shell residual) wrapped in an
 `_EvalState` that adds the hinge and the barrier value; that much decides
-whether a trial step is accepted.  Derivatives (the solution's weight and
-shell Jacobians and the barrier's gradient and Hessian) are formed only
-for a configuration the search steps from: the start, an accepted trial
-or a kick.  A trial step leaving the triangle is rejected before
-evaluation, and one producing a near-singular Vandermonde system is
-rejected outright.
+whether a trial step is accepted.  The state a restart ends on is its
+outcome: points, weights, condition estimate and residual, with no second
+solve.  Derivatives (the solution's weight and shell Jacobians and the
+barrier's gradient and Hessian) are formed only for a configuration the
+search steps from: the start, an accepted trial or a kick.  A trial step
+leaving the triangle is rejected before evaluation, and one producing a
+near-singular Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -36,12 +38,12 @@ import numpy as np
 from .basis import BasisSpec, vandermonde
 from .domain import as_point_array, bary_to_ref, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
-from .weights import (
-    DegenerateConfigurationError,
-    WeightSolution,
-    _factorize,
-    newton_cotes_weights,
-)
+from .weights import DegenerateConfigurationError, WeightSolution, _factorize
+# nothing here calls it; perfbench/spans.py binds the name in this module
+from .weights import newton_cotes_weights  # noqa: F401
+
+#: Largest shell residual at which a restart has converged.
+RESIDUAL_TOLERANCE = 1e-14
 
 #: Vandermonde condition cap for accepting a random initial configuration.
 INIT_CONDITION_LIMIT = 1e8
@@ -74,7 +76,6 @@ class OptimizerConfig:
     """
 
     target_e: int = 1
-    residual_tolerance: float = 1e-14
     restarts: int | None = None  # None: 50 for d <= 5, 500 for d >= 6
     seed: int = 0
     verbose: bool = False
@@ -85,31 +86,15 @@ class OptimizerConfig:
         return 50 if d <= 5 else 500
 
 
-@dataclass
-class _Candidate:
-    """One restart's outcome."""
-
-    points: np.ndarray
-    weights: np.ndarray
-    max_residual: float
-    condition: float
-    converged: bool
-
-    @property
-    def positive(self) -> bool:
-        return bool(np.all(self.weights > 0.0))
-
-    @property
-    def interior(self) -> bool:
-        return bool(np.all(ref_to_bary(self.points) > 0.0))
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     rule: QuadratureRule
-    converged: bool
     best_residual: float
     restarts_run: int
+
+    @property
+    def converged(self) -> bool:
+        return self.best_residual <= RESIDUAL_TOLERANCE
 
 
 class AllRestartsDegenerateError(RuntimeError):
@@ -157,6 +142,18 @@ class _EvalState:
     def max_residual(self) -> float:
         res = self.sol.shell_residual
         return float(np.max(np.abs(res))) if res.size else 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.max_residual <= RESIDUAL_TOLERANCE
+
+    @property
+    def positive(self) -> bool:
+        return bool(np.all(self.sol.weights > 0.0))
+
+    @property
+    def interior(self) -> bool:
+        return bool(np.all(self.bary > 0.0))
 
 
 def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -207,21 +204,21 @@ def _barrier_derivatives(bary: np.ndarray):
 def _levenberg_marquardt(
     spec_d: BasisSpec,
     spec_de: BasisSpec,
-    x0: np.ndarray,
-    config: OptimizerConfig,
+    points: np.ndarray,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, float, int, bool]:
-    """Damped Gauss-Newton with annealed log barrier and stall kicks.
+) -> tuple[_EvalState, int]:
+    """Damped Gauss-Newton from (N, 2) `points`, with annealed log barrier
+    and stall kicks.
 
     When the unbiased problem stalls in a local minimum with iteration
     budget left, the best configuration is perturbed with `rng` and the
     barrier anneal rerun (deterministic basin hopping); a degenerate kick
-    is redrawn at half the scale, four draws at most.  Returns (points,
-    max_residual, iterations, converged); a degenerate start raises
+    is redrawn at half the scale, four draws at most.  Returns (state,
+    iterations): the state it converged on, or else the lowest-residual
+    state it visited.  A degenerate start raises
     DegenerateConfigurationError.
     """
     n = spec_d.dim
-    tol = config.residual_tolerance
     mu = BARRIER_START
     lam = 1e-3
     iters = 0
@@ -230,7 +227,7 @@ def _levenberg_marquardt(
     stage_cap = 60
     idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
 
-    state = _EvalState(spec_d, spec_de, x0.reshape(n, 2))
+    state = _EvalState(spec_d, spec_de, points)
     best = state  # no code writes an _EvalState's points in place
 
     while iters < MAX_ITERATIONS:
@@ -245,8 +242,8 @@ def _levenberg_marquardt(
             stage_iters += 1
             if state.max_residual < best.max_residual:
                 best = state
-            if state.max_residual <= tol and not state.hinge_active:
-                return state.points, state.max_residual, iters, True
+            if state.converged and not state.hinge_active:
+                return state, iters
 
             state.linearize()  # derivatives only where a step starts
             gn = state.jac.T @ state.jac
@@ -299,8 +296,8 @@ def _levenberg_marquardt(
 
         if state.max_residual < best.max_residual:
             best = state
-        if state.max_residual <= tol and not (state.hinge_active and not stage_stalled):
-            return state.points, state.max_residual, iters, True
+        if state.converged and not (state.hinge_active and not stage_stalled):
+            return state, iters
         if mu == 0.0 and stage_stalled:
             if iters >= MAX_ITERATIONS:
                 break  # local minimum, no budget left to escape
@@ -322,7 +319,7 @@ def _levenberg_marquardt(
             mu = 0.0 if mu < 1e-15 else mu / 10.0
         lam = min(lam, 1e-3)  # fresh damping: the objective just changed
 
-    return best.points, best.max_residual, iters, best.max_residual <= tol
+    return best, iters
 
 
 def _init_warp_blend(d: int, tau: float) -> np.ndarray:
@@ -392,10 +389,13 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     Restart 0 starts from warp-and-blend nodes, restarts 2, 5, 8, ... from
     the lowest-residual candidate perturbed, the others from random
     points.  `verbose` prints one line per restart.
-    Returns the tie-break winner: converged first, then positive weights,
-    then strictly interior points, then smallest residual, then smallest
-    condition estimate, certified into `rule.certification`.  The result
-    is flagged unconverged when no restart reached the residual tolerance.
+    The candidates are the states the restarts' searches end on; each
+    carries its points, Newton-Cotes weights, condition estimate and
+    residual.  Returns the tie-break winner: converged first, then positive
+    weights, then strictly interior points, then smallest residual, then
+    smallest condition estimate, certified into `rule.certification`.  Of
+    equal candidates the earliest wins.  The result is unconverged when no
+    restart reached RESIDUAL_TOLERANCE.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
@@ -405,9 +405,6 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         raise ValueError("target_e must be nonnegative")
     if config.restarts_for(d) < 1:
         raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    tol = config.residual_tolerance
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"residual_tolerance must be finite and positive, got {tol!r}")
     target = d + config.target_e
     if target > dof_bound(d):
         warnings.warn(
@@ -418,61 +415,53 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     spec_d = BasisSpec(d)
     spec_de = BasisSpec(target)
 
-    candidates: list[_Candidate] = []
+    def rank(s: _EvalState):
+        return (not s.converged, not s.positive, not s.interior,
+                s.max_residual, s.sol.condition_estimate)
+
+    # two running minima, not a list: a state keeps its tabulations (3.7 MB
+    # at d = 14), and a search may run 500 restarts
+    best = lowest = None
     for r in range(config.restarts_for(d)):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
         if r == 0:
             x0 = _init_warp_blend(d, WARP_SHRINK)
-        elif r % 3 == 2 and candidates:
-            # perturb the lowest residual so far; min keeps the first of equals
-            lowest = min(candidates, key=lambda c: c.max_residual)
+        elif r % 3 == 2 and lowest is not None:
             x0 = _init_perturbed(rng, lowest.points)
         else:
             x0 = _init_random(rng, spec_d)
         try:
-            pts, res_inf, iters, converged = _levenberg_marquardt(
-                spec_d, spec_de, x0.ravel(), config, rng=rng
-            )
-            sol = newton_cotes_weights(spec_d, pts)
+            state, iters = _levenberg_marquardt(spec_d, spec_de, x0, rng)
         except DegenerateConfigurationError as exc:
             if config.verbose:
                 print(f"restart {r}: degenerate ({exc.args[0]})")
             continue
-        cand = _Candidate(
-            points=pts,
-            weights=sol.weights,
-            max_residual=res_inf,
-            condition=sol.condition_estimate,
-            converged=converged,
-        )
-        candidates.append(cand)
         if config.verbose:
             print(
-                f"restart {r}: residual {res_inf:.3e} after {iters} iterations"
-                f"{' (converged)' if converged else ''}"
+                f"restart {r}: residual {state.max_residual:.3e} after {iters} "
+                f"iterations{' (converged)' if state.converged else ''}"
             )
-        if converged and cand.positive and cand.interior:
+        # strict < keeps the first of equals
+        if lowest is None or state.max_residual < lowest.max_residual:
+            lowest = state
+        if best is None or rank(state) < rank(best):
+            best = state
+        if state.converged and state.positive and state.interior:
             break
 
-    if not candidates:
+    if best is None:
         raise AllRestartsDegenerateError(
             f"all {r + 1} restarts hit degenerate configurations"
         )
 
-    best = min(
-        candidates,
-        key=lambda c: (not c.converged, not c.positive, not c.interior,
-                       c.max_residual, c.condition),
-    )
     rule = QuadratureRule(
         cardinal_degree=d,
         points=best.points,
-        weights=best.weights,
+        weights=best.sol.weights,
         metadata={"generator": "triquad", "seed": config.seed},
     )
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),
-        converged=best.converged,
         best_residual=best.max_residual,
         restarts_run=r + 1,
     )

@@ -126,23 +126,43 @@ def test_verify_refuses_a_bad_weight_scale(capsys, midpoint_path, scale):
     ]
 
 
+@pytest.mark.parametrize("command", [["verify"], ["weights", "--d", "1"],
+                                     ["plot", "--out"], ["convert", "--to", "unit"]])
+def test_weight_scale_is_refused_for_a_rule_file(capsys, tmp_path, midpoint_path, command):
+    # a rule file carries its own weights: a scale is refused, not dropped
+    if command[0] == "plot":
+        command = [*command, str(tmp_path / "rule.svg")]
+    argv = [command[0], str(midpoint_path), *command[1:], "--weight-scale", "4"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: --weight-scale applies only with --input-format xyw"
+    ]
+
+
 @pytest.mark.parametrize(
     "options,field",
     [
         (["--restarts", "0"], "restarts"),
         (["--restarts", "-2"], "restarts"),
-        (["--restarts", "1", "--tolerance", "nan"], "residual_tolerance"),
-        (["--restarts", "1", "--tolerance", "0"], "residual_tolerance"),
         (["--restarts", "1", "--seed", "-1"], "seed"),
     ],
-    ids=["restarts_zero", "restarts_negative", "tolerance_nan", "tolerance_zero",
-         "seed_negative"],
+    ids=["restarts_zero", "restarts_negative", "seed_negative"],
 )
 def test_generate_refuses_invalid_search_settings(capsys, options, field):
     assert main(["generate", "--d", "1", "--e", "1"] + options) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {field} must be")
+
+
+def test_generate_has_no_tolerance_option(capsys):
+    # the search converges at optimizer.RESIDUAL_TOLERANCE, not a setting
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--d", "1", "--e", "1", "--tolerance", "1e-14"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 1e-14" in capsys.readouterr().err
 
 
 def test_generate_reports_an_unconverged_search(capsys):

@@ -1,5 +1,8 @@
+import hashlib
 import warnings
+from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,8 @@ import triquad.weights
 from triquad.basis import BasisSpec, dim_poly, integrals_vector, vandermonde
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
+    RESIDUAL_TOLERANCE,
+    OptimizeResult,
     OptimizerConfig,
     _barrier_derivatives,
     _barrier_value,
@@ -20,6 +25,7 @@ from triquad.optimizer import (
     residual_jacobian,
 )
 from triquad.rule import certify
+from triquad.ruleio import emit_rule
 from triquad.weights import (
     DegenerateConfigurationError,
     WeightSolution,
@@ -164,11 +170,10 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
 
     monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
-    _, _, iters, converged = _levenberg_marquardt(
-        BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2).ravel(),
-        OptimizerConfig(target_e=2), np.random.default_rng(0),
+    state, iters = _levenberg_marquardt(
+        BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2), np.random.default_rng(0),
     )
-    assert converged
+    assert state.converged
     swept = [ev for kind, ev in events if kind == "sweep"]
     tabulated = [ev for kind, ev in events if kind == "values"]
     # one sweep per linearized configuration, at most one per iteration
@@ -261,13 +266,12 @@ def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
     x0 = _init_collapsed_tensor(2)
     x0[0] = (-1.0 + 1e-12, 1.0 - 5e-11)
     assert np.all(points_inside(x0))
-    pts, res, _, converged = _levenberg_marquardt(
-        BasisSpec(2), BasisSpec(4), x0.ravel(), OptimizerConfig(target_e=2),
-        np.random.default_rng(0),
+    state, _ = _levenberg_marquardt(
+        BasisSpec(2), BasisSpec(4), x0, np.random.default_rng(0),
     )
-    assert converged
-    assert res <= 1e-14
-    assert np.all(points_inside(pts))
+    assert state.converged
+    assert state.max_residual <= 1e-14
+    assert np.all(points_inside(state.points))
 
 
 def test_optimize_d1_meets_table_row():
@@ -331,16 +335,19 @@ def test_optimize_output_passes_independent_certification():
         ({"restarts": 0}, "restarts"),
         ({"restarts": -1}, "restarts"),
         ({"seed": -1}, "seed"),
-        ({"residual_tolerance": float("nan")}, "residual_tolerance"),
-        ({"residual_tolerance": float("inf")}, "residual_tolerance"),
-        ({"residual_tolerance": 0.0}, "residual_tolerance"),
-        ({"residual_tolerance": -1e-14}, "residual_tolerance"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):
     config = OptimizerConfig(**{"target_e": 1, "restarts": 1, **settings})
     with pytest.raises(ValueError, match=f"^{field} must be"):
         optimize(1, config)
+
+
+def test_converged_is_read_from_the_best_residual():
+    rule = optimize(1, OptimizerConfig(target_e=1, restarts=1)).rule
+    at = OptimizeResult(rule, best_residual=RESIDUAL_TOLERANCE, restarts_run=1)
+    above = replace(at, best_residual=np.nextafter(RESIDUAL_TOLERANCE, 1.0))
+    assert at.converged and not above.converged
 
 
 def test_optimize_rejects_bad_inputs():
@@ -435,34 +442,24 @@ def test_a_degenerate_kick_is_retried_at_half_the_scale(monkeypatch):
         return np.full_like(pts, -1.0 / 3.0) if len(scales) == 1 else pts
 
     monkeypatch.setattr(triquad.optimizer, "_init_perturbed", collapse_first_kick)
-    _, _, iters, converged = _levenberg_marquardt(
-        BasisSpec(1), BasisSpec(4), _init_warp_blend(1, 0.05).ravel(),
-        OptimizerConfig(target_e=3), np.random.default_rng(0),
+    state, iters = _levenberg_marquardt(
+        BasisSpec(1), BasisSpec(4), _init_warp_blend(1, 0.05), np.random.default_rng(0),
     )
-    assert not converged
+    assert not state.converged
     assert scales[1] == scales[0] / 2.0
     assert iters == 800  # the restart kept its budget
 
 
 def test_a_degenerate_start_raises():
-    centroid = np.full(6, -1.0 / 3.0)  # three coincident points
+    centroid = np.full((3, 2), -1.0 / 3.0)  # three coincident points
     with pytest.raises(DegenerateConfigurationError):
-        _levenberg_marquardt(
-            BasisSpec(1), BasisSpec(2), centroid, OptimizerConfig(),
-            np.random.default_rng(0),
-        )
+        _levenberg_marquardt(BasisSpec(1), BasisSpec(2), centroid, np.random.default_rng(0))
 
 
 def test_verbose_reports_every_restart(monkeypatch, capsys):
-    # restart 0 ends on a degenerate start, restart 1 on points whose
-    # Newton-Cotes weights cannot be solved
-    starts = []
-
-    def degenerate_search(spec_d, spec_de, x0, config, rng):
-        starts.append(x0)
-        if len(starts) == 1:
-            raise DegenerateConfigurationError("degenerate configuration: start")
-        return np.full((spec_d.dim, 2), -1.0 / 3.0), 0.5, 7, False
+    # every restart ends on a degenerate start
+    def degenerate_search(spec_d, spec_de, points, rng):
+        raise DegenerateConfigurationError("degenerate configuration: start")
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
     with pytest.raises(triquad.optimizer.AllRestartsDegenerateError):
@@ -471,3 +468,94 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
     assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
     assert lines[1].startswith("restart 1: degenerate (degenerate configuration: ")
     assert len(lines) == 2
+
+
+# restart outcomes (converged, positive, interior, residual, condition):
+# restarts 0 and 2..6 each lose to restart 1 on one key, and restart 7 meets
+# all three conditions, which ends the search
+TIE_BREAK_OUTCOMES = [
+    (False, True, True, 1e-3, 1.0),
+    (True, True, False, 5e-15, 2.0),
+    (True, False, True, 1e-15, 1.0),  # lower residual, negative weight
+    (True, False, True, 1e-15, 1.0),  # ties restart 2 for the lowest residual
+    (True, True, False, 6e-15, 1.0),  # better condition, higher residual
+    (True, True, False, 5e-15, 3.0),
+    (True, True, False, 5e-15, 2.0),  # equal to the winner, but later
+    (True, True, True, 9e-15, 1.0),
+    (True, True, True, 1e-16, 1.0),
+]
+
+
+def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
+    rng = np.random.default_rng(4)
+    states, bases = [], []
+    for converged, positive, interior, res, cond in TIE_BREAK_OUTCOMES:
+        pts = random_interior(rng, 3)
+        states.append(SimpleNamespace(
+            points=pts, converged=converged, positive=positive, interior=interior,
+            max_residual=res,
+            sol=SimpleNamespace(weights=newton_cotes_weights(BasisSpec(1), pts).weights,
+                                condition_estimate=cond),
+        ))
+    outcomes = iter(states)
+    perturb = triquad.optimizer._init_perturbed
+
+    def recording_perturb(rng, base):
+        bases.append(base)
+        return perturb(rng, base)
+
+    monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt",
+                        lambda *args: (next(outcomes), 1))
+    monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
+    first = optimize(1, OptimizerConfig(target_e=1, restarts=7))
+    assert first.restarts_run == 7
+    assert np.array_equal(first.rule.points, states[1].points)
+    # restarts 2 and 5 perturb the lowest residual so far
+    assert len(bases) == 2
+    assert bases[0] is states[1].points and bases[1] is states[2].points
+    # the first restart meeting every condition wins and ends the search
+    outcomes = iter(states)
+    stopped = optimize(1, OptimizerConfig(target_e=1, restarts=len(states)))
+    assert stopped.restarts_run == 8
+    assert np.array_equal(stopped.rule.points, states[7].points)
+
+
+# Runs past restart 0, which no acceptance pin reaches: (d, settings, the
+# patched MAX_ITERATIONS or None, converged, restarts_run, best residual,
+# SHA-256 of the emitted rule, the --verbose lines)
+MULTI_RESTART_RUNS = {
+    # restart 0 plateaus, restart 1 (random start) certifies and breaks
+    "d7_restart1": (
+        7, {"target_e": 6, "seed": 1, "restarts": 12}, None, True, 2, "5.481726e-15",
+        "f5ce10aeebaf51f2ae7f715b73331561c26666d9a0d568b79b4d944fe29b8293",
+        ["restart 0: residual 6.448e-02 after 2000 iterations",
+         "restart 1: residual 5.482e-15 after 714 iterations (converged)"],
+    ),
+    # strength 6 at d = 3 is out of reach: random starts at r = 1, 3, 4,
+    # perturbed starts at r = 2, 5, and the tie-break picks among six
+    "d3_unconverged": (
+        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "4.464365e-02",
+        "8e9bc6b8e0bd4f565a1194bf5ce79ecb06fe0ffbd2d15f62e545a95c47225eb9",
+        ["restart 0: residual 4.673e-02 after 300 iterations",
+         "restart 1: residual 4.682e-02 after 300 iterations",
+         "restart 2: residual 4.657e-02 after 300 iterations",
+         "restart 3: residual 4.009e-01 after 300 iterations",
+         "restart 4: residual 1.382e+00 after 300 iterations",
+         "restart 5: residual 4.464e-02 after 300 iterations"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_RESTART_RUNS))
+def test_multi_restart_runs_keep_their_bytes(name, monkeypatch, capsys):
+    d, settings, max_iters, converged, restarts, res, digest, lines = (
+        MULTI_RESTART_RUNS[name]
+    )
+    if max_iters is not None:
+        monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", max_iters)
+    result = optimize(d, OptimizerConfig(verbose=True, **settings))
+    assert capsys.readouterr().out.splitlines() == lines
+    assert result.converged is converged
+    assert result.restarts_run == restarts
+    assert f"{result.best_residual:.6e}" == res
+    assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest

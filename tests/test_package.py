@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import triquad
+from triquad.cli import build_parser
 
 # The public API: what the CLI and documented library use need.  A name
 # added to or dropped from triquad.__all__ must be added or dropped here.
@@ -77,9 +79,9 @@ def test_every_public_name_is_documented_in_the_readme():
 # The fields of the public records.  A new settings knob, or a second copy
 # of a fact one record already holds, must be added here on purpose.
 RECORD_FIELDS = {
-    "OptimizerConfig": ["target_e", "residual_tolerance", "restarts", "seed", "verbose"],
+    "OptimizerConfig": ["target_e", "restarts", "seed", "verbose"],
     "QuadratureRule": ["cardinal_degree", "points", "weights", "certification", "metadata"],
-    "OptimizeResult": ["rule", "converged", "best_residual", "restarts_run"],
+    "OptimizeResult": ["rule", "best_residual", "restarts_run"],
 }
 
 
@@ -87,3 +89,28 @@ RECORD_FIELDS = {
 def test_record_fields_are_the_intended_lists(name):
     fields = [f.name for f in dataclasses.fields(getattr(triquad, name))]
     assert fields == RECORD_FIELDS[name]
+
+
+# The option strings of each CLI subcommand.  A new option, like a new
+# record field, must be added here on purpose.
+CLI_OPTIONS = {
+    "generate": ["--d", "--e", "--seed", "--restarts", "--out", "--register",
+                 "--verbose", "--json"],
+    "verify": ["--tolerance", "--json", "--input-format", "--weight-scale"],
+    "weights": ["--d", "--input-format", "--weight-scale"],
+    "bound": ["--d"],
+    "table": ["--registry", "--json"],
+    "plot": ["--out", "--input-format", "--weight-scale"],
+    "convert": ["--to", "--input-format", "--weight-scale"],
+}
+
+
+def test_cli_options_are_the_intended_lists():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in parser._actions if not isinstance(a, argparse._HelpAction)
+               for s in a.option_strings]
+        for name, parser in sub.choices.items()
+    }
+    assert options == CLI_OPTIONS

@@ -5,7 +5,8 @@ import pytest
 
 from triquad.basis import BasisSpec, vandermonde
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_unit
-from triquad.optimizer import residual, residual_jacobian
+from triquad.optimizer import _init_warp_blend, residual, residual_jacobian
+from triquad.rule import dof_bound
 from triquad.weights import (
     CONDITION_LIMIT,
     DegenerateConfigurationError,
@@ -232,3 +233,32 @@ def test_weight_jacobian_random_vs_finite_differences():
     fd = fd_weight_jacobian(spec, points, 1e-7)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(jac - fd)) / scale <= 1e-5
+
+
+def _solve_outcome(*args):
+    """(weights, condition estimate) of a solve, or the degenerate verdict."""
+    try:
+        sol = WeightSolution(*args)
+    except DegenerateConfigurationError as exc:
+        return str(exc)
+    return sol.weights, sol.condition_estimate
+
+
+@pytest.mark.parametrize(
+    "d,e",
+    [(d, e) for d in range(1, 15) for e in sorted({1, dof_bound(d) - d})],
+)
+def test_extended_solve_has_the_bits_of_the_plain_one(d, e):
+    # the search's configurations carry the extension d + e; the rule keeps
+    # their weights without solving again, so the two must be the same bits
+    spec = BasisSpec(d)
+    rng = np.random.default_rng(d)
+    for points in (_init_warp_blend(d, 0.05), random_interior(rng, spec.dim)):
+        extended = _solve_outcome(spec, points, BasisSpec(d + e))
+        plain = _solve_outcome(spec, points)
+        if isinstance(plain, str):
+            # random points at large d fail the gates; they must fail alike
+            assert extended == plain
+            continue
+        assert np.array_equal(extended[0], plain[0])
+        assert extended[1] == plain[1]
