@@ -22,9 +22,7 @@ from .domain import (
 from .optimizer import (
     AllRestartsDegenerateError,
     OptimizeResult,
-    OptimizerConfig,
     optimize,
-    residual,
     residual_jacobian,
 )
 from .rule import (
@@ -57,7 +55,6 @@ __all__ = [
     "D3_SYMMETRIC",
     "DegenerateConfigurationError",
     "OptimizeResult",
-    "OptimizerConfig",
     "OracleDisagreementError",
     "QuadratureRule",
     "Registry",
@@ -77,7 +74,6 @@ __all__ = [
     "parse_rule",
     "plot_rule",
     "rank_of",
-    "residual",
     "residual_jacobian",
     "vandermonde",
     "weight_jacobian",

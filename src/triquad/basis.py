@@ -113,10 +113,6 @@ class BasisSpec:
     def dim(self) -> int:
         return dim_poly(self.degree)
 
-    @property
-    def indices(self) -> tuple[tuple[int, int], ...]:
-        return multi_indices(self.degree)
-
 
 @dataclass(frozen=True)
 class BasisEvaluation:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .basis import BasisSpec, dim_poly
 from .domain import ref_to_bary, ref_to_unit
-from .optimizer import AllRestartsDegenerateError, OptimizerConfig, optimize
+from .optimizer import AllRestartsDegenerateError, optimize
 from .rule import CERTIFY_TOL, OracleDisagreementError, QuadratureRule, certify, dof_bound
 from .ruleio import Registry, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
@@ -63,14 +63,8 @@ def _load_rule(path: str, input_format: str, weight_scale: float | None):
 
 
 def _cmd_generate(args) -> int:
-    e = args.e if args.e is not None else dof_bound(args.d) - args.d
-    config = OptimizerConfig(
-        target_e=e,
-        seed=args.seed,
-        restarts=args.restarts,
-        verbose=args.verbose,
-    )
-    result = optimize(args.d, config)
+    result = optimize(args.d, target_e=args.e, restarts=args.restarts,
+                      seed=args.seed, verbose=args.verbose)
     rule, report = result.rule, result.rule.certification
     if not result.converged:
         print(
@@ -95,20 +89,14 @@ def _cmd_verify(args) -> int:
     rule = _load_rule(args.file, args.input_format, args.weight_scale)
     report = certify(rule, tolerance=args.tolerance)
     _print_report(rule, report, args.json)
-    claimed = rule.metadata.get("header_strength")
-    if claimed is not None:
-        try:
-            claimed_int = int(claimed)
-        except ValueError:
-            print(f"unusable strength claim in header: {claimed!r}", file=sys.stderr)
-            return 2
-        if report.strength < claimed_int:
-            print(
-                f"certified strength {report.strength} falls short of the "
-                f"header claim {claimed_int}",
-                file=sys.stderr,
-            )
-            return 1
+    claimed = rule.metadata.get("header_strength")  # parse_rule checked it
+    if claimed is not None and report.strength < int(claimed):
+        print(
+            f"certified strength {report.strength} falls short of the "
+            f"header claim {int(claimed)}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -37,12 +37,10 @@ EQUILATERAL_VERTICES = np.array([
 def as_point_array(points) -> np.ndarray:
     """Normalize a point collection to a float array of shape (n, 2).
 
-    Accepts an (n, 2) array-like, a sequence of pairs, or a flat sequence
-    of coordinates (xi1, xi2, xi1, xi2, ...).
+    Accepts an (n, 2) array-like or a sequence of pairs; anything else,
+    a flat sequence of coordinates included, raises ValueError.
     """
     arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected points of shape (n, 2), got {arr.shape}")
     return arr

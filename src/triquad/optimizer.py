@@ -10,7 +10,8 @@ Gauss-Newton handles without trouble.
 Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
 interior, well conditioned at large d; later restarts start from random
 points or perturb the best configuration so far.  A restart converges when
-its largest shell residual is at most RESIDUAL_TOLERANCE.
+its largest shell residual is at most RESIDUAL_TOLERANCE.  `optimize`
+takes the search's settings as keyword arguments and sets their defaults.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
@@ -65,25 +66,6 @@ WARP_SHRINK = 0.05
 #: Warburton's optimized blend exponents alpha_opt for d = 1..15.
 _WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
                1.3648, 1.4773, 1.4959, 1.5743, 1.5770, 1.6223, 1.6258)
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of the multi-start Levenberg-Marquardt search.
-
-    The search stops at the first restart that converges with positive
-    weights and strictly interior points.
-    """
-
-    target_e: int = 1
-    restarts: int | None = None  # None: 50 for d <= 5, 500 for d >= 6
-    seed: int = 0
-    verbose: bool = False
-
-    def restarts_for(self, d: int) -> int:
-        if self.restarts is not None:
-            return self.restarts
-        return 50 if d <= 5 else 500
 
 
 @dataclass(frozen=True)
@@ -156,21 +138,12 @@ class _EvalState:
         return bool(np.all(self.bary > 0.0))
 
 
-def residual(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
-    """Quadrature residuals of the shell d < m+n <= d+e.
-
-    Entry k is sum_j w_j g_k(z_j) - integral(g_k) with w the Newton-Cotes
-    weights of `points`; the integrals vanish because every shell function
-    is orthogonal to constants.
-    """
-    return WeightSolution(spec_d, points, spec_de).shell_residual
-
-
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
-    """d(residual)/d(point coordinates), shape (n_shell, 2N).
+    """d(shell residual)/d(point coordinates), shape (n_shell, 2N).
 
     Column 2j + c differentiates with respect to coordinate c of point j:
-    dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).
+    dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i), where the residual
+    r_k = sum_j w_j g_k(z_j) is `WeightSolution(...).shell_residual`.
     """
     return WeightSolution(spec_d, points, spec_de).linearize().shell_jacobian
 
@@ -381,11 +354,22 @@ def _init_perturbed(
     return pts
 
 
-def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
-    """Multi-start search for a rule of strength d + target_e.
+def optimize(
+    d: int,
+    *,
+    target_e: int | None = None,
+    restarts: int | None = None,
+    seed: int = 0,
+    verbose: bool = False,
+) -> OptimizeResult:
+    """Multi-start search for a rule of degree d and strength d + target_e.
 
-    Runs restarts sequentially with per-restart RNG streams spawned from
-    the config seed, so identical configs reproduce identical results.
+    `target_e` defaults to the degrees-of-freedom bound minus d, the
+    highest strength the counting argument allows, and `restarts` to 50
+    for d <= 5 and 500 for d >= 6.  Runs restarts sequentially with
+    per-restart RNG streams spawned from `seed`, so the same arguments
+    reproduce the same result, and stops at the first restart that
+    converges with positive weights and strictly interior points.
     Restart 0 starts from warp-and-blend nodes, restarts 2, 5, 8, ... from
     the lowest-residual candidate perturbed, the others from random
     points.  `verbose` prints one line per restart.
@@ -399,13 +383,17 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
-    if config.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {config.seed}")
-    if config.target_e < 0:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    if target_e is None:
+        target_e = dof_bound(d) - d
+    if target_e < 0:
         raise ValueError("target_e must be nonnegative")
-    if config.restarts_for(d) < 1:
-        raise ValueError(f"restarts must be at least 1, got {config.restarts}")
-    target = d + config.target_e
+    if restarts is None:
+        restarts = 50 if d <= 5 else 500
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    target = d + target_e
     if target > dof_bound(d):
         warnings.warn(
             f"target degree {target} exceeds the degrees-of-freedom bound "
@@ -422,8 +410,8 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
     # two running minima, not a list: a state keeps its tabulations (3.7 MB
     # at d = 14), and a search may run 500 restarts
     best = lowest = None
-    for r in range(config.restarts_for(d)):
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(r,)))
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         if r == 0:
             x0 = _init_warp_blend(d, WARP_SHRINK)
         elif r % 3 == 2 and lowest is not None:
@@ -433,10 +421,10 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         try:
             state, iters = _levenberg_marquardt(spec_d, spec_de, x0, rng)
         except DegenerateConfigurationError as exc:
-            if config.verbose:
+            if verbose:
                 print(f"restart {r}: degenerate ({exc.args[0]})")
             continue
-        if config.verbose:
+        if verbose:
             print(
                 f"restart {r}: residual {state.max_residual:.3e} after {iters} "
                 f"iterations{' (converged)' if state.converged else ''}"
@@ -458,7 +446,7 @@ def optimize(d: int, config: OptimizerConfig) -> OptimizeResult:
         cardinal_degree=d,
         points=best.points,
         weights=best.sol.weights,
-        metadata={"generator": "triquad", "seed": config.seed},
+        metadata={"generator": "triquad", "seed": seed},
     )
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),

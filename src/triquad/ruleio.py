@@ -84,7 +84,8 @@ def parse_rule(text: str) -> QuadratureRule:
     """Parse rule-file text into a rule in the internal convention.
 
     Header claims (d, strength, ...) land in rule.metadata under
-    'header_*' keys and stay uncertified: `certification` is None.
+    'header_*' keys and stay uncertified: `certification` is None.  A d
+    or strength that is not an integer raises RuleParseError.
     Points outside the triangle only warn, since foreign rules may
     legitimately contain them.
     """
@@ -106,22 +107,28 @@ def parse_rule(text: str) -> QuadratureRule:
         )
 
     metadata = {f"header_{k}": v for k, v in header.items()}
-    d: int | None
-    if "d" in header:
-        try:
-            d = int(header["d"])
-        except ValueError:
-            raise RuleParseError(f"header d is not an integer: {header['d']!r}")
-        if dim_poly(d) != n:
-            d = None  # foreign rule with a stale header; treat as non-cardinal
-    else:
+    d = _header_int(header, "d")
+    _header_int(header, "strength")  # refused here, so readers may int() it
+    if d is None:
         d = _infer_cardinal_degree(n)
+    elif dim_poly(d) != n:
+        d = None  # foreign rule with a stale header; treat as non-cardinal
     return QuadratureRule(
         cardinal_degree=d,
         points=points,
         weights=2.0 * weights_file,
         metadata=metadata,
     )
+
+
+def _header_int(header: dict[str, str], key: str) -> int | None:
+    """Header field `key` as an integer; None when the header lacks it."""
+    if key not in header:
+        return None
+    try:
+        return int(header[key])
+    except ValueError:
+        raise RuleParseError(f"header {key} is not an integer: {header[key]!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -260,17 +267,10 @@ class Registry:
                     "file": name,
                     "d": rule.cardinal_degree,
                     "n_points": rule.n_points,
-                    "strength": _maybe_int(meta.get("header_strength")),
+                    "strength": _header_int(meta, "header_strength"),
                     "max_error": meta.get("header_max_error"),
                     "symmetry": meta.get("header_symmetry"),
                 }
             )
         rows.sort(key=lambda r: (r["d"] is None, r["d"], r["n_points"]))
         return rows
-
-
-def _maybe_int(value) -> int | None:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return None

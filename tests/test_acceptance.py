@@ -21,7 +21,7 @@ import scipy
 from triquad.basis import BasisSpec, gram_matrix
 from triquad.cli import main
 from triquad.domain import monomial_integral, points_inside, ref_to_unit
-from triquad.optimizer import residual, residual_jacobian
+from triquad.optimizer import residual_jacobian
 from triquad.rule import (
     D3_SYMMETRIC,
     QuadratureRule,
@@ -30,7 +30,7 @@ from triquad.rule import (
     dof_bound,
 )
 from triquad.ruleio import emit_rule, parse_rule
-from triquad.weights import newton_cotes_weights, weight_jacobian
+from triquad.weights import WeightSolution, newton_cotes_weights, weight_jacobian
 
 # (d, N, strength, expected D3 flag) from the reference results table
 TABLE_ROWS = {
@@ -256,8 +256,8 @@ def test_criterion_4_jacobian_fidelity():
                 wm = newton_cotes_weights(spec_d, minus).weights
                 fd_w[:, 2 * j + c] = (wp - wm) / (2.0 * h)
                 fd_r[:, 2 * j + c] = (
-                    residual(spec_d, spec_de, plus)
-                    - residual(spec_d, spec_de, minus)
+                    WeightSolution(spec_d, plus, spec_de).shell_residual
+                    - WeightSolution(spec_d, minus, spec_de).shell_residual
                 ) / (2.0 * h)
         for jac, fd in ((jac_w, fd_w), (jac_r, fd_r)):
             scale = max(1.0, float(np.max(np.abs(fd))))

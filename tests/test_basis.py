@@ -263,7 +263,7 @@ def test_values_and_gradients_at_and_next_to_collapsed_vertex(point):
     ev = vandermonde(spec, [point], derivatives=True)
     # exact rational evaluation of the sympy polynomial and its partials
     at = {XI1: sp.Rational(point[0]), XI2: sp.Rational(point[1])}
-    for k, (m, n) in enumerate(spec.indices):
+    for k, (m, n) in enumerate(multi_indices(spec.degree)):
         g = symbolic_polynomial(m, n)
         for got, expr in (
             (ev.values[0, k], g),
@@ -286,6 +286,12 @@ def test_vandermonde_constant_column():
     ev = vandermonde(BasisSpec(1), [(-0.5, -0.5), (0.0, -0.8), (-0.9, 0.1)])
     assert ev.values.shape == (3, 3)
     assert np.allclose(ev.values[:, 0], 1.0)
+
+
+def test_vandermonde_refuses_a_flat_coordinate_list():
+    # (xi1, xi2, xi1, xi2) used to be read silently as two points
+    with pytest.raises(ValueError, match=r"^expected points of shape \(n, 2\), got \(4,\)$"):
+        vandermonde(BasisSpec(1), [0.1, -0.5, -0.5, 0.2])
 
 
 def test_vandermonde_random_square_system_is_solvable():
@@ -369,8 +375,9 @@ def _reference_vandermonde(spec, points, derivatives=False):
     alpha = 2.0 * np.arange(deg + 1)[:, None] + 1.0
     rows = _reference_jacobi_rows(alpha, 0.0, deg, xi2, derivative=derivatives)
     jac, djac = rows if derivatives else (rows, None)
-    ms, ns = np.array(spec.indices).T
-    c = np.array([norm_constant(m, n) for m, n in spec.indices])[:, None]
+    indices = multi_indices(spec.degree)
+    ms, ns = np.array(indices).T
+    c = np.array([norm_constant(m, n) for m, n in indices])[:, None]
     qk, jk = q[ms], jac[ns, ms]
     blocks = [c * qk * jk]
     if derivatives:

@@ -70,6 +70,18 @@ def test_verify_fails_inflated_claim(tmp_path, capsys):
     assert "falls short" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_non_integer_strength_claim(tmp_path, capsys):
+    # the report used to print before the claim was refused
+    path = tmp_path / "fractional.txt"
+    path.write_text(MIDPOINT_FILE.replace("strength = 2", "strength = 3.5"))
+    assert main(["verify", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: header strength is not an integer: '3.5'"
+    ]
+
+
 def test_verify_truncated_file_fails(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("0.5 0.5 0.5\n0.5 0.0\n")
@@ -155,6 +167,24 @@ def test_generate_refuses_invalid_search_settings(capsys, options, field):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {field} must be")
+
+
+def test_generate_refuses_a_degree_below_one_without_e(capsys):
+    assert main(["generate", "--d", "-1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: cardinal degree must be at least 1"
+    ]
+
+
+def test_generate_defaults_e_to_the_degrees_of_freedom_bound(tmp_path):
+    # dof_bound(2) = 4, so e = 2
+    outputs = []
+    for extra in ([], ["--e", "2"]):
+        out = tmp_path / f"rule{len(outputs)}.txt"
+        argv = ["generate", "--d", "2", "--seed", "0", "--restarts", "3", "--out", str(out)]
+        assert main(argv + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_generate_has_no_tolerance_option(capsys):

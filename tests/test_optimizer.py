@@ -15,13 +15,11 @@ from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
     OptimizeResult,
-    OptimizerConfig,
     _barrier_derivatives,
     _barrier_value,
     _init_warp_blend,
     _levenberg_marquardt,
     optimize,
-    residual,
     residual_jacobian,
 )
 from triquad.rule import certify
@@ -61,24 +59,25 @@ def _init_collapsed_tensor(d):
 
 
 def test_residual_midpoints_is_zero():
-    r = residual(BasisSpec(1), BasisSpec(2), MIDPOINTS)
+    r = WeightSolution(BasisSpec(1), MIDPOINTS, BasisSpec(2)).shell_residual
     assert r.shape == (3,)
     assert np.max(np.abs(r)) <= 1e-15
 
 
 def test_residual_vertices_matches_symbolic_oracle():
-    r = residual(BasisSpec(1), BasisSpec(2), VERTICES)
+    r = WeightSolution(BasisSpec(1), VERTICES, BasisSpec(2)).shell_residual
     assert np.max(np.abs(r - VERTEX_SHELL_RESIDUAL)) <= 1e-13
 
 
 def test_residual_zero_extension_is_empty():
-    r = residual(BasisSpec(2), BasisSpec(2), random_interior(np.random.default_rng(0), 6))
+    pts = random_interior(np.random.default_rng(0), 6)
+    r = WeightSolution(BasisSpec(2), pts, BasisSpec(2)).shell_residual
     assert r.shape == (0,)
 
 
 def test_residual_length_matches_shell_dimension():
     pts = random_interior(np.random.default_rng(1), dim_poly(2))
-    r = residual(BasisSpec(2), BasisSpec(4), pts)
+    r = WeightSolution(BasisSpec(2), pts, BasisSpec(4)).shell_residual
     assert r.shape == (dim_poly(4) - dim_poly(2),)
 
 
@@ -96,7 +95,8 @@ def test_residual_jacobian_matches_finite_differences(d, e):
             plus[j, c] += h
             minus[j, c] -= h
             fd[:, 2 * j + c] = (
-                residual(spec_d, spec_de, plus) - residual(spec_d, spec_de, minus)
+                WeightSolution(spec_d, plus, spec_de).shell_residual
+                - WeightSolution(spec_d, minus, spec_de).shell_residual
             ) / (2.0 * h)
     scale = max(1.0, float(np.max(np.abs(fd))))
     assert np.max(np.abs(jac - fd)) / scale <= 1e-5
@@ -127,7 +127,7 @@ def _eager_solution(spec_d, spec_de, points):
 ENTRY_POINTS = {
     "newton_cotes_weights": lambda sd, _, pts: newton_cotes_weights(sd, pts).weights,
     "weight_jacobian": lambda sd, _, pts: weight_jacobian(sd, pts),
-    "residual": residual,
+    "residual": lambda sd, sde, pts: WeightSolution(sd, pts, sde).shell_residual,
     "residual_jacobian": residual_jacobian,
 }
 
@@ -255,7 +255,7 @@ def test_a_nan_trial_step_is_rejected(monkeypatch):
         return step
 
     monkeypatch.setattr(triquad.optimizer.np.linalg, "solve", nan_first_step)
-    result = optimize(1, OptimizerConfig(target_e=1, seed=0, restarts=1))
+    result = optimize(1, target_e=1, seed=0, restarts=1)
     assert np.isnan(steps[0][0]) and len(steps) > 1
     assert result.converged
 
@@ -275,7 +275,7 @@ def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
 
 
 def test_optimize_d1_meets_table_row():
-    result = optimize(1, OptimizerConfig(target_e=1, seed=0, restarts=10))
+    result = optimize(1, target_e=1, seed=0, restarts=10)
     assert result.converged
     assert result.best_residual <= 1e-14
     report = result.rule.certification
@@ -288,7 +288,7 @@ def test_optimize_d1_meets_table_row():
 
 
 def test_optimize_d2_meets_table_row():
-    result = optimize(2, OptimizerConfig(target_e=2, seed=0, restarts=10))
+    result = optimize(2, target_e=2, seed=0, restarts=10)
     assert result.converged
     report = result.rule.certification
     assert report.strength == 4
@@ -300,7 +300,7 @@ def test_optimize_infeasible_target_warns_and_flags(monkeypatch):
     # d=3, e=3 asks for strength 6 = the counting bound; the reference
     # results only reach 5, so expect an honest unconverged outcome
     monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
-    result = optimize(3, OptimizerConfig(target_e=3, seed=0, restarts=2))
+    result = optimize(3, target_e=3, seed=0, restarts=2)
     assert not result.converged
     assert result.best_residual > 1e-14
     # the best candidate still certifies at its achieved strength
@@ -310,20 +310,19 @@ def test_optimize_infeasible_target_warns_and_flags(monkeypatch):
 def test_optimize_beyond_bound_warns(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 50)
     with pytest.warns(UserWarning, match="degrees-of-freedom"):
-        optimize(1, OptimizerConfig(target_e=3, seed=0, restarts=1))
+        optimize(1, target_e=3, seed=0, restarts=1)
 
 
 def test_optimize_is_deterministic():
-    config = OptimizerConfig(target_e=1, seed=123, restarts=4)
-    a = optimize(1, config)
-    b = optimize(1, config)
+    a = optimize(1, target_e=1, seed=123, restarts=4)
+    b = optimize(1, target_e=1, seed=123, restarts=4)
     assert np.array_equal(a.rule.points, b.rule.points)
     assert np.array_equal(a.rule.weights, b.rule.weights)
     assert a.rule.certification.max_error == b.rule.certification.max_error
 
 
 def test_optimize_output_passes_independent_certification():
-    result = optimize(2, OptimizerConfig(target_e=2, seed=5, restarts=10))
+    result = optimize(2, target_e=2, seed=5, restarts=10)
     assert result.converged
     report = certify(result.rule, tolerance=1e-12)
     assert report.strength >= 4
@@ -338,13 +337,12 @@ def test_optimize_output_passes_independent_certification():
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):
-    config = OptimizerConfig(**{"target_e": 1, "restarts": 1, **settings})
     with pytest.raises(ValueError, match=f"^{field} must be"):
-        optimize(1, config)
+        optimize(1, **{"target_e": 1, "restarts": 1, **settings})
 
 
 def test_converged_is_read_from_the_best_residual():
-    rule = optimize(1, OptimizerConfig(target_e=1, restarts=1)).rule
+    rule = optimize(1, target_e=1, restarts=1).rule
     at = OptimizeResult(rule, best_residual=RESIDUAL_TOLERANCE, restarts_run=1)
     above = replace(at, best_residual=np.nextafter(RESIDUAL_TOLERANCE, 1.0))
     assert at.converged and not above.converged
@@ -352,9 +350,9 @@ def test_converged_is_read_from_the_best_residual():
 
 def test_optimize_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        optimize(0, OptimizerConfig(target_e=1))
+        optimize(0, target_e=1)
     with pytest.raises(ValueError):
-        optimize(1, OptimizerConfig(target_e=-1))
+        optimize(1, target_e=-1)
 
 
 @pytest.mark.parametrize("d", range(1, 17))  # d = 16 takes the 5/3 blend exponent
@@ -423,7 +421,7 @@ def test_warp_blend_start_passes_the_weight_gates_at_d14():
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_d6_certifies_on_the_first_restart(seed):
-    result = optimize(6, OptimizerConfig(target_e=5, seed=seed, restarts=1))
+    result = optimize(6, target_e=5, seed=seed, restarts=1)
     assert result.converged
     report = result.rule.certification
     assert report.strength == 11
@@ -463,7 +461,7 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
     with pytest.raises(triquad.optimizer.AllRestartsDegenerateError):
-        optimize(2, OptimizerConfig(target_e=2, restarts=2, verbose=True))
+        optimize(2, target_e=2, restarts=2, verbose=True)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
     assert lines[1].startswith("restart 1: degenerate (degenerate configuration: ")
@@ -507,7 +505,7 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt",
                         lambda *args: (next(outcomes), 1))
     monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
-    first = optimize(1, OptimizerConfig(target_e=1, restarts=7))
+    first = optimize(1, target_e=1, restarts=7)
     assert first.restarts_run == 7
     assert np.array_equal(first.rule.points, states[1].points)
     # restarts 2 and 5 perturb the lowest residual so far
@@ -515,7 +513,7 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
     assert bases[0] is states[1].points and bases[1] is states[2].points
     # the first restart meeting every condition wins and ends the search
     outcomes = iter(states)
-    stopped = optimize(1, OptimizerConfig(target_e=1, restarts=len(states)))
+    stopped = optimize(1, target_e=1, restarts=len(states))
     assert stopped.restarts_run == 8
     assert np.array_equal(stopped.rule.points, states[7].points)
 
@@ -553,7 +551,7 @@ def test_multi_restart_runs_keep_their_bytes(name, monkeypatch, capsys):
     )
     if max_iters is not None:
         monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", max_iters)
-    result = optimize(d, OptimizerConfig(verbose=True, **settings))
+    result = optimize(d, verbose=True, **settings)
     assert capsys.readouterr().out.splitlines() == lines
     assert result.converged is converged
     assert result.restarts_run == restarts

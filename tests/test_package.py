@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,6 @@ PUBLIC_NAMES = [
     "D3_SYMMETRIC",
     "DegenerateConfigurationError",
     "OptimizeResult",
-    "OptimizerConfig",
     "OracleDisagreementError",
     "QuadratureRule",
     "Registry",
@@ -40,7 +40,6 @@ PUBLIC_NAMES = [
     "parse_rule",
     "plot_rule",
     "rank_of",
-    "residual",
     "residual_jacobian",
     "vandermonde",
     "weight_jacobian",
@@ -76,10 +75,9 @@ def test_every_public_name_is_documented_in_the_readme():
     assert undocumented == []
 
 
-# The fields of the public records.  A new settings knob, or a second copy
-# of a fact one record already holds, must be added here on purpose.
+# The fields of the public records.  A second copy of a fact one record
+# already holds must be added here on purpose.
 RECORD_FIELDS = {
-    "OptimizerConfig": ["target_e", "restarts", "seed", "verbose"],
     "QuadratureRule": ["cardinal_degree", "points", "weights", "certification", "metadata"],
     "OptimizeResult": ["rule", "best_residual", "restarts_run"],
 }
@@ -89,6 +87,22 @@ RECORD_FIELDS = {
 def test_record_fields_are_the_intended_lists(name):
     fields = [f.name for f in dataclasses.fields(getattr(triquad, name))]
     assert fields == RECORD_FIELDS[name]
+
+
+# The search's settings are optimize's keyword arguments.  A new setting,
+# like a new record field, must be added here on purpose.
+OPTIMIZE_PARAMETERS = [
+    ("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
+    ("target_e", inspect.Parameter.KEYWORD_ONLY, None),
+    ("restarts", inspect.Parameter.KEYWORD_ONLY, None),
+    ("seed", inspect.Parameter.KEYWORD_ONLY, 0),
+    ("verbose", inspect.Parameter.KEYWORD_ONLY, False),
+]
+
+
+def test_optimize_parameters_are_the_intended_list():
+    params = inspect.signature(triquad.optimize).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == OPTIMIZE_PARAMETERS
 
 
 # The option strings of each CLI subcommand.  A new option, like a new

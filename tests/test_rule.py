@@ -366,6 +366,11 @@ def test_rule_rejects_inconsistent_lengths():
         QuadratureRule(None, np.zeros((3, 2)), np.ones(2))
 
 
+def test_rule_refuses_a_flat_points_array():
+    with pytest.raises(ValueError, match=r"^expected points of shape \(n, 2\), got \(6,\)$"):
+        QuadratureRule(None, np.array([0.0, -1.0, 0.0, 0.0, -1.0, 0.0]), np.full(3, 2.0 / 3.0))
+
+
 @pytest.mark.parametrize(
     "row,column,value,message",
     [

@@ -5,7 +5,7 @@ import pytest
 
 from triquad.basis import BasisSpec, vandermonde
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_unit
-from triquad.optimizer import _init_warp_blend, residual, residual_jacobian
+from triquad.optimizer import _init_warp_blend, residual_jacobian
 from triquad.rule import dof_bound
 from triquad.weights import (
     CONDITION_LIMIT,
@@ -156,7 +156,7 @@ def test_a_non_finite_point_is_refused_before_the_solve(bad):
 SOLVE_PATHS = {
     "newton_cotes_weights": lambda pts: newton_cotes_weights(BasisSpec(2), pts),
     "weight_jacobian": lambda pts: weight_jacobian(BasisSpec(2), pts),
-    "residual": lambda pts: residual(BasisSpec(2), BasisSpec(4), pts),
+    "residual": lambda pts: WeightSolution(BasisSpec(2), pts, BasisSpec(4)).shell_residual,
     "residual_jacobian": lambda pts: residual_jacobian(BasisSpec(2), BasisSpec(4), pts),
 }
 
@@ -175,7 +175,9 @@ def test_every_solve_path_names_the_exceeded_limit(path):
 
 
 @pytest.mark.parametrize(
-    "path", [residual, residual_jacobian], ids=["residual", "residual_jacobian"]
+    "path",
+    [lambda sd, sde, pts: WeightSolution(sd, pts, sde).shell_residual, residual_jacobian],
+    ids=["residual", "residual_jacobian"],
 )
 def test_every_shell_path_refuses_an_extended_degree_below_the_cardinal(path):
     points = random_interior(np.random.default_rng(4), 6)
