@@ -55,9 +55,12 @@ def ref_to_bary(points) -> np.ndarray:
 
 
 def bary_to_ref(b12) -> np.ndarray:
-    """Vectorized (b1, b2) -> reference coordinates, shape (n, 2)."""
-    arr = np.asarray(b12, dtype=float).reshape(-1, 2)
-    return 2.0 * arr - 1.0
+    """Vectorized (b1, b2) -> reference coordinates, shape (n, 2).
+
+    Takes the first two barycentrics only, as an (n, 2) array-like; a full
+    (n, 3) array or a flat sequence raises ValueError.
+    """
+    return 2.0 * as_point_array(b12) - 1.0
 
 
 def ref_to_unit(points) -> np.ndarray:

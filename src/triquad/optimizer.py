@@ -16,6 +16,9 @@ takes the search's settings as keyword arguments and sets their defaults.
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
 solve the unbiased problem; a weight hinge steers toward positive weights.
+A barrier stage (mu > 0) ends at the first of three exits: its iteration
+cap, the gradient balancing the barrier's pull, or the shell term falling
+to STAGE_EXIT_FRAC of the barrier term.
 Every configuration the search visits is one `WeightSolution` (basis
 values, the weight solve and the shell residual) wrapped in an
 `_EvalState` that adds the hinge and the barrier value; that much decides
@@ -56,6 +59,12 @@ WEIGHT_MARGIN_FRAC = 0.1
 
 #: Log-barrier strength of the first anneal stage.
 BARRIER_START = 1e-8
+
+#: A barrier stage (mu > 0) ends once 0.5 * |r|^2 <= STAGE_EXIT_FRAC * mu *
+#: barrier: the shell is solved to well within the barrier's own bias, and
+#: polishing the stage would only slide the points toward a lower barrier
+#: that the next, weaker stage discards.
+STAGE_EXIT_FRAC = 1e-3
 
 #: Levenberg-Marquardt iterations per restart, kicks included.
 MAX_ITERATIONS = 2000
@@ -195,8 +204,10 @@ def _levenberg_marquardt(
     mu = BARRIER_START
     lam = 1e-3
     iters = 0
-    # a stage only needs to get near its barrier-biased optimum before the
-    # barrier weakens; without the cap the anneal starves on wall-clock
+    # a stage ends at this cap, at the gradient balance or once the shell
+    # term is negligible beside the barrier (STAGE_EXIT_FRAC): it only needs
+    # to get near its barrier-biased optimum before the barrier weakens, and
+    # without the cap the anneal starves on wall-clock
     stage_cap = 60
     idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
 
@@ -217,6 +228,9 @@ def _levenberg_marquardt(
                 best = state
             if state.converged and not state.hinge_active:
                 return state, iters
+            half_rr = 0.5 * float(state.r @ state.r)
+            if mu > 0.0 and half_rr <= STAGE_EXIT_FRAC * mu * state.barrier:
+                break  # the shell term is negligible beside the barrier
 
             state.linearize()  # derivatives only where a step starts
             gn = state.jac.T @ state.jac
@@ -232,7 +246,7 @@ def _levenberg_marquardt(
                     break
             scale = np.diag(gn).copy()
             scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
-            phi = 0.5 * float(state.r @ state.r) + mu * state.barrier
+            phi = half_rr + mu * state.barrier
 
             accepted = False
             while lam < 1e13:

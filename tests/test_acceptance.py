@@ -60,13 +60,13 @@ TARGET_E = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 8: 6}
 # search follows every rounding of the evaluation, so a change that moves
 # one bit of a tabulated value, weight or Jacobian shows here first
 PINNED_RUNS = {
-    1: ("102e5fb654f7bb77fc73b75a75811003c541d622ce35a077e6fcac40352bd7ad", 1, 542),
-    2: ("e93bdc3236ff918ba4ecd6fc8f611ce96c98a10f3f0d2b6e8815016fb3d2df95", 1, 542),
-    3: ("d546511bd0a91ba761a7914ca662062c2ab70a59a1cb7797bbb818041cfae887", 1, 542),
-    4: ("13c96bf62f6025c4e3516cb777910c60c5ba23a1a45c722f52e47c58138e1856", 1, 542),
-    5: ("96edda1b08d6c13271be8b4ca3cf6319f8b3df802e4601687ae94a2dc95b7b44", 1, 542),
-    6: ("0abc502aa22555a8961edf9874443a0566c586e79aa7a748e181caa7667ddef6", 1, 765),
-    8: ("917b9deccb555b351a413ac06f3d27acd13e3308ca1284ce7484caa121372b7b", 1, 542),
+    1: ("4328eae50b66b3fc8a60a0f8fcb31331296e74ca2e0fe9991b1c3067ce994387", 1, 16),
+    2: ("39c323ffa441c810d908bd491268dde506f715194356426d03673a72e1b76918", 1, 61),
+    3: ("21bcf53b3906b1fb77262291b6a11251af4284eec7f5775d6e5ee34393928e89", 1, 34),
+    4: ("f4e7f23a6841588bbe34971904db060e139d0637f0a0f9c9d921fbaed499484e", 1, 52),
+    5: ("b240c597cfced97edbfefb875125101cda9c426eb5f894fc5f0b806b713cc183", 1, 19),
+    6: ("b4471a17b3ef6c8224f5a5e434c731ef8531593c24d4c665cc69977433ac490a", 1, 286),
+    8: ("83fe4fcebb0ff999b7f5aaa0b636be27db26ab5a1a24723a6f447aff4b588c31", 1, 65),
 }
 
 

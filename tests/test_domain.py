@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,16 @@ def test_barycentric_round_trip_random():
     p = 2.0 * b[:, :2] - 1.0
     q = bary_to_ref(ref_to_bary(p)[:, :2])
     assert np.max(np.abs(q - p)) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "b12", [[[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]], [0.25, 0.5], [[[0.25, 0.5]]]],
+    ids=["full_barycentrics", "flat", "nested"],
+)
+def test_bary_to_ref_refuses_other_shapes_by_name(b12):
+    shape = np.shape(b12)
+    with pytest.raises(ValueError, match=rf"shape \(n, 2\), got {re.escape(str(shape))}"):
+        bary_to_ref(b12)
 
 
 def equilateral(xi):

@@ -14,6 +14,7 @@ from triquad.basis import BasisSpec, dim_poly, integrals_vector, vandermonde
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
+    WARP_SHRINK,
     OptimizeResult,
     _barrier_derivatives,
     _barrier_value,
@@ -170,8 +171,10 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
 
     monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
+    # d = 6 at strength 11 kicks and rejects many trials before it converges
     state, iters = _levenberg_marquardt(
-        BasisSpec(2), BasisSpec(4), _init_collapsed_tensor(2), np.random.default_rng(0),
+        BasisSpec(6), BasisSpec(11), _init_warp_blend(6, WARP_SHRINK),
+        np.random.default_rng(0),
     )
     assert state.converged
     swept = [ev for kind, ev in events if kind == "sweep"]
@@ -524,10 +527,10 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
 MULTI_RESTART_RUNS = {
     # restart 0 plateaus, restart 1 (random start) certifies and breaks
     "d7_restart1": (
-        7, {"target_e": 6, "seed": 1, "restarts": 12}, None, True, 2, "5.481726e-15",
-        "f5ce10aeebaf51f2ae7f715b73331561c26666d9a0d568b79b4d944fe29b8293",
+        7, {"target_e": 6, "seed": 1, "restarts": 12}, None, True, 2, "5.398459e-15",
+        "d9d0f692d657e3ecb7db8962a0a70febdbdab3dff0855536f15cdef63d3fbe90",
         ["restart 0: residual 6.448e-02 after 2000 iterations",
-         "restart 1: residual 5.482e-15 after 714 iterations (converged)"],
+         "restart 1: residual 5.398e-15 after 715 iterations (converged)"],
     ),
     # strength 6 at d = 3 is out of reach: random starts at r = 1, 3, 4,
     # perturbed starts at r = 2, 5, and the tie-break picks among six
@@ -556,4 +559,39 @@ def test_multi_restart_runs_keep_their_bytes(name, monkeypatch, capsys):
     assert result.converged is converged
     assert result.restarts_run == restarts
     assert f"{result.best_residual:.6e}" == res
+    assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest
+
+
+# Runs as they were before a barrier stage could end on a negligible shell
+# term: (d, settings, SHA-256 of the emitted rule, the --verbose lines).  With
+# STAGE_EXIT_FRAC = 0 that exit never fires, so each run must retrace its
+# former path bit for bit: the exit is the only change to the search path
+WITHOUT_STAGE_EXIT_RUNS = {
+    "d1": (
+        1, {"target_e": 1, "seed": 0, "restarts": 12},
+        "102e5fb654f7bb77fc73b75a75811003c541d622ce35a077e6fcac40352bd7ad",
+        ["restart 0: residual 7.481e-16 after 542 iterations (converged)"],
+    ),
+    "d6": (
+        6, {"target_e": 5, "seed": 0, "restarts": 12},
+        "0abc502aa22555a8961edf9874443a0566c586e79aa7a748e181caa7667ddef6",
+        ["restart 0: residual 1.515e-15 after 765 iterations (converged)"],
+    ),
+    "d7_restart1": (
+        7, {"target_e": 6, "seed": 1, "restarts": 12},
+        "f5ce10aeebaf51f2ae7f715b73331561c26666d9a0d568b79b4d944fe29b8293",
+        ["restart 0: residual 6.448e-02 after 2000 iterations",
+         "restart 1: residual 5.482e-15 after 714 iterations (converged)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITHOUT_STAGE_EXIT_RUNS))
+def test_without_the_stage_exit_the_search_keeps_its_former_path(
+    name, monkeypatch, capsys
+):
+    d, settings, digest, lines = WITHOUT_STAGE_EXIT_RUNS[name]
+    monkeypatch.setattr(triquad.optimizer, "STAGE_EXIT_FRAC", 0.0)
+    result = optimize(d, verbose=True, **settings)
+    assert capsys.readouterr().out.splitlines() == lines
     assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest
