@@ -107,7 +107,6 @@ class BasisSpec:
     def __post_init__(self):
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        _verify_normalization_once()
 
     @property
     def dim(self) -> int:
@@ -371,21 +370,3 @@ def gram_matrix(spec: BasisSpec, n_nodes: int = 40) -> np.ndarray:
     v = vandermonde(spec, pts).values
     return v.T @ (wts[:, None] * v)
 
-
-_NORMALIZATION_OK = False
-
-
-def _verify_normalization_once() -> None:
-    """One-time startup check: closed-form constants against the numeric Gram
-    at degree 6, to within 1e-11."""
-    global _NORMALIZATION_OK
-    if _NORMALIZATION_OK:
-        return
-    _NORMALIZATION_OK = True  # set before the check so BasisSpec below does not recurse
-    g = gram_matrix(BasisSpec(6), n_nodes=16)
-    err = np.max(np.abs(g - 2.0 * np.eye(dim_poly(6))))
-    if err > 1e-11:
-        _NORMALIZATION_OK = False
-        raise AssertionError(
-            f"basis normalization self-check failed: Gram deviates by {err:.3e}"
-        )

@@ -195,9 +195,10 @@ def test_nonconstant_basis_functions_have_zero_mean():
     assert np.max(np.abs(means[1:])) <= 1e-12
 
 
-def test_gram_matrix_is_twice_identity():
-    spec = BasisSpec(10)
-    g = gram_matrix(spec, n_nodes=40)
+@pytest.mark.parametrize("degree, n_nodes", [(6, 16), (10, 40)])
+def test_gram_matrix_is_twice_identity(degree, n_nodes):
+    spec = BasisSpec(degree)
+    g = gram_matrix(spec, n_nodes=n_nodes)
     assert np.max(np.abs(g - 2.0 * np.eye(spec.dim))) <= 1e-11
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import triquad.optimizer
 import triquad.rule
 from triquad.cli import main
 
@@ -204,6 +205,20 @@ def test_generate_reports_an_unconverged_search(capsys):
     assert re.fullmatch(
         r"unconverged: best residual \S+ after 2 restarts \(certified strength \d+\)",
         lines[0],
+    )
+
+
+def test_generate_reports_an_uncertified_unconverged_search(monkeypatch, capsys):
+    def disagreeing_certify(rule, tolerance=None):
+        raise triquad.rule.OracleDisagreementError("oracles disagree")
+
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
+    monkeypatch.setattr(triquad.optimizer, "certify", disagreeing_certify)
+    assert main(["generate", "--d", "3", "--e", "3", "--restarts", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"unconverged: best residual \S+ after 2 restarts\n", err
     )
 
 

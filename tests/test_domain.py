@@ -1,10 +1,12 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
 from triquad.domain import (
+    _gauss_jacobi_10,
     bary_to_ref,
     gauss_quadrature,
     monomial_integral,
@@ -129,12 +131,32 @@ def test_interiority_tolerance():
     assert inside.tolist() == [True, False, True, False]
 
 
-def test_gauss_quadrature_oracle_integrates_monomials():
-    pts, wts = gauss_quadrature(12)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_gauss_quadrature_oracle_integrates_monomials(n):
+    pts, wts = gauss_quadrature(n)
     assert wts.sum() == pytest.approx(2.0, abs=1e-13)
-    # compare against monomial_integral on the unit triangle mapping
+    # compare against monomial_integral on the unit triangle mapping, for
+    # every monomial through the rule's degree 2n - 1
     xy = (pts + 1.0) / 2.0
-    for a in range(6):
-        for b in range(6 - a):
+    for a in range(2 * n):
+        for b in range(2 * n - a):
             approx = float((wts / 4.0) @ (xy[:, 0] ** a * xy[:, 1] ** b))
             assert approx == pytest.approx(monomial_integral(a, b), abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 24, 40])
+def test_gauss_jacobi_rule_matches_a_40_digit_reference(n):
+    nodes, weights = _gauss_jacobi_10(n)
+    with mpmath.workdps(40):
+        # Newton on P_n^{1,0} from each node finds the root next to it; n
+        # distinct roots of a degree-n polynomial are all of them
+        ref = [mpmath.findroot(lambda x: mpmath.jacobi(n, 1, 0, x), mpmath.mpf(x))
+               for x in nodes]
+        assert all(a < b for a, b in zip(ref, ref[1:]))
+        # w = 4 / ((1 - x^2) P_n^{1,0}'(x)^2), with P_n^{1,0}' = (n + 2)/2 P_{n-1}^{2,1}
+        slope = [(n + 2) * mpmath.jacobi(n - 1, 2, 1, x) / 2 for x in ref]
+        ref_w = [4 / ((1 - x * x) * s * s) for x, s in zip(ref, slope)]
+        node_err = max(abs(float(x - r)) for x, r in zip(nodes, ref))
+        weight_err = max(abs(float((w - r) / r)) for w, r in zip(weights, ref_w))
+    assert node_err <= 1e-15
+    assert weight_err <= 1e-13

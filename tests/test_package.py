@@ -3,6 +3,9 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,18 @@ def test_every_benchmark_span_binding_resolves():
     for module_name, attr, _ in spans.BINDINGS:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_start_up_does_not_load_scipy_special():
+    # a fresh process pays for every module it imports: the library and the
+    # CLI need scipy.linalg for the weight solve, not scipy.special
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = ("import sys, triquad, triquad.cli; triquad.BasisSpec(1); "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_every_public_name_is_documented_in_the_readme():
