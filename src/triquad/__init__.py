@@ -20,7 +20,6 @@ from .domain import (
     monomial_integral,
 )
 from .optimizer import (
-    AllRestartsDegenerateError,
     OptimizeResult,
     optimize,
     residual_jacobian,
@@ -48,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASYMMETRIC",
-    "AllRestartsDegenerateError",
     "BasisEvaluation",
     "BasisSpec",
     "CertificationReport",

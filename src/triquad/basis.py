@@ -364,6 +364,15 @@ def integrals_vector(spec: BasisSpec) -> np.ndarray:
     return b
 
 
+#: Every exactness gate also passes a residual within `rounding_floor`.
+FLOOR_FACTOR = 256
+
+
+def rounding_floor(weights, scale) -> float:
+    """FLOOR_FACTOR * eps * sum_j |w_j| scale_j: rounding in sum_j w_j f(z_j), |f| <= scale."""
+    return FLOOR_FACTOR * np.finfo(float).eps * float(np.sum(np.abs(weights) * scale))
+
+
 def gram_matrix(spec: BasisSpec, n_nodes: int = 40) -> np.ndarray:
     """Numeric Gram matrix via the tensorized Gauss oracle quadrature."""
     pts, wts = gauss_quadrature(n_nodes)

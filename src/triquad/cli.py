@@ -20,8 +20,8 @@ from pathlib import Path
 
 from .basis import BasisSpec, dim_poly
 from .domain import ref_to_bary, ref_to_unit
-from .optimizer import AllRestartsDegenerateError, optimize
-from .rule import CERTIFY_TOL, OracleDisagreementError, QuadratureRule, certify, dof_bound
+from .optimizer import optimize
+from .rule import OracleDisagreementError, QuadratureRule, certify, dof_bound
 from .ruleio import Registry, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
 from .weights import DegenerateConfigurationError, newton_cotes_weights
@@ -88,7 +88,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     rule = _load_rule(args.file, args.input_format, args.weight_scale)
-    report = certify(rule, tolerance=args.tolerance)
+    report = certify(rule)
     _print_report(rule, report, args.json)
     claimed = rule.metadata.get("header_strength")  # parse_rule checked it
     if claimed is not None and report.strength < int(claimed):
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="certify a rule file")
     p.add_argument("file")
-    p.add_argument("--tolerance", type=float, default=CERTIFY_TOL)
     p.add_argument("--json", action="store_true")
     _add_input_options(p)
     p.set_defaults(func=_cmd_verify)
@@ -260,11 +259,7 @@ def main(argv=None) -> int:
         except (ValueError, OSError) as exc:  # RuleParseError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        except (
-            DegenerateConfigurationError,
-            AllRestartsDegenerateError,
-            OracleDisagreementError,
-        ) as exc:
+        except (DegenerateConfigurationError, OracleDisagreementError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
 

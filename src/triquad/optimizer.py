@@ -88,10 +88,6 @@ class OptimizeResult:
         return self.best_residual <= RESIDUAL_TOLERANCE
 
 
-class AllRestartsDegenerateError(RuntimeError):
-    """Every restart collapsed onto a degenerate configuration."""
-
-
 class _EvalState:
     """One configuration the search visits: its `WeightSolution` plus the
     LM's own policy terms.
@@ -454,7 +450,7 @@ def optimize(
             break
 
     if best is None:
-        raise AllRestartsDegenerateError(
+        raise DegenerateConfigurationError(
             f"all {r + 1} restarts hit degenerate configurations"
         )
 

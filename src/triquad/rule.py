@@ -1,7 +1,7 @@
 """Quadrature rules, strength certification, and symmetry classification.
 
 A rule's *strength* is the largest degree D such that it integrates every
-polynomial of total degree <= D exactly (to tolerance).  Certification
+polynomial of total degree <= D exactly (to rounding).  Certification
 runs two independent oracles: the unit-triangle monomials, walked degree
 by degree, and one tabulation of the orthonormal basis whose residuals
 are reduced shell by shell.  A basis bug cannot silently certify, because
@@ -10,7 +10,6 @@ the two strengths must agree.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -18,7 +17,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .basis import BasisSpec, dim_poly, vandermonde
+from .basis import BasisSpec, dim_poly, rounding_floor, vandermonde
 from .domain import (
     MONOMIAL_DEGREE_CAP,
     as_point_array,
@@ -31,7 +30,7 @@ from .domain import (
 D3_SYMMETRIC = "d3_symmetric"
 ASYMMETRIC = "asymmetric"
 
-#: Default max-norm residual for a degree shell to count as exact.
+#: Max-norm residual for a degree shell to count as exact (or its floor).
 CERTIFY_TOL = 1e-12
 
 #: Point/weight matching tolerance for symmetry classification.
@@ -99,7 +98,8 @@ class QuadratureRule:
         d = self.cardinal_degree
         if d is not None and wts.shape[0] != dim_poly(d):
             raise ValueError(f"{wts.shape[0]} points is not dim P_{d}")
-        if abs(wts.sum() - 2.0) > 1e-12:
+        gap = abs(wts.sum() - 2.0)
+        if gap > 1e-12 and gap > rounding_floor(wts, 1.0):
             # foreign rules parsed at looser file tolerance may land here
             warnings.warn(
                 f"weights sum to {float(wts.sum())!r}, expected 2 (constant "
@@ -155,7 +155,7 @@ def _monomial_shell_errors(rule: QuadratureRule):
         yield worst
 
 
-def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> CertificationReport:
+def certify(rule: QuadratureRule) -> CertificationReport:
     """Certify the rule's strength against the orthonormal basis.
 
     The monomial oracle runs first and ascends to its first failing degree.
@@ -165,29 +165,33 @@ def certify(rule: QuadratureRule, tolerance: float = CERTIFY_TOL) -> Certificati
     then tabulated once, at one degree past that strength; its graded
     enumeration holds every lower shell as leading columns, so one
     residual vector gives each shell's max-norm error.  The basis strength
-    is the degree before the first shell whose error is not within
-    `tolerance`.  Shells past the monomial strength plus one cannot change
-    the verdict: the strengths agree exactly when the basis passes every
-    shell through the monomial strength and fails the next one, as in a
-    walk over every degree.  On disagreement OracleDisagreementError is
-    raised.  per_degree_error holds the shells through the first failing one.
-    A `tolerance` that is not finite and positive raises ValueError.
+    is the degree before the first shell whose error exceeds both CERTIFY_TOL
+    and its rounding floor: of |w| over the tabulated values (over
+    max(|x|, |y|)^t for degree-t monomials).  Shells past the monomial
+    strength plus one cannot change the verdict: the strengths agree exactly
+    when the basis passes every shell through the monomial strength and
+    fails the next one, as in a walk over every degree.  On disagreement
+    OracleDisagreementError is raised.  per_degree_error holds the shells
+    through the first failing one.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
     mono_strength = -1
+    unit_max = np.abs(ref_to_unit(rule.points)).max(axis=1)
     for t, error in enumerate(_monomial_shell_errors(rule)):
-        if error > tolerance:
+        if error > CERTIFY_TOL and error > rounding_floor(rule.weights / 4.0, unit_max**t):
             break
         mono_strength = t
 
     top = min(mono_strength + 1, STRENGTH_CAP)
-    res = vandermonde(BasisSpec(top), rule.points).values.T @ rule.weights
+    values = vandermonde(BasisSpec(top), rule.points).values
+    res = values.T @ rule.weights
     res[0] -= 2.0
     errors = np.maximum.reduceat(
         np.abs(res), [dim_poly(t - 1) for t in range(top + 1)]
     )
-    failing = np.flatnonzero(~(errors <= tolerance))
+    passed = errors <= CERTIFY_TOL  # NaN fails here
+    if not passed.all():
+        passed |= errors <= rounding_floor(rule.weights, np.abs(values).max(axis=1))
+    failing = np.flatnonzero(~passed)
     strength = int(failing[0]) - 1 if failing.size else top
     if strength != mono_strength:
         at_least = "" if failing.size else "at least "

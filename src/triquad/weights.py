@@ -13,7 +13,7 @@ with b constant,  dw = -V^{-T} (dV^T) w.
 `WeightSolution` is the one evaluation of a point set.  It tabulates the
 basis of an extended degree d+e >= d once (values only), takes V as the
 first dim P_d columns, factors and gates the solve (CONDITION_LIMIT,
-RESIDUAL_LIMIT), and forms the residual of the shell d < m+n <= d+e,
+RESIDUAL_LIMIT or its floor), and forms the residual of the shell d < m+n <= d+e,
 
     r_k = sum_j w_j g_k(z_j),
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
+from .basis import BasisSpec, _derivative_sweep, integrals_vector, rounding_floor, vandermonde
 
 #: Condition-estimate threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
@@ -91,7 +91,7 @@ class WeightSolution:
     Raises ValueError for a wrong point count, an extended degree below d
     or a non-finite basis value, and DegenerateConfigurationError when the
     condition estimate exceeds CONDITION_LIMIT (inf for an exactly singular
-    system) or the back-substitution residual exceeds RESIDUAL_LIMIT.
+    system) or the back-substitution residual exceeds RESIDUAL_LIMIT and its floor.
     """
 
     def __init__(self, spec: BasisSpec, points, spec_ext: BasisSpec | None = None):
@@ -115,10 +115,13 @@ class WeightSolution:
             )
         w, _ = _getrs(*lu_piv, b)
         residual = float(np.max(np.abs(a @ w - b)))
-        if residual > RESIDUAL_LIMIT:
+        # the floor is formed only where the constant fails, off the LM's trial path
+        if residual > RESIDUAL_LIMIT and residual > (
+            floor := rounding_floor(w, np.abs(a).max(axis=0))
+        ):
             raise DegenerateConfigurationError(
                 f"degenerate configuration: solve residual {residual:.3e} "
-                f"exceeds {RESIDUAL_LIMIT:.1e}",
+                f"exceeds {RESIDUAL_LIMIT:.1e} and its rounding floor {floor:.3e}",
                 cond,
             )
         self.weights = w

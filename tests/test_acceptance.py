@@ -13,16 +13,18 @@ import json
 import os
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
-from triquad.basis import BasisSpec, gram_matrix
+from triquad.basis import BasisSpec, dim_poly, gram_matrix, rounding_floor, vandermonde
 from triquad.cli import main
 from triquad.domain import monomial_integral, points_inside, ref_to_unit
 from triquad.optimizer import residual_jacobian
 from triquad.rule import (
+    CERTIFY_TOL,
     D3_SYMMETRIC,
     QuadratureRule,
     certify,
@@ -30,7 +32,12 @@ from triquad.rule import (
     dof_bound,
 )
 from triquad.ruleio import emit_rule, parse_rule
-from triquad.weights import WeightSolution, newton_cotes_weights, weight_jacobian
+from triquad.weights import (
+    RESIDUAL_LIMIT,
+    WeightSolution,
+    newton_cotes_weights,
+    weight_jacobian,
+)
 
 # (d, N, strength, expected D3 flag) from the reference results table
 TABLE_ROWS = {
@@ -215,6 +222,25 @@ def test_generate_writes_the_pinned_bytes(generated_rules):
     ok = not moved
     _verdict(ok, label, versions)
     assert ok, f"generated runs moved under {versions}: " + "; ".join(moved)
+
+
+def test_every_gate_keeps_its_constant_on_the_pinned_and_corpus_rules(generated_rules):
+    # positive weights (sum|w| = 2): each rounding floor sits below its
+    # gate's constant, so the floors loosen no gate for these rules
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    rules = list(generated_rules[0].values()) + [
+        parse_rule(path.read_text()) for path in sorted(corpus.glob("tri_*.txt"))
+    ]
+    for rule in rules:
+        d, w = rule.cardinal_degree, rule.weights
+        top = certify(rule).strength + 1  # certify's tabulation
+        values = np.abs(vandermonde(BasisSpec(top), rule.points).values)
+        unit_max = np.abs(ref_to_unit(rule.points)).max(axis=1)
+        assert rounding_floor(w, values.max(axis=1)) < CERTIFY_TOL, d
+        for t in range(top + 1):
+            assert rounding_floor(w / 4.0, unit_max**t) < CERTIFY_TOL, (d, t)
+        assert rounding_floor(w, values[:, : dim_poly(d)].max(axis=1)) < RESIDUAL_LIMIT, d
+        assert rounding_floor(w, 1.0) < 1e-12, d
 
 
 def test_criterion_3_dof_bound_table():

@@ -4,13 +4,17 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import triquad.optimizer
 import triquad.rule
 from triquad.cli import main
+from triquad.domain import ref_to_bary
+from triquad.weights import DegenerateConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "perfbench" / "corpus"
@@ -120,13 +124,33 @@ def test_verify_reports_oracle_disagreement_in_one_line(monkeypatch, capsys, mid
     assert err[0].startswith("error: basis residuals certify strength")
 
 
-@pytest.mark.parametrize("tolerance", ["nan", "-1", "0", "inf"])
-def test_verify_refuses_a_bad_tolerance(capsys, midpoint_path, tolerance):
-    # nan used to report an oracle disagreement, -1 to certify strength -1
-    assert main(["verify", str(midpoint_path), "--tolerance", tolerance]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: tolerance must be finite and positive")
+def _collapsed_gauss_points(d):
+    """dim P_d Gauss-Legendre tensor nodes collapsed onto the triangle."""
+    nodes, _ = np.polynomial.legendre.leggauss(d + 1)
+    return np.array([
+        ((1.0 + nodes[i]) * (1.0 - nodes[j]) / 2.0 - 1.0, nodes[j])
+        for i in range(d + 1)
+        for j in range(d + 1 - i)
+    ])
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_newton_cotes_rules_certify_in_every_record_order(tmp_path, capsys, d):
+    # the benchmark's Newton-Cotes corpus: sum|w| reaches 1e4 at d = 10, so
+    # rounding alone leaves residuals beyond the gates' bare constants
+    bary = ref_to_bary(_collapsed_gauss_points(d))
+    points, rule = tmp_path / "points.txt", tmp_path / "rule.txt"
+    rng = np.random.default_rng(d)
+    for _ in range(20):
+        records = bary[rng.permutation(len(bary))]
+        points.write_text("".join(f"{b1:.17e} {b2:.17e} {1.0 / len(bary):.17e}\n"
+                                  for b1, b2, _ in records))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            assert main(["weights", str(points), "--d", str(d)]) == 0
+            rule.write_text(capsys.readouterr().out)
+            assert main(["verify", str(rule), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["strength"] >= d
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-4"])
@@ -219,6 +243,17 @@ def test_generate_reports_an_uncertified_unconverged_search(monkeypatch, capsys)
     assert out == ""
     assert re.fullmatch(
         r"unconverged: best residual \S+ after 2 restarts\n", err
+    )
+
+
+def test_generate_exits_1_when_every_restart_is_degenerate(monkeypatch, capsys):
+    def degenerate_search(spec_d, spec_de, points, rng):
+        raise DegenerateConfigurationError("degenerate configuration: start")
+
+    monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
+    assert main(["generate", "--d", "2", "--restarts", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: all 2 restarts hit degenerate configurations\n"
     )
 
 

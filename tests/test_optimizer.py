@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 from dataclasses import replace
 from itertools import permutations
@@ -10,7 +11,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import triquad.optimizer
 import triquad.weights
-from triquad.basis import BasisSpec, dim_poly, integrals_vector, vandermonde
+from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor, vandermonde
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
@@ -327,7 +328,7 @@ def test_optimize_is_deterministic():
 def test_optimize_output_passes_independent_certification():
     result = optimize(2, target_e=2, seed=5, restarts=10)
     assert result.converged
-    report = certify(result.rule, tolerance=1e-12)
+    report = certify(result.rule)
     assert report.strength >= 4
 
 
@@ -418,8 +419,32 @@ def test_warp_blend_start_passes_the_weight_gates_at_d14():
     spec = BasisSpec(14)
     sol = WeightSolution(spec, _init_warp_blend(14, 0.05))
     assert sol.condition_estimate < 1e3
-    with pytest.raises(DegenerateConfigurationError, match="solve residual"):
-        WeightSolution(spec, _init_collapsed_tensor(14))
+    # the collapsed solve's residual exceeds RESIDUAL_LIMIT, but its backward
+    # error is a fraction of eps: it is accepted within its rounding floor
+    collapsed = WeightSolution(spec, _init_collapsed_tensor(14))
+    assert collapsed.solve_residual > triquad.weights.RESIDUAL_LIMIT
+
+
+def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
+    spec, pts = BasisSpec(14), _init_collapsed_tensor(14)
+    scale = np.abs(vandermonde(spec, pts).values).max(axis=1)
+    floor = rounding_floor(WeightSolution(spec, pts).weights, scale)
+    getrs = triquad.weights._getrs
+
+    def off_by_1e3_floors(lu, piv, rhs):
+        x, info = getrs(lu, piv, rhs)
+        if rhs.ndim == 1:  # the weight solve: move w_0 by 1e3 floors / s_0
+            x = x.copy()
+            x[0] += 1e3 * floor / scale[0]
+        return x, info
+
+    monkeypatch.setattr(triquad.weights, "_getrs", off_by_1e3_floors)
+    with pytest.raises(DegenerateConfigurationError, match="solve residual") as exc:
+        WeightSolution(spec, pts)
+    numbers = re.findall(r"\d\.\d+e[-+]\d+", str(exc.value))
+    residual, limit, raised_floor = map(float, numbers)
+    assert limit == triquad.weights.RESIDUAL_LIMIT
+    assert residual == pytest.approx(1e3 * raised_floor, rel=0.01)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -463,7 +488,8 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
-    with pytest.raises(triquad.optimizer.AllRestartsDegenerateError):
+    with pytest.raises(DegenerateConfigurationError,
+                       match="^all 2 restarts hit degenerate configurations$"):
         optimize(2, target_e=2, restarts=2, verbose=True)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"

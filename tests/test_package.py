@@ -17,7 +17,6 @@ from triquad.cli import build_parser
 # added to or dropped from triquad.__all__ must be added or dropped here.
 PUBLIC_NAMES = [
     "ASYMMETRIC",
-    "AllRestartsDegenerateError",
     "BasisEvaluation",
     "BasisSpec",
     "CertificationReport",
@@ -125,7 +124,7 @@ def test_optimize_parameters_are_the_intended_list():
 CLI_OPTIONS = {
     "generate": ["--d", "--e", "--seed", "--restarts", "--out", "--register",
                  "--verbose", "--json"],
-    "verify": ["--tolerance", "--json", "--input-format", "--weight-scale"],
+    "verify": ["--json", "--input-format", "--weight-scale"],
     "weights": ["--d", "--input-format", "--weight-scale"],
     "bound": ["--d"],
     "table": ["--registry", "--json"],
