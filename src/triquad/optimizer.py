@@ -17,8 +17,8 @@ Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
 solve the unbiased problem; a weight hinge steers toward positive weights.
 A barrier stage (mu > 0) ends at the first of three exits: its iteration
-cap, the gradient balancing the barrier's pull, or the shell term falling
-to STAGE_EXIT_FRAC of the barrier term.
+cap, a stall, or the shell term falling to STAGE_EXIT_FRAC of the barrier
+term.
 Every configuration the search visits is one `WeightSolution` (basis
 values, the weight solve and the shell residual) wrapped in an
 `_EvalState` that adds the hinge and the barrier value; that much decides
@@ -200,9 +200,9 @@ def _levenberg_marquardt(
     mu = BARRIER_START
     lam = 1e-3
     iters = 0
-    # a stage ends at this cap, at the gradient balance or once the shell
-    # term is negligible beside the barrier (STAGE_EXIT_FRAC): it only needs
-    # to get near its barrier-biased optimum before the barrier weakens, and
+    # a stage ends at this cap, on a stall or once the shell term is
+    # negligible beside the barrier (STAGE_EXIT_FRAC): it only needs to get
+    # near its barrier-biased optimum before the barrier weakens, and
     # without the cap the anneal starves on wall-clock
     stage_cap = 60
     idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
@@ -234,12 +234,6 @@ def _levenberg_marquardt(
             if mu > 0.0:
                 gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
                 grad = grad + mu * state.barrier_grad
-                # near the stage optimum the gradient balances the barrier
-                # pull; move on to the next stage rather than polishing
-                if float(np.max(np.abs(grad))) <= 0.3 * mu * float(
-                    np.max(np.abs(state.barrier_grad))
-                ):
-                    break
             scale = np.diag(gn).copy()
             scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
             phi = half_rr + mu * state.barrier

@@ -72,7 +72,7 @@ PINNED_RUNS = {
     3: ("21bcf53b3906b1fb77262291b6a11251af4284eec7f5775d6e5ee34393928e89", 1, 34),
     4: ("f4e7f23a6841588bbe34971904db060e139d0637f0a0f9c9d921fbaed499484e", 1, 52),
     5: ("b240c597cfced97edbfefb875125101cda9c426eb5f894fc5f0b806b713cc183", 1, 19),
-    6: ("b4471a17b3ef6c8224f5a5e434c731ef8531593c24d4c665cc69977433ac490a", 1, 286),
+    6: ("2b4dff6a6db2d75e636a41d18685dda7e7243d09dbaa678b647affe9fc6d05eb", 1, 88),
     8: ("83fe4fcebb0ff999b7f5aaa0b636be27db26ab5a1a24723a6f447aff4b588c31", 1, 65),
 }
 

@@ -15,10 +15,10 @@ from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor,
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
-    WARP_SHRINK,
     OptimizeResult,
     _barrier_derivatives,
     _barrier_value,
+    _init_random,
     _init_warp_blend,
     _levenberg_marquardt,
     optimize,
@@ -172,10 +172,12 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
 
     monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
-    # d = 6 at strength 11 kicks and rejects many trials before it converges
+    # restart 1 of d7_restart1 below (seed 1, a random start): d = 7 at
+    # strength 13 kicks and rejects many trials before it converges
+    rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(1,)))
+    spec_d = BasisSpec(7)
     state, iters = _levenberg_marquardt(
-        BasisSpec(6), BasisSpec(11), _init_warp_blend(6, WARP_SHRINK),
-        np.random.default_rng(0),
+        spec_d, BasisSpec(13), _init_random(rng, spec_d), rng
     )
     assert state.converged
     swept = [ev for kind, ev in events if kind == "sweep"]
@@ -447,13 +449,36 @@ def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
     assert residual == pytest.approx(1e3 * raised_floor, rel=0.01)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_d6_certifies_on_the_first_restart(seed):
-    result = optimize(6, target_e=5, seed=seed, restarts=1)
-    assert result.converged
-    report = result.rule.certification
-    assert report.strength == 11
-    assert report.positive_weights and report.all_interior
+# the rows the acceptance pins cover, d: target_e at table strength
+PINNED_ROWS = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 8: 6}
+
+
+def _first_restart_texts(seed):
+    texts = {}
+    for d, e in PINNED_ROWS.items():
+        result = optimize(d, target_e=e, seed=seed, restarts=1)
+        assert result.converged, d
+        report = result.rule.certification
+        assert report.strength == d + e, d
+        assert report.positive_weights and report.all_interior, d
+        texts[d] = emit_rule(result.rule)
+    return texts
+
+
+@pytest.fixture(scope="module")
+def seed0_texts():
+    return _first_restart_texts(0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_d6_certifies_on_the_first_restart(seed, seed0_texts):
+    # d = 6 and every other pinned row: restart 0 starts from the
+    # warp-and-blend nodes and converges without a kick, so it draws no
+    # random number and the rule does not depend on the seed
+    for d, text in _first_restart_texts(seed).items():
+        header = f"# seed = {seed}\n"
+        assert header in text, d
+        assert text.replace(header, "# seed = 0\n") == seed0_texts[d], d
 
 
 def test_a_degenerate_kick_is_retried_at_half_the_scale(monkeypatch):
@@ -559,7 +584,7 @@ def test_an_unconverged_winner_whose_oracles_disagree_keeps_no_report(monkeypatc
     result = optimize(3, target_e=3, seed=0, restarts=6)
     assert not result.converged
     assert result.restarts_run == 6
-    assert f"{result.best_residual:.6e}" == "4.464365e-02"
+    assert f"{result.best_residual:.6e}" == "4.358198e-02"
     assert result.rule.certification is None
 
 
@@ -583,14 +608,14 @@ MULTI_RESTART_RUNS = {
     # strength 6 at d = 3 is out of reach: random starts at r = 1, 3, 4,
     # perturbed starts at r = 2, 5, and the tie-break picks among six
     "d3_unconverged": (
-        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "4.464365e-02",
-        "8e9bc6b8e0bd4f565a1194bf5ce79ecb06fe0ffbd2d15f62e545a95c47225eb9",
-        ["restart 0: residual 4.673e-02 after 300 iterations",
-         "restart 1: residual 4.682e-02 after 300 iterations",
-         "restart 2: residual 4.657e-02 after 300 iterations",
+        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "4.358198e-02",
+        "7999d3965744248ed0ee5b4b52ae1d0455cc6b4ddcdba750dc603b77499e05c9",
+        ["restart 0: residual 4.367e-02 after 300 iterations",
+         "restart 1: residual 4.363e-02 after 300 iterations",
+         "restart 2: residual 4.358e-02 after 300 iterations",
          "restart 3: residual 4.009e-01 after 300 iterations",
          "restart 4: residual 1.382e+00 after 300 iterations",
-         "restart 5: residual 4.464e-02 after 300 iterations"],
+         "restart 5: residual 4.364e-02 after 300 iterations"],
     ),
 }
 
@@ -607,39 +632,4 @@ def test_multi_restart_runs_keep_their_bytes(name, monkeypatch, capsys):
     assert result.converged is converged
     assert result.restarts_run == restarts
     assert f"{result.best_residual:.6e}" == res
-    assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest
-
-
-# Runs as they were before a barrier stage could end on a negligible shell
-# term: (d, settings, SHA-256 of the emitted rule, the --verbose lines).  With
-# STAGE_EXIT_FRAC = 0 that exit never fires, so each run must retrace its
-# former path bit for bit: the exit is the only change to the search path
-WITHOUT_STAGE_EXIT_RUNS = {
-    "d1": (
-        1, {"target_e": 1, "seed": 0, "restarts": 12},
-        "102e5fb654f7bb77fc73b75a75811003c541d622ce35a077e6fcac40352bd7ad",
-        ["restart 0: residual 7.481e-16 after 542 iterations (converged)"],
-    ),
-    "d6": (
-        6, {"target_e": 5, "seed": 0, "restarts": 12},
-        "0abc502aa22555a8961edf9874443a0566c586e79aa7a748e181caa7667ddef6",
-        ["restart 0: residual 1.515e-15 after 765 iterations (converged)"],
-    ),
-    "d7_restart1": (
-        7, {"target_e": 6, "seed": 1, "restarts": 12},
-        "f5ce10aeebaf51f2ae7f715b73331561c26666d9a0d568b79b4d944fe29b8293",
-        ["restart 0: residual 6.448e-02 after 2000 iterations",
-         "restart 1: residual 5.482e-15 after 714 iterations (converged)"],
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(WITHOUT_STAGE_EXIT_RUNS))
-def test_without_the_stage_exit_the_search_keeps_its_former_path(
-    name, monkeypatch, capsys
-):
-    d, settings, digest, lines = WITHOUT_STAGE_EXIT_RUNS[name]
-    monkeypatch.setattr(triquad.optimizer, "STAGE_EXIT_FRAC", 0.0)
-    result = optimize(d, verbose=True, **settings)
-    assert capsys.readouterr().out.splitlines() == lines
     assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest

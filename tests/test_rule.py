@@ -375,6 +375,16 @@ def test_validate_flags_exterior_point():
     assert (report.positive_weights, report.all_interior) == (True, False)
 
 
+@pytest.mark.parametrize("offset, inside", [(0.0, True), (5e-13, True), (2e-12, False)])
+def test_all_interior_admits_points_within_the_interior_tolerance(offset, inside):
+    # the centroid rule plus a weightless point on the edge y = -1, moved
+    # `offset` outside: all_interior holds up to INTERIOR_TOL = 1e-12
+    points = np.array([[-1.0 / 3.0, -1.0 / 3.0], [0.0, -1.0 - offset]])
+    report = certify(QuadratureRule(None, points, np.array([2.0, 0.0])))
+    assert report.strength == 1
+    assert report.all_interior is inside
+
+
 def test_rule_rejects_inconsistent_lengths():
     with pytest.raises(ValueError):
         QuadratureRule(None, np.zeros((3, 2)), np.ones(2))
