@@ -8,8 +8,9 @@ by the degrees-of-freedom bound), leaving a solution manifold that damped
 Gauss-Newton handles without trouble.
 
 Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
-interior, well conditioned at large d; later restarts start from random
-points or perturb the best configuration so far.  A restart converges when
+interior, well conditioned at large d.  Later restarts perturb the
+lowest-residual configuration so far (basin hopping); they never start from
+random points.  A restart converges when
 its largest shell residual is at most RESIDUAL_TOLERANCE.  `optimize`
 takes the search's settings as keyword arguments and sets their defaults.
 
@@ -39,18 +40,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import BasisSpec, vandermonde
+from .basis import BasisSpec
 from .domain import as_point_array, bary_to_ref, ref_to_bary
 from .rule import OracleDisagreementError, QuadratureRule, certify, dof_bound
-from .weights import DegenerateConfigurationError, WeightSolution, _factorize
-# nothing here calls it; perfbench/spans.py binds the name in this module
+from .weights import DegenerateConfigurationError, WeightSolution
+# nothing here calls them; perfbench/spans.py binds the names in this module
+from .basis import vandermonde  # noqa: F401
 from .weights import newton_cotes_weights  # noqa: F401
 
 #: Largest shell residual at which a restart has converged.
 RESIDUAL_TOLERANCE = 1e-14
-
-#: Vandermonde condition cap for accepting a random initial configuration.
-INIT_CONDITION_LIMIT = 1e8
 
 #: Margin of the weight hinge, as a fraction of the mean weight 2/N.  The
 #: hinge steers the under-determined solve toward positive weights and is
@@ -324,30 +323,12 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
     return bary_to_ref((1.0 - tau) * lam[:, [2, 0]] + tau / 3.0)
 
 
-def _random_interior(rng: np.random.Generator, count: int) -> np.ndarray:
-    uv = rng.random((count, 2))
-    fold = uv.sum(axis=1) > 1.0
-    uv[fold] = 1.0 - uv[fold]
-    return bary_to_ref(uv)
-
-
-def _init_random(rng: np.random.Generator, spec_d: BasisSpec) -> np.ndarray:
-    """Random interior points, resampled until the system is well conditioned;
-    after 50 draws the best conditioned one."""
-    best, best_cond = None, np.inf
-    for _ in range(50):
-        pts = _random_interior(rng, spec_d.dim)
-        _, cond = _factorize(vandermonde(spec_d, pts).values.T)
-        if cond < best_cond:
-            best, best_cond = pts, cond
-        if cond < INIT_CONDITION_LIMIT:
-            return pts
-    return best
-
-
 def _init_perturbed(
     rng: np.random.Generator, base: np.ndarray, scale: float = 0.03
 ) -> np.ndarray:
+    """`base` plus normal noise of deviation `scale`; a point that lands
+    within 1e-6 of an edge or outside is pulled a fifth of the way toward
+    the centroid, and one still not interior is put on the centroid."""
     pts = base + rng.normal(0.0, scale, size=base.shape)
     outside = np.any(ref_to_bary(pts) <= 1e-6, axis=1)
     if outside.any():
@@ -374,9 +355,10 @@ def optimize(
     per-restart RNG streams spawned from `seed`, so the same arguments
     reproduce the same result, and stops at the first restart that
     converges with positive weights and strictly interior points.
-    Restart 0 starts from warp-and-blend nodes, restarts 2, 5, 8, ... from
-    the lowest-residual candidate perturbed, the others from random
-    points.  `verbose` prints one line per restart.
+    Restart 0 starts from warp-and-blend nodes; every later restart
+    perturbs the lowest-residual candidate so far, or the warp-and-blend
+    start while every restart has been degenerate, and never starts from
+    random points.  `verbose` prints one line per restart.
     The candidates are the states the restarts' searches end on; each
     carries its points, Newton-Cotes weights, condition estimate and
     residual.  Returns the tie-break winner: converged first, then positive
@@ -416,14 +398,13 @@ def optimize(
     # two running minima, not a list: a state keeps its tabulations (3.7 MB
     # at d = 14), and a search may run 500 restarts
     best = lowest = None
+    start = _init_warp_blend(d, WARP_SHRINK)
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
         if r == 0:
-            x0 = _init_warp_blend(d, WARP_SHRINK)
-        elif r % 3 == 2 and lowest is not None:
-            x0 = _init_perturbed(rng, lowest.points)
+            x0 = start
         else:
-            x0 = _init_random(rng, spec_d)
+            x0 = _init_perturbed(rng, start if lowest is None else lowest.points)
         try:
             state, iters = _levenberg_marquardt(spec_d, spec_de, x0, rng)
         except DegenerateConfigurationError as exc:

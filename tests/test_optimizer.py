@@ -15,10 +15,11 @@ from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor,
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
+    WARP_SHRINK,
     OptimizeResult,
     _barrier_derivatives,
     _barrier_value,
-    _init_random,
+    _init_perturbed,
     _init_warp_blend,
     _levenberg_marquardt,
     optimize,
@@ -172,13 +173,15 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
 
     monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
-    # restart 1 of d7_restart1 below (seed 1, a random start): d = 7 at
-    # strength 13 kicks and rejects many trials before it converges
+    # d = 7 at strength 13 from random interior points drawn with seed 1's
+    # restart-1 stream: the search kicks and rejects many trials before it
+    # converges
     rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(1,)))
     spec_d = BasisSpec(7)
-    state, iters = _levenberg_marquardt(
-        spec_d, BasisSpec(13), _init_random(rng, spec_d), rng
-    )
+    uv = rng.random((spec_d.dim, 2))
+    fold = uv.sum(axis=1) > 1.0
+    uv[fold] = 1.0 - uv[fold]
+    state, iters = _levenberg_marquardt(spec_d, BasisSpec(13), 2.0 * uv - 1.0, rng)
     assert state.converged
     swept = [ev for kind, ev in events if kind == "sweep"]
     tabulated = [ev for kind, ev in events if kind == "values"]
@@ -501,6 +504,18 @@ def test_a_degenerate_kick_is_retried_at_half_the_scale(monkeypatch):
     assert iters == 800  # the restart kept its budget
 
 
+def test_perturbed_points_are_strictly_interior():
+    # every start after restart 0 and every kick comes from _init_perturbed;
+    # a base on the vertices and edges sends many draws outside the triangle
+    base = np.vstack([VERTICES, MIDPOINTS])
+    rng = np.random.default_rng(11)
+    for scale in (0.02, 0.03, 0.08):
+        for _ in range(100):
+            pts = _init_perturbed(rng, base, scale)
+            assert pts.shape == base.shape
+            assert np.all(ref_to_bary(pts) > 0.0), scale
+
+
 def test_a_degenerate_start_raises():
     centroid = np.full((3, 2), -1.0 / 3.0)  # three coincident points
     with pytest.raises(DegenerateConfigurationError):
@@ -512,10 +527,20 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
     def degenerate_search(spec_d, spec_de, points, rng):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
+    perturb, bases = triquad.optimizer._init_perturbed, []
+
+    def recording_perturb(rng, base):
+        bases.append(base)
+        return perturb(rng, base)
+
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
+    monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
     with pytest.raises(DegenerateConfigurationError,
                        match="^all 2 restarts hit degenerate configurations$"):
         optimize(2, target_e=2, restarts=2, verbose=True)
+    # with no state to perturb, restart 1 perturbs the warp-and-blend start
+    assert len(bases) == 1
+    assert np.array_equal(bases[0], _init_warp_blend(2, WARP_SHRINK))
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
     assert lines[1].startswith("restart 1: degenerate (degenerate configuration: ")
@@ -562,9 +587,10 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
     first = optimize(1, target_e=1, restarts=7)
     assert first.restarts_run == 7
     assert np.array_equal(first.rule.points, states[1].points)
-    # restarts 2 and 5 perturb the lowest residual so far
-    assert len(bases) == 2
-    assert bases[0] is states[1].points and bases[1] is states[2].points
+    # restarts 1..6 perturb the lowest residual so far; of equals the first
+    assert len(bases) == 6
+    for base, k in zip(bases, [0, 1, 2, 2, 2, 2]):
+        assert base is states[k].points
     # the first restart meeting every condition wins and ends the search
     outcomes = iter(states)
     stopped = optimize(1, target_e=1, restarts=len(states))
@@ -584,7 +610,7 @@ def test_an_unconverged_winner_whose_oracles_disagree_keeps_no_report(monkeypatc
     result = optimize(3, target_e=3, seed=0, restarts=6)
     assert not result.converged
     assert result.restarts_run == 6
-    assert f"{result.best_residual:.6e}" == "4.358198e-02"
+    assert f"{result.best_residual:.6e}" == "3.989749e-02"
     assert result.rule.certification is None
 
 
@@ -598,24 +624,25 @@ def test_a_converged_winner_whose_oracles_disagree_raises(monkeypatch):
 # patched MAX_ITERATIONS or None, converged, restarts_run, best residual,
 # SHA-256 of the emitted rule, the --verbose lines)
 MULTI_RESTART_RUNS = {
-    # restart 0 plateaus, restart 1 (random start) certifies and breaks
+    # restart 0 plateaus, restart 1 (restart 0's state perturbed)
+    # certifies and breaks
     "d7_restart1": (
-        7, {"target_e": 6, "seed": 1, "restarts": 12}, None, True, 2, "5.398459e-15",
-        "d9d0f692d657e3ecb7db8962a0a70febdbdab3dff0855536f15cdef63d3fbe90",
+        7, {"target_e": 6, "seed": 12, "restarts": 12}, None, True, 2, "7.493128e-15",
+        "822b4594851c0d2b56047f978d0d7b92788b86adcb366fdc74ee21d8700b5935",
         ["restart 0: residual 6.448e-02 after 2000 iterations",
-         "restart 1: residual 5.398e-15 after 715 iterations (converged)"],
+         "restart 1: residual 7.493e-15 after 201 iterations (converged)"],
     ),
-    # strength 6 at d = 3 is out of reach: random starts at r = 1, 3, 4,
-    # perturbed starts at r = 2, 5, and the tie-break picks among six
+    # strength 6 at d = 3 is out of reach: restarts 1..5 perturb the lowest
+    # state so far, and the tie-break picks among six
     "d3_unconverged": (
-        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "4.358198e-02",
-        "7999d3965744248ed0ee5b4b52ae1d0455cc6b4ddcdba750dc603b77499e05c9",
+        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "3.989749e-02",
+        "ce6d98a545cae934086f4763449626840822000b75649f08a42d9df67411e8ce",
         ["restart 0: residual 4.367e-02 after 300 iterations",
-         "restart 1: residual 4.363e-02 after 300 iterations",
-         "restart 2: residual 4.358e-02 after 300 iterations",
-         "restart 3: residual 4.009e-01 after 300 iterations",
-         "restart 4: residual 1.382e+00 after 300 iterations",
-         "restart 5: residual 4.364e-02 after 300 iterations"],
+         "restart 1: residual 4.367e-02 after 300 iterations",
+         "restart 2: residual 4.367e-02 after 300 iterations",
+         "restart 3: residual 4.367e-02 after 300 iterations",
+         "restart 4: residual 4.364e-02 after 300 iterations",
+         "restart 5: residual 3.990e-02 after 300 iterations"],
     ),
 }
 
