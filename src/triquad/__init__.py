@@ -3,8 +3,9 @@
 Generates cardinal quadrature rules (point count equal to dim P_d for a
 chosen degree d) whose generalized Newton-Cotes weights integrate a much
 larger polynomial space exactly, certifies rule strength against an
-orthonormal basis with an independent monomial cross-check, classifies
-triangle symmetry, and reads/writes the barycentric rule-file format.
+orthonormal basis with an independent Legendre-product cross-check,
+classifies triangle symmetry, and reads/writes the barycentric rule-file
+format.
 """
 
 from .basis import (
@@ -15,10 +16,7 @@ from .basis import (
     rank_of,
     vandermonde,
 )
-from .domain import (
-    gauss_quadrature,
-    monomial_integral,
-)
+from .domain import gauss_quadrature
 from .optimizer import (
     OptimizeResult,
     optimize,
@@ -64,7 +62,6 @@ __all__ = [
     "dof_bound",
     "emit_rule",
     "gauss_quadrature",
-    "monomial_integral",
     "multi_indices",
     "newton_cotes_weights",
     "optimize",

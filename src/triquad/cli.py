@@ -67,10 +67,9 @@ def _cmd_generate(args) -> int:
                       seed=args.seed, verbose=args.verbose)
     rule, report = result.rule, result.rule.certification
     if not result.converged:
-        strength = "" if report is None else f" (certified strength {report.strength})"
         print(
             f"unconverged: best residual {result.best_residual:.3e} after "
-            f"{result.restarts_run} restarts{strength}",
+            f"{result.restarts_run} restarts (certified strength {report.strength})",
             file=sys.stderr,
         )
         return 1

@@ -9,8 +9,9 @@ points in barycentric coordinates (equivalently, Cartesian coordinates on
 the unit right triangle x >= 0, y >= 0, x + y <= 1), and plots use an
 equilateral triangle with unit edge centered at the origin. This module
 holds the three coordinate systems, the affine maps between them (on point
-arrays of shape (n, 2)), the interiority test, and the closed-form monomial
-integrals used as an independent integration oracle.
+arrays of shape (n, 2)), the interiority test, the tensorized Gauss
+quadrature, and the closed-form monomial integrals that tests and the
+benchmark checks use as a reference.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def points_inside(points) -> np.ndarray:
     )
 
 
-#: Degree cap for the factorial-based monomial oracle.
+#: Degree cap for the log-gamma monomial integrals.
 MONOMIAL_DEGREE_CAP = 60
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .basis import BasisSpec
 from .domain import as_point_array, bary_to_ref, ref_to_bary
-from .rule import OracleDisagreementError, QuadratureRule, certify, dof_bound
+from .rule import QuadratureRule, certify, dof_bound
 from .weights import DegenerateConfigurationError, WeightSolution
 # nothing here calls them; perfbench/spans.py binds the names in this module
 from .basis import vandermonde  # noqa: F401
@@ -365,9 +365,8 @@ def optimize(
     weights, then strictly interior points, then smallest residual, then
     smallest condition estimate, certified into `rule.certification`.  Of
     equal candidates the earliest wins.  The result is unconverged when no
-    restart reached RESIDUAL_TOLERANCE; an unconverged winner whose two
-    certification oracles disagree keeps `certification` None, while a
-    converged one raises OracleDisagreementError.
+    restart reached RESIDUAL_TOLERANCE; it is certified either way, and an
+    OracleDisagreementError from `certify` propagates.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
@@ -435,16 +434,8 @@ def optimize(
         weights=best.sol.weights,
         metadata={"generator": "triquad", "seed": seed},
     )
-    try:
-        rule = replace(rule, certification=certify(rule))
-    except OracleDisagreementError:
-        # an unconverged winner's shells can hover at the certification
-        # tolerance, where the two oracles may split; that is a failed
-        # search, not a basis defect
-        if best.converged:
-            raise
     return OptimizeResult(
-        rule=rule,
+        rule=replace(rule, certification=certify(rule)),
         best_residual=best.max_residual,
         restarts_run=r + 1,
     )

@@ -2,30 +2,23 @@
 
 A rule's *strength* is the largest degree D such that it integrates every
 polynomial of total degree <= D exactly (to rounding).  Certification
-runs two independent oracles: the unit-triangle monomials, walked degree
-by degree, and one tabulation of the orthonormal basis whose residuals
-are reduced shell by shell.  A basis bug cannot silently certify, because
-the two strengths must agree.
+runs two independent oracles: products of shifted Legendre polynomials,
+bounded by 1 and integrated in closed form, walked degree by degree, and
+one tabulation of the orthonormal basis whose residuals are reduced shell
+by shell.  The lower strength is reported; a basis bug cannot silently
+certify, because it splits the two oracles by orders of magnitude.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .basis import BasisSpec, dim_poly, rounding_floor, vandermonde
-from .domain import (
-    MONOMIAL_DEGREE_CAP,
-    as_point_array,
-    monomial_integral,
-    points_inside,
-    ref_to_bary,
-    ref_to_unit,
-)
+from .domain import as_point_array, points_inside, ref_to_bary
 
 D3_SYMMETRIC = "d3_symmetric"
 ASYMMETRIC = "asymmetric"
@@ -36,12 +29,16 @@ CERTIFY_TOL = 1e-12
 #: Point/weight matching tolerance for symmetry classification.
 SYMMETRY_TOL = 1e-10
 
-#: Upper bound on the strength search: the monomial oracle's degree cap.
-STRENGTH_CAP = MONOMIAL_DEGREE_CAP
+#: Upper bound on the strength search.
+STRENGTH_CAP = 60
+
+#: An oracle failing a shell the other passes by this many times its own
+#: bound signals a defect, not a near-tolerance rule.
+GROSS_SPLIT = 1e6
 
 
 class OracleDisagreementError(RuntimeError):
-    """Basis-residual strength and monomial-oracle strength differ.
+    """One oracle passes a shell that the other fails grossly.
 
     This indicates a defect in the basis evaluation, not a property of the
     rule under test.
@@ -123,83 +120,72 @@ def dof_bound(d: int) -> int:
     return t
 
 
-@lru_cache(maxsize=STRENGTH_CAP + 1)
-def _shell_integrals(degree: int) -> tuple[float, ...]:
-    """Exact unit-triangle integrals of x^a y^(degree - a), a = 0..degree."""
-    return tuple(monomial_integral(a, degree - a) for a in range(degree + 1))
+def _legendre_shell_errors(rule: QuadratureRule):
+    """Yield the max error of the rule on the products P_a(2x-1) P_c(2y-1),
+    a + c = t, of shifted Legendre polynomials, for t = 0, ..., STRENGTH_CAP.
 
-
-def _monomial_shell_errors(rule: QuadratureRule):
-    """Yield the max residual of the unit-triangle monomials of exact total
-    degree 0, 1, ..., STRENGTH_CAP, one shell at a time.
-
-    The power tables x^t and y^t grow by one entry per shell, so a monomial
-    costs one product and one dot with the weights.
+    On the unit triangle 2x - 1 and 2y - 1 are the reference coordinates,
+    and the exact integrals are 1/2 at t = 0, (-1)^(k+1) / (2(2k+1)(2k+3))
+    for {a, c} = {k, k+1}, and 0 otherwise.  The table of P_t at both
+    coordinates grows by one recurrence row per shell.
     """
-    xy = ref_to_unit(rule.points)
-    x, y = xy[:, 0], xy[:, 1]
+    s = rule.points.T
     w_unit = rule.weights / 4.0  # reference area 2 -> unit area 1/2
-    xp, yp = [], []
-    for degree in range(STRENGTH_CAP + 1):
-        # scalar powers of the strided columns: each entry is the value a
-        # per-shell x ** a would give, so the shell errors keep their bits
-        xp.append(x ** degree)
-        yp.append(y ** degree)
-        exact = _shell_integrals(degree)
-        worst = 0.0
-        for a in range(degree + 1):
-            # one dot per monomial: a shell as one matrix product sums in
-            # another order and moves large signed-weight errors
-            approx = float(w_unit @ (xp[a] * yp[degree - a]))
-            worst = max(worst, abs(approx - exact[a]))
-        yield worst
+    table = np.empty((STRENGTH_CAP + 1, 2, rule.n_points))
+    table[0], table[1] = 1.0, s
+    for t in range(STRENGTH_CAP + 1):
+        if t >= 2:
+            table[t] = (2 - 1 / t) * s * table[t - 1] - (1 - 1 / t) * table[t - 2]
+        error = (table[: t + 1, 0] * table[t::-1, 1]) @ w_unit
+        if t == 0:
+            error[0] -= 0.5
+        elif t % 2:
+            k = t // 2
+            error[k : k + 2] -= (-1) ** (k + 1) / (2 * (2 * k + 1) * (2 * k + 3))
+        yield float(abs(error).max())
 
 
 def certify(rule: QuadratureRule) -> CertificationReport:
-    """Certify the rule's strength against the orthonormal basis.
+    """Certify the rule's strength by two oracles and report the lower one.
 
-    The monomial oracle runs first and ascends to its first failing degree.
-    It forms the unit-triangle coordinates and weights once per call, grows
-    one table of coordinate powers shell by shell, and reads the exact
-    integrals of each shell from a table cached per degree.  The basis is
-    then tabulated once, at one degree past that strength; its graded
-    enumeration holds every lower shell as leading columns, so one
-    residual vector gives each shell's max-norm error.  The basis strength
-    is the degree before the first shell whose error exceeds both CERTIFY_TOL
-    and its rounding floor: of |w| over the tabulated values (over
-    max(|x|, |y|)^t for degree-t monomials).  Shells past the monomial
-    strength plus one cannot change the verdict: the strengths agree exactly
-    when the basis passes every shell through the monomial strength and
-    fails the next one, as in a walk over every degree.  On disagreement
-    OracleDisagreementError is raised.  per_degree_error holds the shells
-    through the first failing one.
+    The Legendre-product oracle ascends to its first failing shell.  The
+    orthonormal basis is then tabulated once, through that shell (or
+    STRENGTH_CAP), and one residual vector gives each shell's max-norm
+    error.  A shell fails beyond both CERTIFY_TOL and its rounding floor:
+    of |w| over the tabulated basis values, or of |w|/4 for the Legendre
+    products, which are bounded by 1.  OracleDisagreementError is raised
+    when one oracle passes a shell that the other fails by more than
+    GROSS_SPLIT times its own bound.  per_degree_error holds the basis
+    errors through shell strength + 1.
     """
-    mono_strength = -1
-    unit_max = np.abs(ref_to_unit(rule.points)).max(axis=1)
-    for t, error in enumerate(_monomial_shell_errors(rule)):
-        if error > CERTIFY_TOL and error > rounding_floor(rule.weights / 4.0, unit_max**t):
+    legendre_bound = max(CERTIFY_TOL, rounding_floor(rule.weights / 4.0, 1.0))
+    legendre = []
+    for error in _legendre_shell_errors(rule):
+        legendre.append(error)
+        if not error <= legendre_bound:  # NaN fails here
             break
-        mono_strength = t
-
-    top = min(mono_strength + 1, STRENGTH_CAP)
+    top = len(legendre) - 1
     values = vandermonde(BasisSpec(top), rule.points).values
     res = values.T @ rule.weights
     res[0] -= 2.0
     errors = np.maximum.reduceat(
         np.abs(res), [dim_poly(t - 1) for t in range(top + 1)]
     )
-    passed = errors <= CERTIFY_TOL  # NaN fails here
-    if not passed.all():
-        passed |= errors <= rounding_floor(rule.weights, np.abs(values).max(axis=1))
-    failing = np.flatnonzero(~passed)
-    strength = int(failing[0]) - 1 if failing.size else top
-    if strength != mono_strength:
-        at_least = "" if failing.size else "at least "
+    basis_bound = max(CERTIFY_TOL, rounding_floor(rule.weights, np.abs(values).max(axis=1)))
+    shells = np.array([errors, legendre])
+    bounds = np.array([[basis_bound], [legendre_bound]])
+    passed = shells <= bounds  # NaN fails here
+    basis_strength, legendre_strength = np.where(
+        passed.all(axis=1), top, passed.argmin(axis=1) - 1
+    ).tolist()
+    if (passed[::-1] & (shells > GROSS_SPLIT * bounds)).any():
+        at_least = "at least " if passed[0].all() else ""
         raise OracleDisagreementError(
-            f"basis residuals certify strength {at_least}{strength} but the "
-            f"monomial oracle certifies {mono_strength}"
+            f"basis residuals certify strength {at_least}{basis_strength} but "
+            f"the Legendre-product oracle certifies {legendre_strength}"
         )
 
+    strength = min(basis_strength, legendre_strength)
     per_degree = {t: float(e) for t, e in enumerate(errors[: strength + 2])}
     max_error = float(np.max(errors[: strength + 1], initial=0.0))
     return CertificationReport(

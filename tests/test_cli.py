@@ -13,7 +13,9 @@ import pytest
 import triquad.optimizer
 import triquad.rule
 from triquad.cli import main
-from triquad.domain import ref_to_bary
+from triquad.domain import gauss_quadrature, ref_to_bary
+from triquad.rule import QuadratureRule
+from triquad.ruleio import emit_rule
 from triquad.weights import DegenerateConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,6 +124,23 @@ def test_verify_reports_oracle_disagreement_in_one_line(monkeypatch, capsys, mid
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: basis residuals certify strength")
+
+
+def test_verify_certifies_a_strength_25_gauss_rule(tmp_path, capsys):
+    path = tmp_path / "gauss13.txt"
+    path.write_text(emit_rule(QuadratureRule(None, *gauss_quadrature(13))))
+    assert main(["verify", str(path)]) == 0
+    assert "strength=25 " in capsys.readouterr().out
+
+
+def test_verify_gives_a_slightly_inexact_rule_a_strength(tmp_path, capsys):
+    # one barycentric moved by -2.5e-13: the oracles straddle CERTIFY_TOL
+    # on the degree-2 shell, which is no defect
+    text = MIDPOINT_FILE.replace("# strength = 2\n", "")
+    path = tmp_path / "moved.txt"
+    path.write_text(text.replace("0.5 0.5 ", "0.49999999999975 0.5 "))
+    assert main(["verify", str(path)]) == 0
+    assert "strength=1 " in capsys.readouterr().out
 
 
 def _collapsed_gauss_points(d):
@@ -233,17 +252,13 @@ def test_generate_reports_an_unconverged_search(capsys):
 
 
 def test_generate_reports_an_uncertified_unconverged_search(monkeypatch, capsys):
-    def disagreeing_certify(rule, tolerance=None):
+    def disagreeing_certify(rule):
         raise triquad.rule.OracleDisagreementError("oracles disagree")
 
     monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
     monkeypatch.setattr(triquad.optimizer, "certify", disagreeing_certify)
     assert main(["generate", "--d", "3", "--e", "3", "--restarts", "2"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert re.fullmatch(
-        r"unconverged: best residual \S+ after 2 restarts\n", err
-    )
+    assert capsys.readouterr() == ("", "error: oracles disagree\n")
 
 
 def test_generate_exits_1_when_every_restart_is_degenerate(monkeypatch, capsys):

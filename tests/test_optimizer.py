@@ -598,26 +598,23 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
     assert np.array_equal(stopped.rule.points, states[7].points)
 
 
-def _disagreeing_certify(rule, tolerance=None):
+def _disagreeing_certify(rule):
     raise OracleDisagreementError("basis residuals certify strength 1 but ...")
-
-
-def test_an_unconverged_winner_whose_oracles_disagree_keeps_no_report(monkeypatch):
-    # the d3_unconverged settings below: a failed search, which certify's
-    # oracle disagreement must not turn into a basis-defect error
-    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
-    monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
-    result = optimize(3, target_e=3, seed=0, restarts=6)
-    assert not result.converged
-    assert result.restarts_run == 6
-    assert f"{result.best_residual:.6e}" == "3.989749e-02"
-    assert result.rule.certification is None
 
 
 def test_a_converged_winner_whose_oracles_disagree_raises(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
     with pytest.raises(OracleDisagreementError):
         optimize(1, target_e=1, seed=0, restarts=1)
+
+
+def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
+    # the d3_unconverged settings below: a raise is a defect whether or not
+    # the search converged
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
+    monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
+    with pytest.raises(OracleDisagreementError):
+        optimize(3, target_e=3, seed=0, restarts=6)
 
 
 # Runs past restart 0, which no acceptance pin reaches: (d, settings, the

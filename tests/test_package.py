@@ -34,7 +34,6 @@ PUBLIC_NAMES = [
     "dof_bound",
     "emit_rule",
     "gauss_quadrature",
-    "monomial_integral",
     "multi_indices",
     "newton_cotes_weights",
     "optimize",

@@ -1,12 +1,14 @@
+import dataclasses
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import triquad.basis
 import triquad.rule
 from triquad.basis import BasisSpec, dim_poly, rounding_floor, vandermonde
-from triquad.domain import bary_to_ref, monomial_integral, ref_to_bary, ref_to_unit
+from triquad.domain import bary_to_ref, gauss_quadrature, ref_to_bary
 from triquad.rule import (
     ASYMMETRIC,
     CERTIFY_TOL,
@@ -15,7 +17,7 @@ from triquad.rule import (
     SYMMETRY_TOL,
     OracleDisagreementError,
     QuadratureRule,
-    _monomial_shell_errors,
+    _legendre_shell_errors,
     certify,
     classify_symmetry,
     dof_bound,
@@ -90,10 +92,10 @@ def test_certify_invariant_under_symmetry_transform():
 
 def _walk_certify(rule):
     """Reference: one basis tabulation per degree, ascending to the first
-    failing shell, then the monomial walk; (strength, per-degree errors).
-    A shell fails beyond both CERTIFY_TOL and its rounding floor: of |w|
-    over the degree-t tabulation's values, or over max(|x|, |y|)^t for the
-    degree-t monomials."""
+    failing shell, then the Legendre-product walk; (strength, per-degree
+    errors).  A shell fails beyond both CERTIFY_TOL and its rounding floor:
+    of |w| over the degree-t tabulation's values, or of |w|/4 over 1 for
+    the Legendre products."""
     per_degree = {}
     strength = -1
     for t in range(STRENGTH_CAP + 1):
@@ -106,14 +108,13 @@ def _walk_certify(rule):
         if per_degree[t] > max(CERTIFY_TOL, floor):
             break
         strength = t
-    mono_strength = -1
-    unit_max = np.abs(ref_to_unit(rule.points)).max(axis=1)
-    for t, error in enumerate(_monomial_shell_errors(rule)):
-        if error > max(CERTIFY_TOL, rounding_floor(rule.weights / 4.0, unit_max**t)):
+    legendre_strength = -1
+    for t, error in enumerate(_legendre_shell_errors(rule)):
+        if error > max(CERTIFY_TOL, rounding_floor(rule.weights / 4.0, 1.0)):
             break
-        mono_strength = t
-    if mono_strength != strength:
-        raise OracleDisagreementError(f"{strength} != {mono_strength}")
+        legendre_strength = t
+    if legendre_strength != strength:
+        raise OracleDisagreementError(f"{strength} != {legendre_strength}")
     return strength, per_degree
 
 
@@ -183,30 +184,19 @@ def test_certify_matches_the_per_degree_walk(rule):
         assert abs(report.per_degree_error[t] - ref) <= floor * max(1.0, abs(ref))
 
 
-def _inline_shell_error(rule, degree):
-    """Reference: the monomial shell error formed from scratch for one shell."""
-    xy = ref_to_unit(rule.points)
-    w_unit = rule.weights / 4.0
-    worst = 0.0
-    for a in range(degree + 1):
-        b = degree - a
-        approx = float(w_unit @ (xy[:, 0] ** a * xy[:, 1] ** b))
-        worst = max(worst, abs(approx - monomial_integral(a, b)))
-    return worst
-
-
 def _oracle_rules():
-    """Corpus rules, Newton-Cotes rules d = 1..10 on collapsed Gauss nodes
-    (sum|w| up to ~1e4 at d = 10) and random rules with signed weights."""
+    """(rule, certified strength): corpus rules, Newton-Cotes rules d = 1..10
+    on collapsed Gauss nodes (sum|w| up to ~1e4 at d = 10) and random rules
+    with signed weights."""
     corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
     rules = [
-        pytest.param(parse_rule(path.read_text()), id=path.stem)
+        pytest.param(parse_rule(path.read_text()), int(path.stem.split("_s")[1]), id=path.stem)
         for path in sorted(corpus.glob("tri_*.txt"))
     ]
     for d in range(1, 11):
         pts = _init_collapsed_tensor(d)
         rule = QuadratureRule(d, pts, newton_cotes_weights(BasisSpec(d), pts).weights)
-        rules.append(pytest.param(rule, id=f"newton_cotes_d{d}"))
+        rules.append(pytest.param(rule, d, id=f"newton_cotes_d{d}"))
     rng = np.random.default_rng(5)
     for n in (1, 4, 17, 40):
         uv = rng.random((n, 2))
@@ -215,15 +205,83 @@ def _oracle_rules():
         weights = rng.standard_normal(n)
         weights += (2.0 - weights.sum()) / n
         rule = QuadratureRule(None, bary_to_ref(uv), weights)
-        rules.append(pytest.param(rule, id=f"signed_n{n}"))
+        rules.append(pytest.param(rule, 0, id=f"signed_n{n}"))
     return rules
 
 
-@pytest.mark.parametrize("rule", _oracle_rules())
-def test_monomial_walk_is_bitwise_the_per_shell_formula(rule):
-    walk = _monomial_shell_errors(rule)
-    for degree in range(21):
+def _strength_rules():
+    """The oracle rules, Gauss rules up to the cap, and the midpoint rule
+    slightly moved."""
+    rules = _oracle_rules()
+    # from degree 20 on, an inexact shell of unit-triangle monomials can read
+    # below CERTIFY_TOL (3.7e-13 at n = 10); the Legendre products cannot
+    for n in (2, 9, 10, 13, 20, 30, 31):
+        rule = QuadratureRule(None, *gauss_quadrature(n))
+        rules.append(pytest.param(rule, min(2 * n - 1, STRENGTH_CAP), id=f"gauss_n{n}"))
+    # the degree-2 shell reads 1.9e-12 in the orthonormal basis and 8.7e-16
+    # on the Legendre products: a near-tolerance split, not a defect
+    bary = ref_to_bary(MIDPOINT_RULE.points)[:, :2]
+    bary[0, 0] -= 2.5e-13
+    rule = QuadratureRule(1, bary_to_ref(bary), MIDPOINT_RULE.weights)
+    rules.append(pytest.param(rule, 1, id="midpoint_moved"))
+    return rules
+
+
+@pytest.mark.parametrize("rule,strength", _strength_rules())
+def test_certify_gives_each_oracle_rule_its_strength(rule, strength):
+    assert certify(rule).strength == strength
+
+
+def _inline_shell_error(rule, degree):
+    """Reference: the Legendre-product shell error formed from scratch for
+    one shell, its exact integrals read off per product."""
+    s = rule.points.T
+    p = [np.ones_like(s), s]
+    for t in range(2, degree + 1):
+        p.append((2 - 1 / t) * s * p[t - 1] - (1 - 1 / t) * p[t - 2])
+    exact = np.zeros(degree + 1)
+    for a in range(degree + 1):
+        c = degree - a
+        if degree == 0:
+            exact[a] = 0.5
+        elif abs(a - c) == 1:
+            k = min(a, c)
+            exact[a] = (-1) ** (k + 1) / (2 * (2 * k + 1) * (2 * k + 3))
+    # one matrix product per shell, as in the walk: per-product dots sum in
+    # another order and move large signed-weight errors
+    products = np.array([p[a][0] * p[degree - a][1] for a in range(degree + 1)])
+    return float(np.abs(products @ (rule.weights / 4.0) - exact).max())
+
+
+@pytest.mark.parametrize("rule,strength", _oracle_rules())
+def test_monomial_walk_is_bitwise_the_per_shell_formula(rule, strength):
+    # the shell walk of the Legendre-product oracle, in place of the monomials
+    walk = _legendre_shell_errors(rule)
+    for degree in range(STRENGTH_CAP + 1):
         assert next(walk).hex() == _inline_shell_error(rule, degree).hex(), degree
+
+
+def test_legendre_walk_integrates_every_shell_of_a_strength_61_rule():
+    errors = list(_legendre_shell_errors(QuadratureRule(None, *gauss_quadrature(31))))
+    assert len(errors) == STRENGTH_CAP + 1
+    assert max(errors) <= 1e-14
+
+
+def test_a_perturbed_basis_recurrence_still_raises(monkeypatch):
+    # the first P_2^{1,0} recurrence coefficient off by 1e-3
+    original = triquad.basis._plan
+
+    def perturbed(degree):
+        plan = original(degree)
+        a2 = plan.a2.copy()
+        a2[2:3] *= 1.001  # no row 2 below degree 2
+        return dataclasses.replace(plan, a2=a2)
+
+    monkeypatch.setattr(triquad.basis, "_plan", perturbed)
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus"
+    rule = parse_rule((corpus / "tri_d6_s11.txt").read_text())
+    with pytest.raises(OracleDisagreementError, match="Legendre-product oracle certifies 11"):
+        certify(rule)
 
 
 def test_a_weight_moved_by_1e9_still_fails_the_raised_gates():
@@ -242,12 +300,11 @@ def test_a_weight_moved_by_1e9_still_fails_the_raised_gates():
 
 
 def test_certify_never_passes_a_nan_shell():
-    # NaN compares false both ways; the monomial walk misses it, the basis must not.
+    # NaN compares false both ways; neither oracle may pass it.
     # The rule refuses a NaN at construction, so it is set in place afterwards
     rule = QuadratureRule(1, MIDPOINT_RULE.points, MIDPOINT_RULE.weights.copy())
     rule.weights[1] = np.nan
-    with pytest.raises(OracleDisagreementError, match="strength -1 "):
-        certify(rule)
+    assert certify(rule).strength == -1
 
 
 @pytest.mark.parametrize(
