@@ -8,7 +8,9 @@ by the degrees-of-freedom bound), leaving a solution manifold that damped
 Gauss-Newton handles without trouble.
 
 Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
-interior, well conditioned at large d.  Later restarts perturb the
+interior, well conditioned at large d.  Restart 1 starts from the points of
+node elimination, which reaches rows where the search from warp-and-blend
+plateaus; it draws no random number.  Later restarts perturb the
 lowest-residual configuration so far (basin hopping); they never start from
 random points.  A restart converges when
 its largest shell residual is at most RESIDUAL_TOLERANCE.  `optimize`
@@ -39,13 +41,16 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+# numpy loads np.polynomial and np.random on first use; imported here,
+# they load with this module instead of inside the first search
+from numpy.polynomial import Legendre
+from numpy.random import Generator, SeedSequence, default_rng
 
-from .basis import BasisSpec
-from .domain import as_point_array, bary_to_ref, ref_to_bary
+from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
+from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
 from .weights import DegenerateConfigurationError, WeightSolution
-# nothing here calls them; perfbench/spans.py binds the names in this module
-from .basis import vandermonde  # noqa: F401
+# nothing here calls it; perfbench/spans.py binds the name in this module
 from .weights import newton_cotes_weights  # noqa: F401
 
 #: Largest shell residual at which a restart has converged.
@@ -182,7 +187,7 @@ def _levenberg_marquardt(
     spec_d: BasisSpec,
     spec_de: BasisSpec,
     points: np.ndarray,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> tuple[_EvalState, int]:
     """Damped Gauss-Newton from (N, 2) `points`, with annealed log barrier
     and stall kicks.
@@ -310,7 +315,7 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
     # `Warpfactor`: the equispaced-to-Gauss-Lobatto shift at r, over 1 - r^2,
     # interpolated in product form (factor j of l_i is (r - x_j) / (x_i - x_j))
     r, equi = far - nxt, np.linspace(-1.0, 1.0, d + 1)
-    inner = np.polynomial.Legendre.basis(d).deriv().roots()
+    inner = Legendre.basis(d).deriv().roots()
     shift = np.concatenate([[-1.0], inner, [1.0]]) - equi
     same = np.eye(d + 1, dtype=bool)
     factors = (r[..., None, None] - equi) / (equi[:, None] - equi + same)
@@ -324,7 +329,7 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
 
 
 def _init_perturbed(
-    rng: np.random.Generator, base: np.ndarray, scale: float = 0.03
+    rng: Generator, base: np.ndarray, scale: float = 0.03
 ) -> np.ndarray:
     """`base` plus normal noise of deviation `scale`; a point that lands
     within 1e-6 of an edge or outside is pulled a fifth of the way toward
@@ -337,6 +342,89 @@ def _init_perturbed(
         still = np.any(ref_to_bary(pts) <= 0.0, axis=1)
         pts[still] = centroid
     return pts
+
+
+def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
+    """Points of a rule with dim P_d points, positive weights, interior
+    points and strength s, by node elimination (Xiao & Gimbutas, Comput.
+    Math. Appl. 59, 2010); None where a level fails.
+
+    Starts from the tensorized Gauss rule exact to s with at least dim P_d
+    points.  Each level drops one point and solves for the others and their
+    free weights (`_gauss_newton`), trying the points least significant by
+    w_j sum_k g_k(z_j)^2 first and failing after 40 of them (d = 8 at
+    strength 14 needs more than 8).
+    """
+    s = spec_s.degree
+    pts, w = gauss_quadrature(max(s // 2 + 1, math.isqrt(spec_d.dim - 1) + 1))
+    while w.size > spec_d.dim:
+        v = vandermonde(spec_s, pts).values
+        order = np.argsort(w * np.einsum("jk,jk->j", v, v), kind="stable")
+        for j in order[:40]:
+            found = _gauss_newton(spec_s, np.delete(pts, j, axis=0), np.delete(w, j))
+            if found is not None:
+                pts, w = found
+                break
+        else:
+            return None
+    return pts
+
+
+def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
+    """(points, weights) with max |V_s^T w - b| <= RESIDUAL_TOLERANCE, by
+    damped minimum-norm Gauss-Newton over points and weights within 60
+    trials, or None.  A trial is accepted only if its points are interior,
+    its weights positive and its residual norm lower."""
+    b, m = integrals_vector(spec_s), w.size
+    ev = vandermonde(spec_s, pts, derivatives=True)
+    f = ev.values.T @ w - b
+    lam = 1e-6
+    for _ in range(60):
+        if np.max(np.abs(f)) <= RESIDUAL_TOLERANCE:
+            return pts, w
+        # columns 2j + c: coordinate c of point j; then one per weight
+        jac = np.empty((f.size, 3 * m))
+        jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
+        jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
+        jac[:, 2 * m :] = ev.values.T
+        y = _spd_solve(np.einsum("ik,jk->ij", jac, jac) + lam * np.eye(f.size), f)
+        if y is not None:
+            step = -(jac.T @ y)
+            trial, trial_w = pts + step[: 2 * m].reshape(m, 2), w + step[2 * m :]
+            if np.all(ref_to_bary(trial) > 0.0) and np.all(trial_w > 0.0):
+                trial_ev = vandermonde(spec_s, trial)
+                trial_f = trial_ev.values.T @ trial_w - b
+                if trial_f @ trial_f < f @ f:
+                    pts, w, ev, f = trial, trial_w, _derivative_sweep(trial_ev), trial_f
+                    lam = max(lam / 10.0, 1e-16)
+                    continue
+        lam *= 10.0
+    return None
+
+
+def _spd_solve(a: np.ndarray, f: np.ndarray):
+    """x with a x = f for symmetric positive definite `a`, by Cholesky, or
+    None at a pivot that is not positive.
+
+    OpenBLAS splits `np.linalg.solve` and matrix products over its threads
+    above about 100 unknowns, and their bits then depend on the thread
+    count.  einsum does not call BLAS, and the matrix-vector and vector
+    products here gave the same bits at one and two threads, so elimination
+    writes the same points at either.
+    """
+    n = f.size
+    low = np.zeros_like(a)
+    for j in range(n):
+        col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
+        if not col[0] > 0.0:
+            return None
+        low[j:, j] = col / math.sqrt(col[0])
+    x = np.empty(n)
+    for i in range(n):
+        x[i] = (f[i] - low[i, :i] @ x[:i]) / low[i, i]
+    for i in reversed(range(n)):
+        x[i] = (x[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
+    return x
 
 
 def optimize(
@@ -355,10 +443,11 @@ def optimize(
     per-restart RNG streams spawned from `seed`, so the same arguments
     reproduce the same result, and stops at the first restart that
     converges with positive weights and strictly interior points.
-    Restart 0 starts from warp-and-blend nodes; every later restart
-    perturbs the lowest-residual candidate so far, or the warp-and-blend
-    start while every restart has been degenerate, and never starts from
-    random points.  `verbose` prints one line per restart.
+    Restart 0 starts from warp-and-blend nodes and restart 1 from node
+    elimination (`_eliminate`); every later restart, and restart 1 where
+    elimination fails, perturbs the lowest-residual candidate so far, or
+    the warp-and-blend start while every restart has been degenerate, and
+    never starts from random points.  `verbose` prints one line per restart.
     The candidates are the states the restarts' searches end on; each
     carries its points, Newton-Cotes weights, condition estimate and
     residual.  Returns the tie-break winner: converged first, then positive
@@ -399,9 +488,11 @@ def optimize(
     best = lowest = None
     start = _init_warp_blend(d, WARP_SHRINK)
     for r in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(r,)))
+        rng = default_rng(SeedSequence(seed, spawn_key=(r,)))
         if r == 0:
             x0 = start
+        elif r == 1 and (eliminated := _eliminate(spec_d, spec_de)) is not None:
+            x0 = eliminated
         else:
             x0 = _init_perturbed(rng, start if lowest is None else lowest.points)
         try:

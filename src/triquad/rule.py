@@ -206,8 +206,10 @@ def classify_symmetry(rule: QuadratureRule) -> str:
     original point (max-norm in reference coordinates) must lie within
     SYMMETRY_TOL and carry a weight within SYMMETRY_TOL of its own, and no
     original point may be the nearest to two transformed ones.  NaN never
-    matches.
+    matches.  The empty point set is its own image.
     """
+    if rule.n_points == 0:
+        return D3_SYMMETRIC
     bary = ref_to_bary(rule.points)
     ref = rule.points
     wts = rule.weights
@@ -217,7 +219,7 @@ def classify_symmetry(rule: QuadratureRule) -> str:
         dist = np.max(np.abs(ref[None, :, :] - transformed[:, None, :]), axis=2)
         j = np.argmin(dist, axis=1)
         matched = (dist[rows, j] <= SYMMETRY_TOL) & (np.abs(wts - wts[j]) <= SYMMETRY_TOL)
-        if not matched.all() or np.unique(j).size < rule.n_points:
+        if not matched.all() or np.bincount(j).max() > 1:
             return ASYMMETRIC
     return D3_SYMMETRIC
 

@@ -12,37 +12,35 @@ with b constant,  dw = -V^{-T} (dV^T) w.
 
 `WeightSolution` is the one evaluation of a point set.  It tabulates the
 basis of an extended degree d+e >= d once (values only), takes V as the
-first dim P_d columns, factors and gates the solve (CONDITION_LIMIT,
+first dim P_d columns, inverts and gates the solve (CONDITION_LIMIT,
 RESIDUAL_LIMIT or its floor), and forms the residual of the shell d < m+n <= d+e,
 
     r_k = sum_j w_j g_k(z_j),
 
 whose integrals vanish because every shell function is orthogonal to
 constants.  `linearize()` adds the derivatives from the kept tabulation and
-factorization: the weight Jacobian and the shell Jacobian
+inverse: the weight Jacobian and the shell Jacobian
 dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).  The weight functions
 here and the optimizer's residual, Jacobian and search all read it.
 
-The solve calls LAPACK's getrf, gecon and getrs through handles resolved
-once at import, not through scipy's `lu_factor`/`lu_solve` wrappers, whose
-per-call argument handling costs more than factoring an N = 28 system.
-The wrappers run the same routines on the same arrays, so the weights are
-the same bits.  Their finiteness check is kept, with its ValueError text;
-an exactly zero pivot, where `lu_factor` only warns, is a degenerate
-configuration with condition estimate inf.
+One numpy inverse A^{-1} of A = V^T per configuration serves the whole
+solve: the weights w = A^{-1} b, the exact 1-norm condition number
+||A||_1 ||A^{-1}||_1 that CONDITION_LIMIT gates, and the weight Jacobian
+-A^{-1} (dV^T) w, so the process loads one BLAS, numpy's.  An exactly
+singular A, where the inverse fails, is a degenerate configuration with
+condition inf; a non-finite entry is refused with a ValueError first.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, rounding_floor, vandermonde
 
-#: Condition-estimate threshold beyond which a configuration is rejected.
+#: Condition-number threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
 
-#: Back-substitution residual limit for a trustworthy solve.
+#: Solve residual limit for a trustworthy solve.
 RESIDUAL_LIMIT = 1e-10
 
 
@@ -54,30 +52,20 @@ class DegenerateConfigurationError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
-# every matrix factored here is float64
-_getrf, _getrs, _gecon = get_lapack_funcs(
-    ("getrf", "getrs", "gecon"), dtype=np.float64
-)
+def _invert(a: np.ndarray):
+    """Inverse of `a` and its exact 1-norm condition number.
 
-
-def _factorize(a: np.ndarray):
-    """LU-factor `a` and estimate its 1-norm condition number.
-
-    The condition estimate is inf for an exactly singular `a` (a zero
-    pivot).  Raises ValueError, with scipy's `lu_factor` text, unless
-    every entry is finite.
+    The inverse is None and the condition inf for an exactly singular `a`.
+    Raises ValueError unless every entry is finite.
     """
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _getrf(a)
-    if info > 0:  # an exactly zero pivot: singular, whatever gecon would say
-        return (lu, piv), float("inf")
-    rcond, info = _gecon(lu, np.linalg.norm(a, 1), norm="1")
-    if info != 0 or rcond <= 0.0 or not np.isfinite(rcond):
-        cond = float("inf")
-    else:
-        cond = 1.0 / rcond
-    return (lu, piv), cond
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, float("inf")
+    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    return inv, cond if np.isfinite(cond) else float("inf")
 
 
 class WeightSolution:
@@ -88,10 +76,12 @@ class WeightSolution:
     `shell_jacobian` (n_shell, 2N) are None until `linearize()`; column
     2j + c differentiates with respect to coordinate c (xi1, xi2) of point j.
 
+    One inverse of V^T gives the weights, `condition_estimate` (the exact
+    1-norm condition number) and, in `linearize()`, the weight Jacobian.
     Raises ValueError for a wrong point count, an extended degree below d
     or a non-finite basis value, and DegenerateConfigurationError when the
-    condition estimate exceeds CONDITION_LIMIT (inf for an exactly singular
-    system) or the back-substitution residual exceeds RESIDUAL_LIMIT and its floor.
+    condition number exceeds CONDITION_LIMIT (inf for an exactly singular
+    system) or the solve residual exceeds RESIDUAL_LIMIT and its floor.
     """
 
     def __init__(self, spec: BasisSpec, points, spec_ext: BasisSpec | None = None):
@@ -105,7 +95,7 @@ class WeightSolution:
                 f"need exactly dim P_{spec.degree} = {spec.dim} points, got {npts}"
             )
         a = ev.values[:, : spec.dim].T
-        lu_piv, cond = _factorize(a)
+        inv, cond = _invert(a)
         b = integrals_vector(spec)
         if cond > CONDITION_LIMIT:
             raise DegenerateConfigurationError(
@@ -113,7 +103,7 @@ class WeightSolution:
                 f"exceeds {CONDITION_LIMIT:.1e}",
                 cond,
             )
-        w, _ = _getrs(*lu_piv, b)
+        w = inv @ b
         residual = float(np.max(np.abs(a @ w - b)))
         # the floor is formed only where the constant fails, off the LM's trial path
         if residual > RESIDUAL_LIMIT and residual > (
@@ -129,10 +119,10 @@ class WeightSolution:
         self.solve_residual = residual
         self.shell_residual = ev.values[:, spec.dim:].T @ w
         self.weight_jacobian = self.shell_jacobian = None
-        self._ev, self._lu_piv = ev, lu_piv
+        self._ev, self._inv = ev, inv
 
     def linearize(self) -> WeightSolution:
-        """Form both Jacobians from the kept tabulation and factorization, once."""
+        """Form both Jacobians from the kept tabulation and inverse, once."""
         if self.shell_jacobian is None:
             ev = _derivative_sweep(self._ev)
             w = self.weights
@@ -141,7 +131,7 @@ class WeightSolution:
             rhs = np.empty((n, 2 * n))
             rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
             rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
-            self.weight_jacobian = wjac = -_getrs(*self._lu_piv, rhs)[0]
+            self.weight_jacobian = wjac = -(self._inv @ rhs)
             jac = ev.values[:, n:].T @ wjac
             jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
             jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T

@@ -1,13 +1,16 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
 
 import triquad.optimizer
 import triquad.weights
@@ -19,6 +22,7 @@ from triquad.optimizer import (
     OptimizeResult,
     _barrier_derivatives,
     _barrier_value,
+    _eliminate,
     _init_perturbed,
     _init_warp_blend,
     _levenberg_marquardt,
@@ -110,12 +114,12 @@ def _eager_solution(spec_d, spec_de, points):
     derivative tabulation, formed eagerly."""
     ev = vandermonde(spec_de, points, derivatives=True)
     n = spec_d.dim
-    lu_piv = lu_factor(ev.values[:, :n].T)
-    w = lu_solve(lu_piv, integrals_vector(spec_d))
+    inv = np.linalg.inv(ev.values[:, :n].T)
+    w = inv @ integrals_vector(spec_d)
     rhs = np.empty((n, 2 * n))
     rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
     rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
-    wjac = -lu_solve(lu_piv, rhs)
+    wjac = -(inv @ rhs)
     jac = ev.values[:, n:].T @ wjac
     jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
     jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T
@@ -173,10 +177,10 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
 
     monkeypatch.setattr(triquad.weights, "vandermonde", counting_tabulate)
     monkeypatch.setattr(triquad.weights, "_derivative_sweep", counting_sweep)
-    # d = 7 at strength 13 from random interior points drawn with seed 1's
+    # d = 7 at strength 13 from random interior points drawn with seed 119's
     # restart-1 stream: the search kicks and rejects many trials before it
     # converges
-    rng = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(1,)))
+    rng = np.random.default_rng(np.random.SeedSequence(119, spawn_key=(1,)))
     spec_d = BasisSpec(7)
     uv = rng.random((spec_d.dim, 2))
     fold = uv.sum(axis=1) > 1.0
@@ -420,6 +424,43 @@ def test_warp_blend_start_matches_the_equilateral_construction(d):
     assert np.max(np.abs(_init_warp_blend(d, 0.0) - _nodes2d_reference(d))) <= 1e-14
 
 
+@pytest.mark.parametrize("d,s", [(1, 2), (2, 4), (3, 5), (4, 7), (5, 9), (6, 11),
+                                 (7, 13), (9, 16)])
+def test_elimination_reaches_the_table_row(d, s):
+    # dim P_d interior points with positive Newton-Cotes weights, from which
+    # the search converges to a rule of strength s without a kick
+    pts = _eliminate(BasisSpec(d), BasisSpec(s))
+    assert pts.shape == (dim_poly(d), 2)
+    assert np.all(ref_to_bary(pts) > 0.0)
+    assert np.all(WeightSolution(BasisSpec(d), pts).weights > 0.0)
+    state, iters = _levenberg_marquardt(BasisSpec(d), BasisSpec(s), pts,
+                                        np.random.default_rng(0))
+    assert state.converged and state.positive and state.interior
+    assert iters <= 120
+
+
+def test_elimination_writes_the_same_points_at_one_and_two_blas_threads():
+    # at d = 7 its 105 x 105 Gram matrix is past the size where OpenBLAS
+    # splits a matrix product or a solve over its threads
+    code = ("import hashlib; from triquad.basis import BasisSpec; "
+            "from triquad.optimizer import _eliminate; "
+            "pts = _eliminate(BasisSpec(7), BasisSpec(13)); "
+            "print(hashlib.sha256(pts.tobytes()).hexdigest())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = {
+        subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout
+        for threads in ("1", "2")
+    }
+    assert len(digests) == 1
+
+
+def test_elimination_fails_where_the_strength_is_out_of_reach():
+    assert _eliminate(BasisSpec(3), BasisSpec(6)) is None
+
+
 def test_warp_blend_start_passes_the_weight_gates_at_d14():
     spec = BasisSpec(14)
     sol = WeightSolution(spec, _init_warp_blend(14, 0.05))
@@ -434,16 +475,15 @@ def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
     spec, pts = BasisSpec(14), _init_collapsed_tensor(14)
     scale = np.abs(vandermonde(spec, pts).values).max(axis=1)
     floor = rounding_floor(WeightSolution(spec, pts).weights, scale)
-    getrs = triquad.weights._getrs
+    invert, b = triquad.weights._invert, integrals_vector(spec)
 
-    def off_by_1e3_floors(lu, piv, rhs):
-        x, info = getrs(lu, piv, rhs)
-        if rhs.ndim == 1:  # the weight solve: move w_0 by 1e3 floors / s_0
-            x = x.copy()
-            x[0] += 1e3 * floor / scale[0]
-        return x, info
+    def off_by_1e3_floors(a):
+        inv, cond = invert(a)
+        # w_0 = inv[0] @ b moves by 1e3 floors / s_0
+        inv[0] += 1e3 * floor / scale[0] * b / (b @ b)
+        return inv, cond
 
-    monkeypatch.setattr(triquad.weights, "_getrs", off_by_1e3_floors)
+    monkeypatch.setattr(triquad.weights, "_invert", off_by_1e3_floors)
     with pytest.raises(DegenerateConfigurationError, match="solve residual") as exc:
         WeightSolution(spec, pts)
     numbers = re.findall(r"\d\.\d+e[-+]\d+", str(exc.value))
@@ -536,15 +576,17 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
     monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
     with pytest.raises(DegenerateConfigurationError,
-                       match="^all 2 restarts hit degenerate configurations$"):
-        optimize(2, target_e=2, restarts=2, verbose=True)
-    # with no state to perturb, restart 1 perturbs the warp-and-blend start
+                       match="^all 3 restarts hit degenerate configurations$"):
+        optimize(2, target_e=2, restarts=3, verbose=True)
+    # restart 1 starts from node elimination; with no state to perturb,
+    # restart 2 perturbs the warp-and-blend start
     assert len(bases) == 1
     assert np.array_equal(bases[0], _init_warp_blend(2, WARP_SHRINK))
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
-    assert lines[1].startswith("restart 1: degenerate (degenerate configuration: ")
-    assert len(lines) == 2
+    assert lines[1] == "restart 1: degenerate (degenerate configuration: start)"
+    assert lines[2].startswith("restart 2: degenerate (degenerate configuration: ")
+    assert len(lines) == 3
 
 
 # restart outcomes (converged, positive, interior, residual, condition):
@@ -581,15 +623,21 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
         bases.append(base)
         return perturb(rng, base)
 
-    monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt",
-                        lambda *args: (next(outcomes), 1))
+    def recording_search(spec_d, spec_de, points, rng):
+        starts.append(points)
+        return next(outcomes), 1
+
+    starts = []
+    monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", recording_search)
     monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
     first = optimize(1, target_e=1, restarts=7)
     assert first.restarts_run == 7
     assert np.array_equal(first.rule.points, states[1].points)
-    # restarts 1..6 perturb the lowest residual so far; of equals the first
-    assert len(bases) == 6
-    for base, k in zip(bases, [0, 1, 2, 2, 2, 2]):
+    # restart 1 starts from node elimination, restarts 2..6 perturb the
+    # lowest residual so far; of equals the first
+    assert np.array_equal(starts[1], _eliminate(BasisSpec(1), BasisSpec(2)))
+    assert len(bases) == 5
+    for base, k in zip(bases, [1, 2, 2, 2, 2]):
         assert base is states[k].points
     # the first restart meeting every condition wins and ends the search
     outcomes = iter(states)
@@ -621,25 +669,32 @@ def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
 # patched MAX_ITERATIONS or None, converged, restarts_run, best residual,
 # SHA-256 of the emitted rule, the --verbose lines)
 MULTI_RESTART_RUNS = {
-    # restart 0 plateaus, restart 1 (restart 0's state perturbed)
-    # certifies and breaks
+    # restart 0 plateaus, restart 1 (node elimination) certifies and breaks
     "d7_restart1": (
-        7, {"target_e": 6, "seed": 12, "restarts": 12}, None, True, 2, "7.493128e-15",
-        "822b4594851c0d2b56047f978d0d7b92788b86adcb366fdc74ee21d8700b5935",
-        ["restart 0: residual 6.448e-02 after 2000 iterations",
-         "restart 1: residual 7.493e-15 after 201 iterations (converged)"],
+        7, {"target_e": 6, "seed": 12, "restarts": 12}, None, True, 2, "6.411538e-15",
+        "fdf91c6dac8091764d5a2890955c7189d67833dd757fb3168f97d7fcbac511d9",
+        ["restart 0: residual 3.934e-02 after 2000 iterations",
+         "restart 1: residual 6.412e-15 after 1 iterations (converged)"],
     ),
-    # strength 6 at d = 3 is out of reach: restarts 1..5 perturb the lowest
-    # state so far, and the tie-break picks among six
+    # the table row d = 9 at strength 16: restart 0 is cut short, and the
+    # search from the elimination points converges at its first iteration
+    "d9_elimination": (
+        9, {"target_e": 7, "seed": 0, "restarts": 2}, 300, True, 2, "5.205905e-15",
+        "5c64cce09b968c12dcf69166abcebf3b48de693f5752b01cba757aa7a72fa51b",
+        ["restart 0: residual 3.271e-05 after 300 iterations",
+         "restart 1: residual 5.206e-15 after 1 iterations (converged)"],
+    ),
+    # strength 6 at d = 3 is out of reach: elimination fails, restarts 1..5
+    # perturb the lowest state so far, and the tie-break picks among six
     "d3_unconverged": (
-        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "3.989749e-02",
-        "ce6d98a545cae934086f4763449626840822000b75649f08a42d9df67411e8ce",
-        ["restart 0: residual 4.367e-02 after 300 iterations",
-         "restart 1: residual 4.367e-02 after 300 iterations",
+        3, {"target_e": 3, "seed": 0, "restarts": 6}, 300, False, 6, "4.008877e-02",
+        "6b3052f98492f7c6d72b5a1b1d58fed9737f9e03fc578c6754dbea7835a6f6cd",
+        ["restart 0: residual 4.646e-02 after 300 iterations",
+         "restart 1: residual 4.365e-02 after 300 iterations",
          "restart 2: residual 4.367e-02 after 300 iterations",
          "restart 3: residual 4.367e-02 after 300 iterations",
-         "restart 4: residual 4.364e-02 after 300 iterations",
-         "restart 5: residual 3.990e-02 after 300 iterations"],
+         "restart 4: residual 4.365e-02 after 300 iterations",
+         "restart 5: residual 4.009e-02 after 300 iterations"],
     ),
 }
 

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from itertools import permutations
 from pathlib import Path
 
@@ -328,6 +329,13 @@ def test_dof_bound_counting_details():
 def test_classify_symmetry_fixtures():
     assert classify_symmetry(MIDPOINT_RULE) == D3_SYMMETRIC
     assert classify_symmetry(CENTROID_RULE) == D3_SYMMETRIC
+
+
+def test_classify_symmetry_of_the_empty_rule():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        empty = QuadratureRule(None, np.empty((0, 2)), np.empty(0))
+    assert classify_symmetry(empty) == D3_SYMMETRIC
 
 
 def test_classify_detects_asymmetry():
