@@ -24,7 +24,7 @@ from .optimizer import optimize
 from .rule import OracleDisagreementError, QuadratureRule, certify, dof_bound
 from .ruleio import Registry, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
-from .weights import DegenerateConfigurationError, newton_cotes_weights
+from .weights import DegenerateConfigurationError, _one_blas_thread, newton_cotes_weights
 
 DEFAULT_REGISTRY = "rules"
 
@@ -254,7 +254,8 @@ def main(argv=None) -> int:
         # the filters still pick what shows; one line replaces the source dump
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
-            return args.func(args)
+            with _one_blas_thread():
+                return args.func(args)
         except (ValueError, OSError) as exc:  # RuleParseError is a ValueError
             print(f"error: {exc}", file=sys.stderr)
             return 2

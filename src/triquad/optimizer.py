@@ -49,7 +49,7 @@ from numpy.random import Generator, SeedSequence, default_rng
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
 from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
-from .weights import DegenerateConfigurationError, WeightSolution
+from .weights import DegenerateConfigurationError, WeightSolution, _one_blas_thread
 # nothing here calls it; perfbench/spans.py binds the name in this module
 from .weights import newton_cotes_weights  # noqa: F401
 
@@ -97,24 +97,25 @@ class _EvalState:
     LM's own policy terms.
 
     Construction costs values only: the solution (values tabulation, weight
-    solve, shell residual), the hinge-augmented residual `r` (hinge
-    max(margin - w, 0) appended), `hinge_active`, the barycentrics and the
-    barrier value, which is all a trial step needs to be accepted or
-    rejected.  A caller that has already formed `ref_to_bary(points)`
-    passes it as `bary`.  `linearize()` adds, once, what a step from this
-    configuration needs: `jac` (the shell Jacobian with the hinge rows) and
-    the barrier's gradient and Hessian blocks.
+    solve, shell residual and its `max_residual`), `r` (the shell residual
+    with the hinge max(margin - w, 0) appended), `half_rr` = |r|^2/2,
+    `hinge_active`, the barycentrics (`bary`, if the caller has formed them)
+    and the barrier value: all a trial step needs.  `linearize()` adds, once,
+    what a step from this configuration needs: `jac` (the shell Jacobian
+    with the hinge rows) and the barrier's gradient and Hessian blocks.
     """
 
-    __slots__ = ("sol", "points", "r", "hinge_active", "bary", "barrier",
-                 "jac", "barrier_grad", "barrier_hess")
+    __slots__ = ("sol", "points", "r", "half_rr", "hinge_active", "max_residual",
+                 "bary", "barrier", "jac", "barrier_grad", "barrier_hess")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points, bary=None):
         self.points = as_point_array(points)
         self.sol = sol = WeightSolution(spec_d, self.points, spec_de)
         hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - sol.weights, 0.0)
         self.r = np.concatenate([sol.shell_residual, hinge])
+        self.half_rr = 0.5 * float(self.r @ self.r)
         self.hinge_active = bool(np.any(hinge > 0.0))
+        self.max_residual = float(np.max(np.abs(sol.shell_residual), initial=0.0))
         self.bary = ref_to_bary(self.points) if bary is None else bary
         self.barrier = _barrier_value(self.bary)
         self.jac = self.barrier_grad = self.barrier_hess = None
@@ -128,11 +129,6 @@ class _EvalState:
         hinge_rows = np.where(active[:, None], -sol.weight_jacobian, 0.0)
         self.jac = np.vstack([sol.shell_jacobian, hinge_rows])
         self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
-
-    @property
-    def max_residual(self) -> float:
-        res = self.sol.shell_residual
-        return float(np.max(np.abs(res))) if res.size else 0.0
 
     @property
     def converged(self) -> bool:
@@ -228,8 +224,7 @@ def _levenberg_marquardt(
                 best = state
             if state.converged and not state.hinge_active:
                 return state, iters
-            half_rr = 0.5 * float(state.r @ state.r)
-            if mu > 0.0 and half_rr <= STAGE_EXIT_FRAC * mu * state.barrier:
+            if mu > 0.0 and state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier:
                 break  # the shell term is negligible beside the barrier
 
             state.linearize()  # derivatives only where a step starts
@@ -240,9 +235,8 @@ def _levenberg_marquardt(
                 grad = grad + mu * state.barrier_grad
             scale = np.diag(gn).copy()
             scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
-            phi = half_rr + mu * state.barrier
+            phi = state.half_rr + mu * state.barrier
 
-            accepted = False
             while lam < 1e13:
                 try:
                     step = np.linalg.solve(gn + lam * np.diag(scale), -grad)
@@ -260,19 +254,14 @@ def _levenberg_marquardt(
                 except DegenerateConfigurationError:
                     lam *= 10.0
                     continue
-                tr = trial_state.r
-                if 0.5 * float(tr @ tr) + mu * trial_state.barrier < phi:
-                    accepted = True
+                if trial_state.half_rr + mu * trial_state.barrier < phi:
                     state = trial_state
                     lam = max(lam / 3.0, 1e-14)
-                    rel_step = float(np.max(np.abs(step))) / max(
-                        1.0, float(np.max(np.abs(state.points)))
-                    )
-                    if rel_step < 1e-15:
-                        stage_stalled = True
+                    size = max(1.0, float(np.max(np.abs(state.points))))
+                    stage_stalled = float(np.max(np.abs(step))) / size < 1e-15
                     break
                 lam *= 10.0
-            if not accepted:
+            else:
                 stage_stalled = True  # no acceptable step at this barrier strength
 
         if state.max_residual < best.max_residual:
@@ -344,6 +333,7 @@ def _init_perturbed(
     return pts
 
 
+@_one_blas_thread()
 def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
     """Points of a rule with dim P_d points, positive weights, interior
     points and strength s, by node elimination (Xiao & Gimbutas, Comput.
@@ -353,7 +343,7 @@ def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
     points.  Each level drops one point and solves for the others and their
     free weights (`_gauss_newton`), trying the points least significant by
     w_j sum_k g_k(z_j)^2 first and failing after 40 of them (d = 8 at
-    strength 14 needs more than 8).
+    strength 14 needs 10 at one level).
     """
     s = spec_s.degree
     pts, w = gauss_quadrature(max(s // 2 + 1, math.isqrt(spec_d.dim - 1) + 1))
@@ -387,46 +377,24 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
         jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
         jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
         jac[:, 2 * m :] = ev.values.T
-        y = _spd_solve(np.einsum("ik,jk->ij", jac, jac) + lam * np.eye(f.size), f)
-        if y is not None:
-            step = -(jac.T @ y)
-            trial, trial_w = pts + step[: 2 * m].reshape(m, 2), w + step[2 * m :]
-            if np.all(ref_to_bary(trial) > 0.0) and np.all(trial_w > 0.0):
-                trial_ev = vandermonde(spec_s, trial)
-                trial_f = trial_ev.values.T @ trial_w - b
-                if trial_f @ trial_f < f @ f:
-                    pts, w, ev, f = trial, trial_w, _derivative_sweep(trial_ev), trial_f
-                    lam = max(lam / 10.0, 1e-16)
-                    continue
+        try:
+            step = -(jac.T @ np.linalg.solve(jac @ jac.T + lam * np.eye(f.size), f))
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        trial, trial_w = pts + step[: 2 * m].reshape(m, 2), w + step[2 * m :]
+        if np.all(ref_to_bary(trial) > 0.0) and np.all(trial_w > 0.0):
+            trial_ev = vandermonde(spec_s, trial)
+            trial_f = trial_ev.values.T @ trial_w - b
+            if trial_f @ trial_f < f @ f:
+                pts, w, ev, f = trial, trial_w, _derivative_sweep(trial_ev), trial_f
+                lam = max(lam / 10.0, 1e-16)
+                continue
         lam *= 10.0
     return None
 
 
-def _spd_solve(a: np.ndarray, f: np.ndarray):
-    """x with a x = f for symmetric positive definite `a`, by Cholesky, or
-    None at a pivot that is not positive.
-
-    OpenBLAS splits `np.linalg.solve` and matrix products over its threads
-    above about 100 unknowns, and their bits then depend on the thread
-    count.  einsum does not call BLAS, and the matrix-vector and vector
-    products here gave the same bits at one and two threads, so elimination
-    writes the same points at either.
-    """
-    n = f.size
-    low = np.zeros_like(a)
-    for j in range(n):
-        col = a[j:, j] - np.einsum("ik,k->i", low[j:, :j], low[j, :j])
-        if not col[0] > 0.0:
-            return None
-        low[j:, j] = col / math.sqrt(col[0])
-    x = np.empty(n)
-    for i in range(n):
-        x[i] = (f[i] - low[i, :i] @ x[:i]) / low[i, i]
-    for i in reversed(range(n)):
-        x[i] = (x[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
-
-
+@_one_blas_thread()
 def optimize(
     d: int,
     *,
@@ -439,10 +407,10 @@ def optimize(
 
     `target_e` defaults to the degrees-of-freedom bound minus d, the
     highest strength the counting argument allows, and `restarts` to 50
-    for d <= 5 and 500 for d >= 6.  Runs restarts sequentially with
-    per-restart RNG streams spawned from `seed`, so the same arguments
-    reproduce the same result, and stops at the first restart that
-    converges with positive weights and strictly interior points.
+    for d <= 5 and 500 for d >= 6.  Runs restarts in turn, at one OpenBLAS
+    thread, with per-restart RNG streams spawned from `seed`: the same
+    arguments give the same result at any thread count.  Stops at the
+    first restart that converges with positive weights and interior points.
     Restart 0 starts from warp-and-blend nodes and restart 1 from node
     elimination (`_eliminate`); every later restart, and restart 1 where
     elimination fails, perturbs the lowest-residual candidate so far, or
@@ -474,7 +442,7 @@ def optimize(
         warnings.warn(
             f"target degree {target} exceeds the degrees-of-freedom bound "
             f"{dof_bound(d)}; the counting argument makes it infeasible",
-            stacklevel=2,
+            stacklevel=3,  # past the thread pin's wrapper
         )
     spec_d = BasisSpec(d)
     spec_de = BasisSpec(target)

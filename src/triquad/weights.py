@@ -33,6 +33,10 @@ condition inf; a non-finite entry is refused with a ValueError first.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
+from functools import cache
+
 import numpy as np
 
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, rounding_floor, vandermonde
@@ -52,6 +56,32 @@ class DegenerateConfigurationError(RuntimeError):
         self.condition_estimate = condition_estimate
 
 
+@cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None."""
+    try:  # dlsym searches the extension's dependencies
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # another numpy build
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread, whose bits do not depend on
+    OPENBLAS_NUM_THREADS, and restore the caller's count after it."""
+    get, put = _openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
+
+
 def _invert(a: np.ndarray):
     """Inverse of `a` and its exact 1-norm condition number.
 
@@ -64,7 +94,7 @@ def _invert(a: np.ndarray):
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None, float("inf")
-    cond = float(np.linalg.norm(a, 1) * np.linalg.norm(inv, 1))
+    cond = float(np.abs(a).sum(axis=0).max() * np.abs(inv).sum(axis=0).max())
     return inv, cond if np.isfinite(cond) else float("inf")
 
 

@@ -29,7 +29,7 @@ from triquad.optimizer import (
     optimize,
     residual_jacobian,
 )
-from triquad.rule import OracleDisagreementError, certify
+from triquad.rule import OracleDisagreementError, QuadratureRule, certify
 from triquad.ruleio import emit_rule
 from triquad.weights import (
     DegenerateConfigurationError,
@@ -322,8 +322,9 @@ def test_optimize_infeasible_target_warns_and_flags(monkeypatch):
 
 def test_optimize_beyond_bound_warns(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 50)
-    with pytest.warns(UserWarning, match="degrees-of-freedom"):
+    with pytest.warns(UserWarning, match="degrees-of-freedom") as record:
         optimize(1, target_e=3, seed=0, restarts=1)
+    assert record[0].filename == __file__  # the caller's line, not the pin's
 
 
 def test_optimize_is_deterministic():
@@ -439,22 +440,40 @@ def test_elimination_reaches_the_table_row(d, s):
     assert iters <= 120
 
 
-def test_elimination_writes_the_same_points_at_one_and_two_blas_threads():
-    # at d = 7 its 105 x 105 Gram matrix is past the size where OpenBLAS
-    # splits a matrix product or a solve over its threads
-    code = ("import hashlib; from triquad.basis import BasisSpec; "
-            "from triquad.optimizer import _eliminate; "
-            "pts = _eliminate(BasisSpec(7), BasisSpec(13)); "
-            "print(hashlib.sha256(pts.tobytes()).hexdigest())")
+# Each probe writes one output whose bits OpenBLAS would make depend on its
+# thread count: elimination's 105 x 105 Gram matrix at d = 7 and the d = 9
+# search's normal equations are past the size where it splits a product or
+# a solve over its threads, and so is the d = 14 Vandermonde inverse
+THREAD_PROBES = {
+    "d7_elimination": [
+        "-c", "import hashlib; from triquad.basis import BasisSpec; "
+        "from triquad.optimizer import _eliminate; "
+        "pts = _eliminate(BasisSpec(7), BasisSpec(13)); "
+        "print(hashlib.sha256(pts.tobytes()).hexdigest())",
+    ],
+    "d9_search": [
+        "-c", "import triquad.optimizer as o; o.MAX_ITERATIONS = 100; "
+        "print(repr(o.optimize(9, target_e=7, seed=1, restarts=1).best_residual))",
+    ],
+    "d14_weights": ["-m", "triquad.cli", "weights", "{file}", "--d", "14"],
+}
+
+
+@pytest.mark.parametrize("probe", sorted(THREAD_PROBES))
+def test_outputs_are_the_same_at_one_and_two_blas_threads(probe, tmp_path):
+    file = tmp_path / "d14.txt"
+    pts = _init_warp_blend(14, 0.05)
+    file.write_text(emit_rule(QuadratureRule(14, pts, np.full(len(pts), 2.0 / len(pts)))))
+    args = [arg.format(file=file) for arg in THREAD_PROBES[probe]]
     src = str(Path(__file__).resolve().parents[1] / "src")
-    digests = {
+    outputs = {
         subprocess.run(
-            [sys.executable, "-c", code], check=True, capture_output=True, text=True,
+            [sys.executable, *args], check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
         ).stdout
         for threads in ("1", "2")
     }
-    assert len(digests) == 1
+    assert len(outputs) == 1
 
 
 def test_elimination_fails_where_the_strength_is_out_of_reach():
@@ -669,20 +688,21 @@ def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
 # patched MAX_ITERATIONS or None, converged, restarts_run, best residual,
 # SHA-256 of the emitted rule, the --verbose lines)
 MULTI_RESTART_RUNS = {
-    # restart 0 plateaus, restart 1 (node elimination) certifies and breaks
+    # restart 0 plateaus, restart 1 (node elimination) certifies and breaks;
+    # it ends 0.08% under RESIDUAL_TOLERANCE
     "d7_restart1": (
-        7, {"target_e": 6, "seed": 12, "restarts": 12}, None, True, 2, "6.411538e-15",
-        "fdf91c6dac8091764d5a2890955c7189d67833dd757fb3168f97d7fcbac511d9",
+        7, {"target_e": 6, "seed": 12, "restarts": 12}, None, True, 2, "9.992007e-15",
+        "11c71c6f3f328f4a808f17e83fa7172e97d19e27c8acc5fbe4843e3c5dcbc301",
         ["restart 0: residual 3.934e-02 after 2000 iterations",
-         "restart 1: residual 6.412e-15 after 1 iterations (converged)"],
+         "restart 1: residual 9.992e-15 after 10 iterations (converged)"],
     ),
     # the table row d = 9 at strength 16: restart 0 is cut short, and the
     # search from the elimination points converges at its first iteration
     "d9_elimination": (
-        9, {"target_e": 7, "seed": 0, "restarts": 2}, 300, True, 2, "5.205905e-15",
-        "5c64cce09b968c12dcf69166abcebf3b48de693f5752b01cba757aa7a72fa51b",
+        9, {"target_e": 7, "seed": 0, "restarts": 2}, 300, True, 2, "6.713380e-15",
+        "b9821a8f891f66f4799397a0b1d8d3700a3353b61688929339a3b574c45addf4",
         ["restart 0: residual 3.271e-05 after 300 iterations",
-         "restart 1: residual 5.206e-15 after 1 iterations (converged)"],
+         "restart 1: residual 6.713e-15 after 1 iterations (converged)"],
     ),
     # strength 6 at d = 3 is out of reach: elimination fails, restarts 1..5
     # perturb the lowest state so far, and the tie-break picks among six

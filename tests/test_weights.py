@@ -1,16 +1,22 @@
+import hashlib
 import re
 
 import numpy as np
 import pytest
 
+import triquad.weights
 from triquad.basis import BasisSpec, vandermonde
+from triquad.cli import main
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_unit
-from triquad.optimizer import _init_warp_blend, residual_jacobian
+from triquad.optimizer import _init_warp_blend, optimize, residual_jacobian
 from triquad.rule import dof_bound
+from triquad.ruleio import emit_rule
 from triquad.weights import (
     CONDITION_LIMIT,
     DegenerateConfigurationError,
     WeightSolution,
+    _one_blas_thread,
+    _openblas_threads,
     newton_cotes_weights,
     weight_jacobian,
 )
@@ -264,3 +270,34 @@ def test_extended_solve_has_the_bits_of_the_plain_one(d, e):
             continue
         assert np.array_equal(extended[0], plain[0])
         assert extended[1] == plain[1]
+
+
+def test_the_blas_pin_restores_the_callers_count_also_when_its_body_raises(
+    tmp_path, capsys
+):
+    if _openblas_threads() is None:
+        pytest.skip("this numpy's OpenBLAS exports no thread-count functions")
+    get, put = _openblas_threads()
+    caller = get()
+    try:
+        put(2)
+        with pytest.raises(KeyError), _one_blas_thread():
+            assert get() == 1
+            raise KeyError("body")
+        assert get() == 2
+        assert main(["verify", str(tmp_path / "missing.txt")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert get() == 2
+    finally:
+        put(caller)
+
+
+def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
+    # another numpy build: the pin does nothing, and d = 1 (whose arrays are
+    # far below OpenBLAS's threading sizes) still writes PINNED_RUNS[1] of
+    # test_acceptance.py
+    monkeypatch.setattr(triquad.weights, "_openblas_threads", lambda: None)
+    text = emit_rule(optimize(1, target_e=1).rule)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "adbc616ec30d4ea649ebc4b2bfd722819adfb8b19a2d8bb0b5ed3027f96ae276"
+    )
