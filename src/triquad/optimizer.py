@@ -39,12 +39,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
-# numpy loads np.polynomial and np.random on first use; imported here,
-# they load with this module instead of inside the first search
+# numpy loads np.polynomial on first use, and every search needs it for the
+# warp-and-blend start: imported here, it loads with this module instead of
+# inside the first search.  np.random loads at a restart's first draw
+# (`_RestartRng`), so a process that draws nothing never pays for it
 from numpy.polynomial import Legendre
-from numpy.random import Generator, SeedSequence, default_rng
 
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
 from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
@@ -183,7 +185,7 @@ def _levenberg_marquardt(
     spec_d: BasisSpec,
     spec_de: BasisSpec,
     points: np.ndarray,
-    rng: Generator,
+    rng: _RestartRng | np.random.Generator,
 ) -> tuple[_EvalState, int]:
     """Damped Gauss-Newton from (N, 2) `points`, with annealed log barrier
     and stall kicks.
@@ -317,8 +319,31 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
     return bary_to_ref((1.0 - tau) * lam[:, [2, 0]] + tau / 3.0)
 
 
+class _RestartRng:
+    """Restart r's random stream, `default_rng(SeedSequence(seed,
+    spawn_key=(r,)))`, built at its first draw.
+
+    One object serves a restart's perturbed start and its kicks, so they
+    draw from one stream in turn, as from one Generator.  A restart that
+    draws nothing (restart 0, or one that starts from node elimination and
+    converges without a kick) never loads numpy.random.
+    """
+
+    def __init__(self, seed: int, restart: int):
+        self.seed, self.restart = seed, restart
+
+    @cached_property
+    def _generator(self) -> np.random.Generator:
+        from numpy.random import SeedSequence, default_rng
+
+        return default_rng(SeedSequence(self.seed, spawn_key=(self.restart,)))
+
+    def normal(self, loc: float, scale: float, size) -> np.ndarray:
+        return self._generator.normal(loc, scale, size)
+
+
 def _init_perturbed(
-    rng: Generator, base: np.ndarray, scale: float = 0.03
+    rng: _RestartRng | np.random.Generator, base: np.ndarray, scale: float = 0.03
 ) -> np.ndarray:
     """`base` plus normal noise of deviation `scale`; a point that lands
     within 1e-6 of an edge or outside is pulled a fifth of the way toward
@@ -364,21 +389,26 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
     """(points, weights) with max |V_s^T w - b| <= RESIDUAL_TOLERANCE, by
     damped minimum-norm Gauss-Newton over points and weights within 60
     trials, or None.  A trial is accepted only if its points are interior,
-    its weights positive and its residual norm lower."""
+    its weights positive and its residual norm lower.  The Jacobian and its
+    Gram matrix are formed once per state a trial steps from: a rejected
+    trial changes only the damping."""
     b, m = integrals_vector(spec_s), w.size
-    ev = vandermonde(spec_s, pts, derivatives=True)
+    ev = vandermonde(spec_s, pts)
     f = ev.values.T @ w - b
-    lam = 1e-6
+    lam, jac = 1e-6, None
     for _ in range(60):
         if np.max(np.abs(f)) <= RESIDUAL_TOLERANCE:
             return pts, w
-        # columns 2j + c: coordinate c of point j; then one per weight
-        jac = np.empty((f.size, 3 * m))
-        jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
-        jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
-        jac[:, 2 * m :] = ev.values.T
+        if jac is None:
+            # columns 2j + c: coordinate c of point j; then one per weight
+            ev = _derivative_sweep(ev)
+            jac = np.empty((f.size, 3 * m))
+            jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
+            jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
+            jac[:, 2 * m :] = ev.values.T
+            gram = jac @ jac.T
         try:
-            step = -(jac.T @ np.linalg.solve(jac @ jac.T + lam * np.eye(f.size), f))
+            step = -(jac.T @ np.linalg.solve(gram + lam * np.eye(f.size), f))
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue
@@ -387,7 +417,7 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
             trial_ev = vandermonde(spec_s, trial)
             trial_f = trial_ev.values.T @ trial_w - b
             if trial_f @ trial_f < f @ f:
-                pts, w, ev, f = trial, trial_w, _derivative_sweep(trial_ev), trial_f
+                pts, w, ev, f, jac = trial, trial_w, trial_ev, trial_f, None
                 lam = max(lam / 10.0, 1e-16)
                 continue
         lam *= 10.0
@@ -456,7 +486,7 @@ def optimize(
     best = lowest = None
     start = _init_warp_blend(d, WARP_SHRINK)
     for r in range(restarts):
-        rng = default_rng(SeedSequence(seed, spawn_key=(r,)))
+        rng = _RestartRng(seed, r)
         if r == 0:
             x0 = start
         elif r == 1 and (eliminated := _eliminate(spec_d, spec_de)) is not None:

@@ -13,7 +13,6 @@ so stored rules can be checked for tampering.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import warnings
 from pathlib import Path
@@ -131,10 +130,6 @@ def _header_int(header: dict[str, str], key: str) -> int | None:
         raise RuleParseError(f"header {key} is not an integer: {header[key]!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return f"{x: .17e}"
-
-
 def emit_rule(rule: QuadratureRule) -> str:
     """Serialize a rule; round-trips through parse_rule to 1e-15.
 
@@ -160,11 +155,10 @@ def emit_rule(rule: QuadratureRule) -> str:
     for key, value in fields.items():
         if value is not None:
             lines.append(f"# {key} = {value}")
-    bary = ref_to_bary(rule.points)
-    w_file = rule.weights / 2.0
-    for i in range(rule.n_points):
-        lines.append(f"{_fmt(bary[i, 0])} {_fmt(bary[i, 1])} {_fmt(w_file[i])}")
-    return "\n".join(lines) + "\n"
+    records = np.column_stack([ref_to_bary(rule.points)[:, :2], rule.weights / 2.0])
+    # one % for the whole block; "% .17e" % x writes the bytes of f"{x: .17e}"
+    block = ("% .17e % .17e % .17e\n" * rule.n_points) % tuple(records.ravel().tolist())
+    return "\n".join(lines) + "\n" + block
 
 
 def parse_points_xyw(text: str, weight_scale: float | None = None) -> QuadratureRule:
@@ -192,6 +186,17 @@ def parse_points_xyw(text: str, weight_scale: float | None = None) -> Quadrature
         points=bary_to_ref(records[:, :2]),
         weights=weight_scale * weights,
     )
+
+
+def _digest(data: bytes) -> str:
+    """SHA-256 hex digest of `data`, as the registry index records it.
+
+    hashlib (OpenSSL) is imported here, not with the module: only the
+    registry hashes, and a process that never opens one never loads it.
+    """
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
 
 
 class Registry:
@@ -233,7 +238,7 @@ class Registry:
 
     def _update_index(self, name: str, text: str) -> None:
         entries = self._read_index()
-        entries[name] = hashlib.sha256(text.encode()).hexdigest()
+        entries[name] = _digest(text.encode())
         lines = [f"{fname} {dig}" for fname, dig in sorted(entries.items())]
         (self.root / self.INDEX_NAME).write_text("\n".join(lines) + "\n")
 
@@ -250,7 +255,7 @@ class Registry:
         recorded = self._read_index().get(name)
         if recorded is None:
             raise RuleParseError(f"registry index has no digest for {name}")
-        actual = hashlib.sha256((self.root / name).read_bytes()).hexdigest()
+        actual = _digest((self.root / name).read_bytes())
         if actual != recorded:
             raise RuleParseError(
                 f"registry digest mismatch for {name}: file was modified"

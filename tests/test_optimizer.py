@@ -20,6 +20,7 @@ from triquad.optimizer import (
     RESIDUAL_TOLERANCE,
     WARP_SHRINK,
     OptimizeResult,
+    _RestartRng,
     _barrier_derivatives,
     _barrier_value,
     _eliminate,
@@ -476,6 +477,31 @@ def test_outputs_are_the_same_at_one_and_two_blas_threads(probe, tmp_path):
     assert len(outputs) == 1
 
 
+def test_elimination_forms_one_jacobian_per_state(monkeypatch):
+    # a rejected trial changes only the damping, so the Jacobian and its Gram
+    # matrix of the state it stepped from are reused, with the same points;
+    # each Jacobian starts with the derivative sweep of its state
+    sweep, states, solves = triquad.optimizer._derivative_sweep, [], []
+    solve = np.linalg.solve
+
+    def recording_sweep(ev):
+        states.append(hashlib.sha256(ev.values.tobytes()).digest())
+        return sweep(ev)
+
+    def counting_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(triquad.optimizer, "_derivative_sweep", recording_sweep)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    pts = _eliminate(BasisSpec(7), BasisSpec(13))
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "20f693bcfda50a5eb16525bfc2bb43d9bcc50118595fe5f91e930b73365e573a"
+    )
+    assert len(set(states)) == len(states)
+    assert len(solves) > len(states)  # some trials were rejected
+
+
 def test_elimination_fails_where_the_strength_is_out_of_reach():
     assert _eliminate(BasisSpec(3), BasisSpec(6)) is None
 
@@ -573,6 +599,17 @@ def test_perturbed_points_are_strictly_interior():
             pts = _init_perturbed(rng, base, scale)
             assert pts.shape == base.shape
             assert np.all(ref_to_bary(pts) > 0.0), scale
+
+
+def test_a_restart_draws_its_start_and_kicks_from_one_stream():
+    # the perturbed start, then a kick: two draws in turn from the one
+    # Generator the restart builds at its first draw
+    base = _init_warp_blend(3, WARP_SHRINK)
+    lazy = _RestartRng(7, 3)
+    reference = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(3,)))
+    for scale in (0.03, 0.08):
+        assert np.array_equal(_init_perturbed(lazy, base, scale),
+                              _init_perturbed(reference, base, scale))
 
 
 def test_a_degenerate_start_raises():
@@ -717,6 +754,20 @@ MULTI_RESTART_RUNS = {
          "restart 5: residual 4.009e-02 after 300 iterations"],
     ),
 }
+
+
+@pytest.mark.parametrize("search,draws", [
+    ("o.optimize(6, target_e=5, seed=0, restarts=12)", False),
+    ("o.MAX_ITERATIONS = 300; o.optimize(3, target_e=3, seed=0, restarts=6)", True),
+], ids=["d6_restart0", "d3_unconverged"])
+def test_numpy_random_loads_at_the_first_draw(search, draws):
+    # d = 6 certifies on restart 0, which draws nothing; at the d3_unconverged
+    # settings above, restarts 2..5 perturb and kick
+    code = f"import sys, triquad.optimizer as o; {search}; print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == str(draws)
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_RESTART_RUNS))

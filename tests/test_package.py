@@ -70,17 +70,29 @@ def test_every_benchmark_span_binding_resolves():
         assert callable(target), f"{module_name}.{attr}"
 
 
+def loaded_modules(code):
+    """The modules a fresh interpreter holds after running `code`."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code += "; import sys; print(); print(*sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
 def test_start_up_does_not_load_scipy_special():
     # a fresh process pays for every module it imports: the library and the
     # CLI solve with numpy alone, so no part of scipy (and no second BLAS)
-    # is loaded
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = ("import sys, triquad, triquad.cli; triquad.BasisSpec(1); "
-            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    # is loaded; numpy.random loads at a search's first draw and hashlib
+    # (OpenSSL) with the registry, so neither start-up nor verify loads them
+    corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "tri_d3_s5.txt"
+    for code in ("import triquad, triquad.cli; triquad.BasisSpec(1)",
+                 f"import triquad.cli; assert triquad.cli.main(['verify', {str(corpus)!r}]) == 0"):
+        loaded = loaded_modules(code)
+        assert "triquad.cli" in loaded
+        unwanted = {m for m in loaded if m.split(".")[0] == "scipy"
+                    or m.startswith("numpy.random") or m == "hashlib"}
+        assert unwanted == set(), code
 
 
 def test_every_public_name_is_documented_in_the_readme():

@@ -149,6 +149,27 @@ def test_emit_is_deterministic():
     assert emit_rule(rule) == emit_rule(rule)
 
 
+def test_emitted_records_match_the_f_string_reference(monkeypatch):
+    # every finite float64 exponent (random bit patterns), signed zeros,
+    # subnormals and the extremes, written as record fields
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 0.5, 1.0 / 3.0]
+    values = np.concatenate([bits[np.isfinite(bits)], special])
+    if values.size % 2:
+        values = np.append(values, 2.0)
+    cols = values.reshape(-1, 2)
+    n = cols.shape[0]
+    rule = QuadratureRule(None, np.full((n, 2), -1.0 / 3.0), rng.dirichlet(np.ones(n)) * 2.0)
+    monkeypatch.setattr("triquad.ruleio.ref_to_bary",
+                        lambda pts: np.column_stack([cols, np.zeros(n)]))
+    records = emit_rule(rule).splitlines()[-n:]
+    w_file = rule.weights / 2.0
+    assert records == [f"{b1: .17e} {b2: .17e} {w: .17e}"
+                       for (b1, b2), w in zip(cols, w_file)]
+
+
 # --------------------------------------------------------------- adapter
 
 
