@@ -18,20 +18,22 @@ takes the search's settings as keyword arguments and sets their defaults.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
-solve the unbiased problem; a weight hinge steers toward positive weights.
-A barrier stage (mu > 0) ends at the first of three exits: its iteration
-cap, a stall, or the shell term falling to STAGE_EXIT_FRAC of the barrier
-term.
+solve the unbiased problem.  Positive weights are a check on the finished
+rule (`optimize`'s tie-break), not a term the search minimizes.  A barrier
+stage (mu > 0) ends at the first of three exits: its iteration cap, a
+stall, or the shell term falling to STAGE_EXIT_FRAC of the barrier term.
+A restart is one anneal: it ends at convergence, at its first stall with
+the barrier off, or at MAX_ITERATIONS.
 Every configuration the search visits is one `WeightSolution` (basis
 values, the weight solve and the shell residual) wrapped in an
-`_EvalState` that adds the hinge and the barrier value; that much decides
-whether a trial step is accepted.  The state a restart ends on is its
-outcome: points, weights, condition estimate and residual, with no second
-solve.  Derivatives (the solution's weight and shell Jacobians and the
-barrier's gradient and Hessian) are formed only for a configuration the
-search steps from: the start, an accepted trial or a kick.  A trial step
-leaving the triangle is rejected before evaluation, and one producing a
-near-singular Vandermonde system is rejected outright.
+`_EvalState` that adds the barrier value; that much decides whether a trial
+step is accepted.  The state a restart ends on is its outcome: points,
+weights, condition estimate and residual, with no second solve.
+Derivatives (the solution's weight and shell Jacobians and the barrier's
+gradient and Hessian) are formed only for a configuration the search steps
+from: the start or an accepted trial.  A trial step leaving the triangle is
+rejected before evaluation, and one producing a near-singular Vandermonde
+system is rejected outright.
 """
 
 from __future__ import annotations
@@ -39,13 +41,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 # numpy loads np.polynomial on first use, and every search needs it for the
 # warp-and-blend start: imported here, it loads with this module instead of
-# inside the first search.  np.random loads at a restart's first draw
-# (`_RestartRng`), so a process that draws nothing never pays for it
+# inside the first search.  np.random loads only in a restart that perturbs
+# (`optimize`), so a process that draws nothing never pays for it
 from numpy.polynomial import Legendre
 
 from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
@@ -58,11 +59,6 @@ from .weights import newton_cotes_weights  # noqa: F401
 #: Largest shell residual at which a restart has converged.
 RESIDUAL_TOLERANCE = 1e-14
 
-#: Margin of the weight hinge, as a fraction of the mean weight 2/N.  The
-#: hinge steers the under-determined solve toward positive weights and is
-#: exactly zero (hence bias-free) once every weight clears the margin.
-WEIGHT_MARGIN_FRAC = 0.1
-
 #: Log-barrier strength of the first anneal stage.
 BARRIER_START = 1e-8
 
@@ -72,11 +68,14 @@ BARRIER_START = 1e-8
 #: that the next, weaker stage discards.
 STAGE_EXIT_FRAC = 1e-3
 
-#: Levenberg-Marquardt iterations per restart, kicks included.
+#: Levenberg-Marquardt iterations per restart.
 MAX_ITERATIONS = 2000
 
 #: Shrink toward the centroid of restart 0's warp-and-blend start.
 WARP_SHRINK = 0.05
+
+#: Deviation of the normal noise a perturbed restart adds to its base.
+PERTURB_SCALE = 0.03
 
 #: Warburton's optimized blend exponents alpha_opt for d = 1..15.
 _WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
@@ -96,28 +95,25 @@ class OptimizeResult:
 
 class _EvalState:
     """One configuration the search visits: its `WeightSolution` plus the
-    LM's own policy terms.
+    barrier.
 
     Construction costs values only: the solution (values tabulation, weight
-    solve, shell residual and its `max_residual`), `r` (the shell residual
-    with the hinge max(margin - w, 0) appended), `half_rr` = |r|^2/2,
-    `hinge_active`, the barycentrics (`bary`, if the caller has formed them)
-    and the barrier value: all a trial step needs.  `linearize()` adds, once,
-    what a step from this configuration needs: `jac` (the shell Jacobian
-    with the hinge rows) and the barrier's gradient and Hessian blocks.
+    solve, shell residual), `r` (the shell residual itself), `half_rr` =
+    |r|^2/2, `max_residual`, the barycentrics (`bary`, if the caller has
+    formed them) and the barrier value: all a trial step needs.
+    `linearize()` adds, once, what a step from this configuration needs:
+    `jac` (the shell Jacobian) and the barrier's gradient and Hessian blocks.
     """
 
-    __slots__ = ("sol", "points", "r", "half_rr", "hinge_active", "max_residual",
+    __slots__ = ("sol", "points", "r", "half_rr", "max_residual",
                  "bary", "barrier", "jac", "barrier_grad", "barrier_hess")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points, bary=None):
         self.points = as_point_array(points)
         self.sol = sol = WeightSolution(spec_d, self.points, spec_de)
-        hinge = np.maximum(WEIGHT_MARGIN_FRAC * 2.0 / spec_d.dim - sol.weights, 0.0)
-        self.r = np.concatenate([sol.shell_residual, hinge])
+        self.r = sol.shell_residual
         self.half_rr = 0.5 * float(self.r @ self.r)
-        self.hinge_active = bool(np.any(hinge > 0.0))
-        self.max_residual = float(np.max(np.abs(sol.shell_residual), initial=0.0))
+        self.max_residual = float(np.max(np.abs(self.r), initial=0.0))
         self.bary = ref_to_bary(self.points) if bary is None else bary
         self.barrier = _barrier_value(self.bary)
         self.jac = self.barrier_grad = self.barrier_hess = None
@@ -126,10 +122,7 @@ class _EvalState:
         """Form the Jacobian and barrier derivatives; a no-op after the first call."""
         if self.jac is not None:
             return
-        sol = self.sol.linearize()
-        active = self.r[sol.shell_residual.size:] > 0.0
-        hinge_rows = np.where(active[:, None], -sol.weight_jacobian, 0.0)
-        self.jac = np.vstack([sol.shell_jacobian, hinge_rows])
+        self.jac = self.sol.linearize().shell_jacobian
         self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
 
     @property
@@ -185,17 +178,14 @@ def _levenberg_marquardt(
     spec_d: BasisSpec,
     spec_de: BasisSpec,
     points: np.ndarray,
-    rng: _RestartRng | np.random.Generator,
 ) -> tuple[_EvalState, int]:
-    """Damped Gauss-Newton from (N, 2) `points`, with annealed log barrier
-    and stall kicks.
+    """Damped Gauss-Newton from (N, 2) `points`, with one annealed log
+    barrier.
 
-    When the unbiased problem stalls in a local minimum with iteration
-    budget left, the best configuration is perturbed with `rng` and the
-    barrier anneal rerun (deterministic basin hopping); a degenerate kick
-    is redrawn at half the scale, four draws at most.  Returns (state,
-    iterations): the state it converged on, or else the lowest-residual
-    state it visited.  A degenerate start raises
+    Ends at convergence, at the first stall with the barrier off (a local
+    minimum, left to the next restart) or after MAX_ITERATIONS.  Returns
+    (state, iterations): the state it converged on, or else the
+    lowest-residual state it visited.  A degenerate start raises
     DegenerateConfigurationError.
     """
     n = spec_d.dim
@@ -224,7 +214,7 @@ def _levenberg_marquardt(
             stage_iters += 1
             if state.max_residual < best.max_residual:
                 best = state
-            if state.converged and not state.hinge_active:
+            if state.converged:
                 return state, iters
             if mu > 0.0 and state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier:
                 break  # the shell term is negligible beside the barrier
@@ -268,25 +258,10 @@ def _levenberg_marquardt(
 
         if state.max_residual < best.max_residual:
             best = state
-        if state.converged and not (state.hinge_active and not stage_stalled):
+        if state.converged:
             return state, iters
         if mu == 0.0 and stage_stalled:
-            if iters >= MAX_ITERATIONS:
-                break  # local minimum, no budget left to escape
-            # basin hop: perturb the best configuration seen and re-anneal
-            kick_scale = 0.08 if best.max_residual > 1e-3 else 0.02
-            for _ in range(4):
-                kicked = _init_perturbed(rng, best.points, scale=kick_scale)
-                try:
-                    state = _EvalState(spec_d, spec_de, kicked)
-                    break
-                except DegenerateConfigurationError:
-                    kick_scale /= 2.0
-            else:
-                break
-            mu = BARRIER_START
-            lam = 1e-3
-            continue
+            break  # a local minimum of the unbiased problem
         if mu > 0.0:
             mu = 0.0 if mu < 1e-15 else mu / 10.0
         lam = min(lam, 1e-3)  # fresh damping: the objective just changed
@@ -319,36 +294,11 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
     return bary_to_ref((1.0 - tau) * lam[:, [2, 0]] + tau / 3.0)
 
 
-class _RestartRng:
-    """Restart r's random stream, `default_rng(SeedSequence(seed,
-    spawn_key=(r,)))`, built at its first draw.
-
-    One object serves a restart's perturbed start and its kicks, so they
-    draw from one stream in turn, as from one Generator.  A restart that
-    draws nothing (restart 0, or one that starts from node elimination and
-    converges without a kick) never loads numpy.random.
-    """
-
-    def __init__(self, seed: int, restart: int):
-        self.seed, self.restart = seed, restart
-
-    @cached_property
-    def _generator(self) -> np.random.Generator:
-        from numpy.random import SeedSequence, default_rng
-
-        return default_rng(SeedSequence(self.seed, spawn_key=(self.restart,)))
-
-    def normal(self, loc: float, scale: float, size) -> np.ndarray:
-        return self._generator.normal(loc, scale, size)
-
-
-def _init_perturbed(
-    rng: _RestartRng | np.random.Generator, base: np.ndarray, scale: float = 0.03
-) -> np.ndarray:
-    """`base` plus normal noise of deviation `scale`; a point that lands
-    within 1e-6 of an edge or outside is pulled a fifth of the way toward
-    the centroid, and one still not interior is put on the centroid."""
-    pts = base + rng.normal(0.0, scale, size=base.shape)
+def _init_perturbed(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
+    """`base` plus normal noise of deviation PERTURB_SCALE; a point that
+    lands within 1e-6 of an edge or outside is pulled a fifth of the way
+    toward the centroid, and one still not interior is put on the centroid."""
+    pts = base + rng.normal(0.0, PERTURB_SCALE, size=base.shape)
     outside = np.any(ref_to_bary(pts) <= 1e-6, axis=1)
     if outside.any():
         centroid = np.array([-1.0 / 3.0, -1.0 / 3.0])
@@ -486,15 +436,17 @@ def optimize(
     best = lowest = None
     start = _init_warp_blend(d, WARP_SHRINK)
     for r in range(restarts):
-        rng = _RestartRng(seed, r)
         if r == 0:
             x0 = start
         elif r == 1 and (eliminated := _eliminate(spec_d, spec_de)) is not None:
             x0 = eliminated
         else:
+            from numpy.random import SeedSequence, default_rng
+
+            rng = default_rng(SeedSequence(seed, spawn_key=(r,)))
             x0 = _init_perturbed(rng, start if lowest is None else lowest.points)
         try:
-            state, iters = _levenberg_marquardt(spec_d, spec_de, x0, rng)
+            state, iters = _levenberg_marquardt(spec_d, spec_de, x0)
         except DegenerateConfigurationError as exc:
             if verbose:
                 print(f"restart {r}: degenerate ({exc.args[0]})")

@@ -255,14 +255,13 @@ def test_generate_reports_an_uncertified_unconverged_search(monkeypatch, capsys)
     def disagreeing_certify(rule):
         raise triquad.rule.OracleDisagreementError("oracles disagree")
 
-    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 300)
     monkeypatch.setattr(triquad.optimizer, "certify", disagreeing_certify)
     assert main(["generate", "--d", "3", "--e", "3", "--restarts", "2"]) == 1
     assert capsys.readouterr() == ("", "error: oracles disagree\n")
 
 
 def test_generate_exits_1_when_every_restart_is_degenerate(monkeypatch, capsys):
-    def degenerate_search(spec_d, spec_de, points, rng):
+    def degenerate_search(spec_d, spec_de, points):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)

@@ -299,5 +299,5 @@ def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
     monkeypatch.setattr(triquad.weights, "_openblas_threads", lambda: None)
     text = emit_rule(optimize(1, target_e=1).rule)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "adbc616ec30d4ea649ebc4b2bfd722819adfb8b19a2d8bb0b5ed3027f96ae276"
+        "a4c8377614c73ad5364d0e2c1d05e44b556736e2f8f8b369bb329e57fff90866"
     )
