@@ -19,32 +19,21 @@ t = xi1 + (1 + xi2)/2 = eta * s,
 
     (m+1) Q_{m+1} = (2m+1) t Q_m - m s^2 Q_{m-1},   Q_0 = 1, Q_1 = t,
 
-which never forms eta.  Values and gradients therefore come from one
-division-free path at every point of the closed triangle, the collapsed
-vertex included.
+which never forms eta.  Values therefore come from one division-free path
+at every point of the closed triangle, the collapsed vertex included, and
+gradients from those values.
 
-A tabulation is two sweeps, each one stacked three-term recurrence.  The
-value sweep runs Q_k (twice, as two rows) over P_k^{2m+1,0}(xi2) for every
-m in one array, one step per order k:
+A values tabulation is one stacked three-term recurrence.  It runs Q_k
+(twice, as two rows) over P_k^{2m+1,0}(xi2) for every m in one array, one
+step per order k:
 
     X_{k+1} = (L_k * X_k - W_k * X_{k-1}) / a1,
 
 with L = a2 + a3 * xi2 and W = a4 on the alpha rows, and L = (2k+1) t,
 W = k s^2 and a1 = k+1 on the Q rows: each row groups and rounds exactly
 as its own recurrence does.  The operands L and W of every step are formed
-up front, a few array operations for all steps together.  The derivative
-sweep is one stacked recurrence as well, with rows dQ_k/dxi2, dQ_k/dxi1
-and dP_k^{2m+1,0}/dxi2; each of the three differentiated recurrences is
-an instance of
-
-    U_{k+1} = (k1 * (h * X_k + T * U_k) + k2 * (S - V * U_{k-1})) / a1
-
-through exact neutral operands (factors 1.0 and S = -0.0, an exact
--0.0 - x = -x), and it reads the value stack and the value sweep's L and W
-(T and V, once their Q rows are set) instead of recomputing them.  A
-values-only tabulation keeps those, so derivatives can be added later for
-the same points without repeating the value sweep.  The stacks hold only
-the rows that the m + n <= degree triangle reads: order k keeps Q_k and
+up front, a few array operations for all steps together.  The stack holds
+only the rows that the m + n <= degree triangle reads: order k keeps Q_k and
 P_k^{2m+1,0} for m <= degree - k, so the steps shrink with k, and no row is
 read before it is written.  Everything that depends on the degree alone
 is built once per degree and cached in a plan: the P_n^{2m+1,0}
@@ -53,6 +42,34 @@ substituted, since no other beta occurs) in stack rows, the Q rows'
 operands, the stack layout, the (m, n) gather rows and the normalization
 constants.
 
+Gradients come from the values.  The derivative of a degree-t polynomial
+lies in P_{t-1}, so both gradient blocks of the shell m + n = t are the
+values of P_{t-1} times a constant differentiation matrix (the Dr = Vr V^-1
+of Hesthaven & Warburton, Nodal Discontinuous Galerkin Methods, 2008, in
+the orthogonal basis).  Its entry for g_{j,l} (j + l < t) and the shell
+function g_{m,n} is (1/2) integral(g_{j,l} dg_{m,n}).  In the collapsed
+coordinates, where the triangle integral of f is that of f s over
+(eta, xi2), d/dxi1 = (1/s) d/deta and d/dxi2 = ((1 + eta)/(2s)) d/deta +
+d/dxi2 at fixed eta, the eta integrals are exact Legendre sums (P_m' sums
+(2k+1) P_k over k < m with m - k odd).  What is left is an integral along
+the edge xi1 = -1, where g_{j,l} = c_{j,l} (-1)^j s^j P_l^{2j+1,0}(xi2).
+With G the basis on that edge, Gamma = integral(G_{j,l} G_{m,n}) and
+Gamma' = integral(G_{j,l} s G'_{m,n}) along it:
+
+    d/dxi1 entry = -Gamma if j < m and m - j is odd, else 0,
+    d/dxi2 entry = (-1)^(j+m) Gamma / 2 if j < m,
+                   (Gamma' + m Gamma / 2) / (2m + 1) if j = m, else 0.
+
+Every integral an entry uses has the factor 1 - xi2 in its integrand, so
+the t-point Gauss-Jacobi(1, 0) rule, exact to degree 2t - 1, is exact.
+G' is the complex step of the value sweep along the edge, Im G(xi2 + i h)
+/ h (Squire & Trapp, SIAM Rev. 40, 1998), which forms no difference.  One
+edge sweep gives every shell's matrix, cached per degree.  Each matrix is
+built from its own rule and columns and multiplied in a product of its
+own, with the same shapes at every tabulation degree, so the derivative
+columns of a degree are bitwise independent of the degree of the
+tabulation they sit in.
+
 Basis enumeration is graded lexicographic and frozen: total degree
 ascending, m ascending within each degree.  Residual vectors, rule files
 and reports all index basis functions in this order.
@@ -60,15 +77,16 @@ and reports all index basis functions in this order.
 
 from __future__ import annotations
 
+import ctypes
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from contextlib import contextmanager
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .domain import as_point_array, gauss_quadrature
+from .domain import _gauss_jacobi_10, as_point_array, gauss_quadrature
 
 
 def dim_poly(degree: int) -> int:
@@ -98,6 +116,32 @@ def norm_constant(m: int, n: int) -> float:
     return math.sqrt((2 * m + 1) * (m + n + 1))
 
 
+@cache
+def _openblas_threads():
+    """numpy's OpenBLAS thread-count getter and setter, or None."""
+    try:  # dlsym searches the extension's dependencies
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # another numpy build
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body at one OpenBLAS thread, whose bits do not depend on
+    OPENBLAS_NUM_THREADS, and restore the caller's count after it."""
+    get, put = _openblas_threads() or (lambda: None, lambda count: None)
+    count = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(count)
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Basis of the polynomial space of total degree `degree`."""
@@ -118,32 +162,28 @@ class BasisEvaluation:
     """Vandermonde-style tabulation of all basis functions at a point set.
 
     values[j, k] is the k-th basis function at the j-th point; the optional
-    derivative blocks have the same shape.  A values-only tabulation keeps
-    the value tables its derivative sweep reads (`_sweep`).
+    derivative blocks have the same shape.  Derivatives of a values-only
+    tabulation are its values times the cached differentiation matrices
+    (`_differentiate`), so they can be added later without a second sweep.
     """
 
     values: np.ndarray
     d_xi1: np.ndarray | None = None
     d_xi2: np.ndarray | None = None
-    _sweep: "_ValueSweep | None" = field(default=None, repr=False, compare=False)
 
 
 class _Step(NamedTuple):
-    """One stacked recurrence step, order k to k + 1, of both sweeps.
+    """One stacked recurrence step, order k to k + 1.
 
-    Its `rows` are those of order k + 1: the two Q rows, then one row per
+    Its rows are those of order k + 1: the two Q rows, then one row per
     alpha 2m + 1 whose P_{k+1} the m + n <= degree triangle reads.  The
-    coefficients are (rows, 1) columns.
+    divisor is a column over them.
     """
 
-    rows: int
     prev: slice  # the step's rows at orders k - 1, k and k + 1
     cur: slice
     nxt: slice
-    a1: np.ndarray  # divisor of both sweeps
-    h: np.ndarray  # derivatives: (k1 * (h * X_k + T * U_k)
-    k1: np.ndarray  #     + k2 * (S - V * U_{k-1})) / a1
-    k2: np.ndarray
+    a1: np.ndarray  # divisor
 
 
 @dataclass(frozen=True)
@@ -162,7 +202,6 @@ class _Plan:
     first: int  # the first row of order 2
     alpha: np.ndarray  # 2m + 1 for m < degree, as a column
     slope: np.ndarray  # P_1^{alpha,0}(x) = (slope * x + alpha) / 2
-    d_first: np.ndarray  # the derivative rows of order 1
     a2: np.ndarray  # step operands of the rows from `first` on, as columns
     a3: np.ndarray
     a4: np.ndarray
@@ -197,22 +236,13 @@ def _plan(degree: int) -> _Plan:
         a3 = (2 * k + al) * (2 * k + al + 1) * (2 * k + al + 2)
         a3s.append(_stack(0.0, 0.0, a3))
         a4s.append(_stack(0.0, 0.0, 2.0 * (k + al) * k * (2 * k + al + 2)))
-        one = np.ones_like(al)
         r = degree - k + 2
-        # derivative rows dQ/dxi2, dQ/dxi1, then dP/dxi2; the factors 1.0
-        # (and S = -0.0) are exact neutrals that leave each row's own
-        # recurrence: (2k+1)(0.5 Q_k + t U_k) + k (s Q_{k-1} - s^2 U_{k-1}),
-        # (2k+1)(Q_k + t U_k) - k s^2 U_{k-1}, a3 P_k + L U_k - a4 U_{k-1}
         steps.append(
             _Step(
-                r,
                 slice(offset[k - 1], offset[k - 1] + r),
                 slice(offset[k], offset[k] + r),
                 slice(offset[k + 1], offset[k + 1] + r),
                 _stack(k + 1, k + 1, a1),
-                _stack(0.5, 1.0, a3),
-                _stack(2 * k + 1, 2 * k + 1, one),
-                _stack(k, 1.0, one),
             )
         )
     indices = multi_indices(degree)
@@ -227,7 +257,6 @@ def _plan(degree: int) -> _Plan:
         offset[min(2, degree + 1)],
         alpha[:degree],
         slope[:degree],
-        _stack(0.5, 1.0, 0.5 * slope[:degree]),
         np.concatenate(a2s or [empty]),
         np.concatenate(a3s or [empty]),
         np.concatenate(a4s or [empty]),
@@ -240,31 +269,15 @@ def _plan(degree: int) -> _Plan:
         c,
     )
     # every caller at this degree shares these arrays
-    arrays = (plan.alpha, plan.slope, plan.d_first, plan.a2, plan.a3, plan.a4,
-              plan.q_rows, plan.q_a3, plan.q_a4, plan.q_at, plan.p_at, c,
-              *chain(*((st.a1, st.h, st.k1, st.k2) for st in steps)))
+    arrays = (plan.alpha, plan.slope, plan.a2, plan.a3, plan.a4, plan.q_rows,
+              plan.q_a3, plan.q_a4, plan.q_at, plan.p_at, c, *(st.a1 for st in steps))
     for a in arrays:
         a.setflags(write=False)
     return plan
 
 
-@dataclass(frozen=True)
-class _ValueSweep:
-    """The tables of a value sweep that its derivative sweep reads."""
-
-    plan: _Plan
-    t: np.ndarray
-    s: np.ndarray
-    s2: np.ndarray
-    x: np.ndarray  # the value stack
-    lead: np.ndarray  # the step operands L and W, in stack rows
-    lag: np.ndarray
-    qk: np.ndarray  # Q_m and P_n^{2m+1,0} gathered per column (m, n)
-    jk: np.ndarray
-
-
 def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
-    """Basis values at `pts`, keeping the tables for a derivative sweep."""
+    """Basis values at `pts`, in the points' dtype (complex for a complex step)."""
     xi1, xi2 = pts.T
     deg, npts = plan.degree, pts.shape[0]
 
@@ -274,7 +287,7 @@ def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
     t = xi1 + 0.5 * (1.0 + xi2)
     s = 0.5 * (1.0 - xi2)
     s2 = s * s
-    x = np.empty((plan.size, npts))
+    x = np.empty((plan.size, npts), dtype=pts.dtype)
     lead = np.empty_like(x)
     lag = np.empty_like(x)
     x[: deg + 3] = 1.0
@@ -292,54 +305,67 @@ def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
         nxt = st.nxt
         np.divide(lead[nxt] * x[st.cur] - lag[nxt] * x[st.prev], st.a1, out=x[nxt])
 
-    qk, jk = x[plan.q_at], x[plan.p_at]
-    # (point, function) tables, C-contiguous: BLAS products downstream round
+    # (point, function) table, C-contiguous: BLAS products downstream round
     # by memory layout, and the search follows them
-    values = np.ascontiguousarray((plan.c * qk * jk).T)
-    sweep = _ValueSweep(plan, t, s, s2, x, lead, lag, qk, jk)
-    return BasisEvaluation(values, _sweep=sweep)
+    return BasisEvaluation(np.ascontiguousarray((plan.c * x[plan.q_at] * x[plan.p_at]).T))
 
 
-def _derivative_sweep(ev: BasisEvaluation) -> BasisEvaluation:
-    """`ev` with both first-derivative blocks, from its kept value tables.
+#: Imaginary step of the complex-step derivative: no difference is formed,
+#: so it can sit far below the rounding of the values.
+_COMPLEX_STEP = 1e-30
 
-    Differentiates the stacked recurrence as one stacked recurrence whose
-    Q rows are dQ_k/dxi2 and dQ_k/dxi1 and whose alpha rows are
-    dP_k^{2m+1,0}/dxi2.  The value stack and the value sweep's step
-    operands L and W are read, as T and V, not recomputed.
+
+@lru_cache(maxsize=None)
+@_one_blas_thread()  # every later caller reads these bits
+def _derivative_matrices(degree: int) -> tuple[np.ndarray, ...]:
+    """Read-only differentiation matrices of the shells t = 1..degree.
+
+    Row 2i + c of shell t's (2(t+1), dim P_{t-1}) matrix times the values of
+    P_{t-1} at a point is d/dxi_c (c = 0: xi1, 1: xi2) of the shell's i-th
+    function there.  Its bits depend on t alone, not on `degree`.
     """
-    sw = ev._sweep
-    plan, x, lead, lag = sw.plan, sw.x, sw.lead, sw.lag
-    deg = plan.degree
+    rules = [_gauss_jacobi_10(t) for t in range(1, degree + 1)]
+    xi2 = np.concatenate([x for x, _ in rules])
+    # the basis on the edge xi1 = -1, complex-stepped along it
+    edge = np.column_stack([np.full(xi2.size, -1.0), xi2 + 1j * _COMPLEX_STEP])
+    edge = _value_sweep(_plan(degree), edge).values
+    ms = np.array(multi_indices(degree))[:, 0]
+    matrices = []
+    for t, (x, w) in enumerate(rules, start=1):
+        lo, hi = dim_poly(t - 1), dim_poly(t)
+        at = edge[dim_poly(t - 2) : lo]  # the t points of shell t's rule
+        low, shell = at[:, :lo].real, at[:, lo:hi]
+        # the edge integrals Gamma and Gamma'; every one an entry uses has
+        # the factor 1 - xi2 of the rule's weight
+        gram = low.T @ ((w / (1.0 - x))[:, None] * shell.real)
+        dgram = low.T @ (0.5 * w[:, None] * shell.imag / _COMPLEX_STEP)
+        mj, mk = ms[:lo, None], ms[lo:hi]  # the m of each test and shell function
+        d1 = np.where((mj < mk) & ((mk - mj) % 2 == 1), -gram, 0.0)
+        d2 = np.where(mj < mk, 0.5 * (-1.0) ** (mj + mk) * gram, 0.0)
+        d2 += np.where(mj == mk, (dgram + 0.5 * mk * gram) / (2 * mk + 1), 0.0)
+        matrix = np.stack([d1.T, d2.T], axis=1).reshape(2 * (t + 1), lo)
+        matrix.setflags(write=False)
+        matrices.append(matrix)
+    return tuple(matrices)
 
-    u = np.empty_like(x)
-    u[: deg + 3] = 0.0
-    if deg >= 1:
-        u[deg + 3 : 2 * deg + 5] = plan.d_first
-    # the kept operands' Q rows become the derivative's, idempotently: both
-    # dQ rows step in t, and dQ/dxi2 (the first Q row) weighs U_{k-1} by s^2
-    lead[plan.q_rows] = sw.t
-    lag[plan.q_rows[: len(plan.steps)]] = sw.s2
-    # S: s Q_{k-1} on the dQ/dxi2 row, -0.0 (an exact 0 - x) on the others
-    shift = np.full((deg + 1, x.shape[1]), -0.0)
-    for st in plan.steps:
-        cur, nxt = st.cur, st.nxt
-        np.multiply(sw.s, x[st.prev.start], out=shift[0])
-        head = lead[nxt] * u[cur]
-        head += st.h * x[cur]
-        head *= st.k1
-        tail = lag[nxt] * u[st.prev]
-        np.subtract(shift[: st.rows], tail, out=tail)
-        tail *= st.k2
-        head += tail
-        np.divide(head, st.a1, out=u[nxt])
 
-    q_at, c = plan.q_at, plan.c
-    d_xi1 = c * u[q_at + 1] * sw.jk
-    d_xi2 = c * (u[q_at] * sw.jk + sw.qk * u[plan.p_at])
-    return BasisEvaluation(
-        ev.values, np.ascontiguousarray(d_xi1.T), np.ascontiguousarray(d_xi2.T)
-    )
+def _differentiate(ev: BasisEvaluation) -> BasisEvaluation:
+    """`ev` with both first-derivative blocks: shell by shell, the shell's
+    differentiation matrix times the values of lower degree."""
+    values = ev.values
+    npts, dim = values.shape
+    degree = (math.isqrt(8 * dim + 1) - 3) // 2  # dim = dim_poly(degree)
+    # grads[k, c] is d/dxi_c of function k at every point, so a shell's
+    # block is one contiguous product
+    grads = np.empty((dim, 2, npts))
+    grads[0] = 0.0
+    hi = 1
+    for t in range(1, degree + 1):
+        lo, hi = hi, hi + t + 1
+        block = grads[lo:hi].reshape(2 * (t + 1), npts)
+        np.matmul(_derivative_matrices(degree)[t - 1], values[:, :lo].T, out=block)
+    d_xi1, d_xi2 = (np.ascontiguousarray(grads[:, c].T) for c in range(2))
+    return BasisEvaluation(values, d_xi1, d_xi2)
 
 
 def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEvaluation:
@@ -347,14 +373,17 @@ def vandermonde(spec: BasisSpec, points, derivatives: bool = False) -> BasisEval
 
     points: (n, 2) array-like in reference coordinates, anywhere in the
     closed triangle.  With derivatives=True the two first-derivative
-    blocks are tabulated as well: the value sweep followed by the
-    derivative sweep.
+    blocks are tabulated as well: the value sweep followed by one product
+    per shell with its differentiation matrix.
     """
     pts = as_point_array(points)
     if pts.shape[0] == 0:
         raise ValueError("empty point set")
     ev = _value_sweep(_plan(spec.degree), pts)
-    return _derivative_sweep(ev) if derivatives else ev
+    if not derivatives:
+        return ev
+    with _one_blas_thread():  # the products' bits depend on the thread count
+        return _differentiate(ev)
 
 
 def integrals_vector(spec: BasisSpec) -> np.ndarray:

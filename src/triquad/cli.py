@@ -18,13 +18,13 @@ import warnings
 from functools import cache
 from pathlib import Path
 
-from .basis import BasisSpec, dim_poly
+from .basis import BasisSpec, _one_blas_thread, dim_poly
 from .domain import ref_to_bary, ref_to_unit
 from .optimizer import optimize
 from .rule import OracleDisagreementError, QuadratureRule, certify, dof_bound
 from .ruleio import Registry, emit_rule, parse_points_xyw, parse_rule
 from .svgplot import plot_rule
-from .weights import DegenerateConfigurationError, _one_blas_thread, newton_cotes_weights
+from .weights import DegenerateConfigurationError, newton_cotes_weights
 
 DEFAULT_REGISTRY = "rules"
 

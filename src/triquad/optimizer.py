@@ -49,10 +49,10 @@ import numpy as np
 # (`optimize`), so a process that draws nothing never pays for it
 from numpy.polynomial import Legendre
 
-from .basis import BasisSpec, _derivative_sweep, integrals_vector, vandermonde
+from .basis import BasisSpec, _differentiate, _one_blas_thread, integrals_vector, vandermonde
 from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
-from .weights import DegenerateConfigurationError, WeightSolution, _one_blas_thread
+from .weights import DegenerateConfigurationError, WeightSolution
 # nothing here calls it; perfbench/spans.py binds the name in this module
 from .weights import newton_cotes_weights  # noqa: F401
 
@@ -351,7 +351,7 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
             return pts, w
         if jac is None:
             # columns 2j + c: coordinate c of point j; then one per weight
-            ev = _derivative_sweep(ev)
+            ev = _differentiate(ev)
             jac = np.empty((f.size, 3 * m))
             jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
             jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
@@ -431,7 +431,7 @@ def optimize(
         return (not s.converged, not s.positive, not s.interior,
                 s.max_residual, s.sol.condition_estimate)
 
-    # two running minima, not a list: a state keeps its tabulations (3.7 MB
+    # two running minima, not a list: a state keeps its tabulations (1.1 MB
     # at d = 14), and a search may run 500 restarts
     best = lowest = None
     start = _init_warp_blend(d, WARP_SHRINK)

@@ -33,13 +33,9 @@ condition inf; a non-finite entry is refused with a ValueError first.
 
 from __future__ import annotations
 
-import ctypes
-from contextlib import contextmanager
-from functools import cache
-
 import numpy as np
 
-from .basis import BasisSpec, _derivative_sweep, integrals_vector, rounding_floor, vandermonde
+from .basis import BasisSpec, _differentiate, integrals_vector, rounding_floor, vandermonde
 
 #: Condition-number threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
@@ -54,32 +50,6 @@ class DegenerateConfigurationError(RuntimeError):
     def __init__(self, message: str, condition_estimate: float = float("inf")):
         super().__init__(message)
         self.condition_estimate = condition_estimate
-
-
-@cache
-def _openblas_threads():
-    """numpy's OpenBLAS thread-count getter and setter, or None."""
-    try:  # dlsym searches the extension's dependencies
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (AttributeError, OSError):  # another numpy build
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    return get, put
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body at one OpenBLAS thread, whose bits do not depend on
-    OPENBLAS_NUM_THREADS, and restore the caller's count after it."""
-    get, put = _openblas_threads() or (lambda: None, lambda count: None)
-    count = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(count)
 
 
 def _invert(a: np.ndarray):
@@ -154,7 +124,7 @@ class WeightSolution:
     def linearize(self) -> WeightSolution:
         """Form both Jacobians from the kept tabulation and inverse, once."""
         if self.shell_jacobian is None:
-            ev = _derivative_sweep(self._ev)
+            ev = _differentiate(self._ev)
             w = self.weights
             n = w.shape[0]
             # -V^{-T} (dV^T) w: rhs column 2j+c is w_j * d g(.)/d xi_c at z_j

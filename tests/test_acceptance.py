@@ -67,15 +67,15 @@ TARGET_E = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 6, 9: 7}
 # search follows every rounding of the evaluation, so a change that moves
 # one bit of a tabulated value, weight or Jacobian shows here first
 PINNED_RUNS = {
-    1: ("a4c8377614c73ad5364d0e2c1d05e44b556736e2f8f8b369bb329e57fff90866", 1, 16),
-    2: ("f7287ca960c4dc3a0b349aa2dc106f2007dca587a1fc1338df9fc0058c13379d", 1, 56),
-    3: ("331bee95ceae2c7a573f4098ba535430cbf671a07f5f884dbe8a35005973de0a", 1, 34),
-    4: ("48ffb0dd0a1e0f989b028a52753d217cb3db989f8f7329aadd8c95eea7789045", 1, 52),
-    5: ("65c8c2b4ccd83e03f66bcd29ed7605b89d460ed7b4102999d2d645c13cd423dc", 1, 19),
-    6: ("395d61db1373b7838fc22129b10a43cd82ac3a9cb287adb5466a4ab76114f43b", 1, 91),
-    7: ("5f5e625d1359ea65cd489b1cb02857d473bec2a49290149b2eea002f4ae8da6a", 2, 10),
-    8: ("6896d6f5cf7a214e2b0dac66801b58d4886535cef3e4451abbefeea3ac584415", 1, 19),
-    9: ("e57f20f1e1601820afcbd833429c79b28980c8696993b444243bc3d614697e03", 1, 52),
+    1: ("37ccb537a6eac1fd1db3b1a5c514226da0c9a0249758a00e68e876ee9ffdc1f8", 1, 16),
+    2: ("70056e7937c4c1cbf24186b7a65ce2cae25c758269b898205239b53c0b4a4fb8", 1, 56),
+    3: ("77a42851e31adc5b1f80104860fa46235941395f9674fcb228a7bbfdb7e024e6", 1, 34),
+    4: ("5ee2277cc3b46f2daa3d5636ac54117d12ae3c9a55804496c7ccdd65c877e885", 1, 52),
+    5: ("5f4b8d67531144f0ca843ac1964dca3379a7c2029c0be16ad278df2f7e030357", 1, 19),
+    6: ("49dc63daa8f14f5dd2371912aa4d210fecf84ae442f1a626d6d6e4fc71b3b40f", 1, 76),
+    7: ("7f6ef7d3c1f794c0a403eafe4faa0589edda63d4cfe9ecab656d89bf6a8db7f9", 2, 1),
+    8: ("0ef04828134888ecf73dba440e2cb0dc97cf9d7a68f66d6900da98b7106a0578", 1, 19),
+    9: ("e7b11ae961af1ec38848bec4fcf3357b5436c59cbb804f7e5ea0f712af644555", 1, 52),
 }
 
 

@@ -6,7 +6,7 @@ import sympy as sp
 
 from triquad.basis import (
     BasisSpec,
-    _derivative_sweep,
+    _differentiate,
     dim_poly,
     gram_matrix,
     integrals_vector,
@@ -419,17 +419,33 @@ def test_vandermonde_is_bitwise_the_reference(degree, monkeypatch):
             (ref_values,) = _reference_vandermonde(spec, pts)
             assert values_only.d_xi1 is None and values_only.d_xi2 is None
             assert np.array_equal(values_only.values, ref_values)
-            ref = _reference_vandermonde(spec, pts, derivatives=True)
-            # a derivative call, and a derivative sweep on a kept values-only
-            # call, twice (the sweep rewrites kept operands in place)
-            for ev in (
-                vandermonde(spec, pts, derivatives=True),
-                _derivative_sweep(values_only),
-                _derivative_sweep(values_only),
+            _, *ref_derivatives = _reference_vandermonde(spec, pts, derivatives=True)
+            # a derivative call, and derivatives added to a values-only call
+            ev, later = vandermonde(spec, pts, derivatives=True), _differentiate(values_only)
+            assert np.array_equal(ev.values, ref_values)
+            for block, later_block, expected in zip(
+                (ev.d_xi1, ev.d_xi2), (later.d_xi1, later.d_xi2), ref_derivatives
             ):
-                for block, expected in zip((ev.values, ev.d_xi1, ev.d_xi2), ref):
-                    assert block.flags.c_contiguous
-                    assert np.array_equal(block, expected)
+                assert block.flags.c_contiguous
+                assert np.array_equal(block, later_block)
+                # the product rounds differently from the differentiated
+                # recurrence; Markov's inequality bounds a derivative on the
+                # triangle by degree^2 times the function's size
+                bound = degree**2 * np.finfo(float).eps * max(np.abs(expected).max(), 1.0)
+                assert np.max(np.abs(block - expected)) <= bound
+
+
+@pytest.mark.parametrize("npts", [1, 7, 66])
+def test_derivative_columns_do_not_depend_on_the_tabulation_degree(npts):
+    # the degree-d derivative columns of a degree-D tabulation are the
+    # degree-d tabulation's, bit for bit
+    pts = random_interior(np.random.default_rng(npts), npts)
+    evs = [vandermonde(BasisSpec(degree), pts, derivatives=True) for degree in range(26)]
+    for big, ev in enumerate(evs):
+        for small in evs[:big]:
+            k = small.values.shape[1]
+            assert np.array_equal(ev.d_xi1[:, :k], small.d_xi1)
+            assert np.array_equal(ev.d_xi2[:, :k], small.d_xi2)
 
 
 # ------------------------------------------------------------ integrals

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-import triquad.weights
-from triquad.basis import BasisSpec, vandermonde
+import triquad.basis
+from triquad.basis import BasisSpec, _one_blas_thread, _openblas_threads, vandermonde
 from triquad.cli import main
 from triquad.domain import bary_to_ref, monomial_integral, ref_to_unit
 from triquad.optimizer import _init_warp_blend, optimize, residual_jacobian
@@ -15,8 +15,6 @@ from triquad.weights import (
     CONDITION_LIMIT,
     DegenerateConfigurationError,
     WeightSolution,
-    _one_blas_thread,
-    _openblas_threads,
     newton_cotes_weights,
     weight_jacobian,
 )
@@ -296,8 +294,8 @@ def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
     # another numpy build: the pin does nothing, and d = 1 (whose arrays are
     # far below OpenBLAS's threading sizes) still writes PINNED_RUNS[1] of
     # test_acceptance.py
-    monkeypatch.setattr(triquad.weights, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(triquad.basis, "_openblas_threads", lambda: None)
     text = emit_rule(optimize(1, target_e=1).rule)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "a4c8377614c73ad5364d0e2c1d05e44b556736e2f8f8b369bb329e57fff90866"
+        "37ccb537a6eac1fd1db3b1a5c514226da0c9a0249758a00e68e876ee9ffdc1f8"
     )
