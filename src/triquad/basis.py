@@ -24,8 +24,7 @@ at every point of the closed triangle, the collapsed vertex included, and
 gradients from those values.
 
 A values tabulation is one stacked three-term recurrence.  It runs Q_k
-(twice, as two rows) over P_k^{2m+1,0}(xi2) for every m in one array, one
-step per order k:
+over P_k^{2m+1,0}(xi2) for every m in one array, one step per order k:
 
     X_{k+1} = (L_k * X_k - W_k * X_{k-1}) / a1,
 
@@ -175,7 +174,7 @@ class BasisEvaluation:
 class _Step(NamedTuple):
     """One stacked recurrence step, order k to k + 1.
 
-    Its rows are those of order k + 1: the two Q rows, then one row per
+    Its rows are those of order k + 1: the Q row, then one row per
     alpha 2m + 1 whose P_{k+1} the m + n <= degree triangle reads.  The
     divisor is a column over them.
     """
@@ -190,10 +189,10 @@ class _Step(NamedTuple):
 class _Plan:
     """Per-degree constants of a tabulation, built once per degree.
 
-    A stack holds order k (k = 0..degree) in degree + 3 - k rows from row
-    offset[k]: Q_k twice, then P_k^{2m+1,0} for m <= degree - k.  The step
+    A stack holds order k (k = 0..degree) in degree + 2 - k rows from row
+    offset[k]: Q_k, then P_k^{2m+1,0} for m <= degree - k.  The step
     operands L = a2 + a3 * xi2 and W = a4 of step k sit at the rows of
-    order k + 1, from row `first` on; on the Q rows they are (2k+1) t and
+    order k + 1, from row `first` on; on the Q row they are (2k+1) t and
     k s^2, for which a2, a3 and a4 hold placeholders.
     """
 
@@ -205,7 +204,7 @@ class _Plan:
     a2: np.ndarray  # step operands of the rows from `first` on, as columns
     a3: np.ndarray
     a4: np.ndarray
-    q_rows: np.ndarray  # rows of Q of orders 2..degree: all row 0s, then row 1s
+    q_rows: np.ndarray  # the Q rows of orders 2..degree
     q_a3: np.ndarray  # 2k + 1 for those rows, as a column
     q_a4: np.ndarray  # k for those rows, as a column
     steps: tuple[_Step, ...]  # k = 1 .. degree - 1
@@ -214,9 +213,9 @@ class _Plan:
     c: np.ndarray  # normalization constant of each column, shape (dim, 1)
 
 
-def _stack(q_row0, q_row1, alpha_rows: np.ndarray) -> np.ndarray:
-    """A coefficient column: the two Q rows' entries over the alpha rows'."""
-    return np.concatenate([[[q_row0], [q_row1]], alpha_rows])
+def _stack(q_row, alpha_rows: np.ndarray) -> np.ndarray:
+    """A coefficient column: the Q row's entry over the alpha rows'."""
+    return np.concatenate([[[q_row]], alpha_rows])
 
 
 @lru_cache(maxsize=None)
@@ -225,24 +224,24 @@ def _plan(degree: int) -> _Plan:
     slope = alpha + 2.0
     offset = [0]
     for k in range(degree + 1):
-        offset.append(offset[-1] + degree + 3 - k)
+        offset.append(offset[-1] + degree + 2 - k)
     steps, a2s, a3s, a4s = [], [], [], []
     for k in range(1, degree):
         # the P_n^{alpha,beta} three-term recurrence coefficients at beta = 0,
         # for the alphas whose P_{k+1} the triangle reads (m <= degree - k - 1)
         al = alpha[: degree - k]
         a1 = 2.0 * (k + 1) * (k + al + 1) * (2 * k + al)
-        a2s.append(_stack(0.0, 0.0, (2 * k + al + 1) * (al * al)))
+        a2s.append(_stack(0.0, (2 * k + al + 1) * (al * al)))
         a3 = (2 * k + al) * (2 * k + al + 1) * (2 * k + al + 2)
-        a3s.append(_stack(0.0, 0.0, a3))
-        a4s.append(_stack(0.0, 0.0, 2.0 * (k + al) * k * (2 * k + al + 2)))
-        r = degree - k + 2
+        a3s.append(_stack(0.0, a3))
+        a4s.append(_stack(0.0, 2.0 * (k + al) * k * (2 * k + al + 2)))
+        r = degree - k + 1
         steps.append(
             _Step(
                 slice(offset[k - 1], offset[k - 1] + r),
                 slice(offset[k], offset[k] + r),
                 slice(offset[k + 1], offset[k + 1] + r),
-                _stack(k + 1, k + 1, a1),
+                _stack(k + 1, a1),
             )
         )
     indices = multi_indices(degree)
@@ -260,12 +259,12 @@ def _plan(degree: int) -> _Plan:
         np.concatenate(a2s or [empty]),
         np.concatenate(a3s or [empty]),
         np.concatenate(a4s or [empty]),
-        np.concatenate([at[2:], at[2:] + 1]),
-        np.concatenate([2.0 * ks + 1.0] * 2),
-        np.concatenate([ks] * 2),
+        at[2:],
+        2.0 * ks + 1.0,
+        ks,
         tuple(steps),
         at[ms],
-        at[ns] + ms + 2,
+        at[ns] + ms + 1,
         c,
     )
     # every caller at this degree shares these arrays
@@ -281,7 +280,7 @@ def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
     xi1, xi2 = pts.T
     deg, npts = plan.degree, pts.shape[0]
 
-    # one stacked three-term recurrence for Q_k = s^k P_k(eta), twice, and
+    # one stacked three-term recurrence for Q_k = s^k P_k(eta) and
     # P_k^{2m+1,0}(xi2) for every m.  Column k of the tabulation is
     # c_k * Q_m * P_n^{2m+1,0} with (m, n) = indices[k]
     t = xi1 + 0.5 * (1.0 + xi2)
@@ -290,10 +289,10 @@ def _value_sweep(plan: _Plan, pts: np.ndarray) -> BasisEvaluation:
     x = np.empty((plan.size, npts), dtype=pts.dtype)
     lead = np.empty_like(x)
     lag = np.empty_like(x)
-    x[: deg + 3] = 1.0
+    x[: deg + 2] = 1.0
     if deg >= 1:
-        x[deg + 3 : deg + 5] = t
-        x[deg + 5 : 2 * deg + 5] = 0.5 * (plan.slope * xi2 + plan.alpha)
+        x[deg + 2] = t
+        x[deg + 3 : 2 * deg + 3] = 0.5 * (plan.slope * xi2 + plan.alpha)
     # L and W of every step at once, then one division per step
     o = plan.first
     np.multiply(plan.a3, xi2, out=lead[o:])

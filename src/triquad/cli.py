@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -63,9 +64,11 @@ def _load_rule(path: str, input_format: str, weight_scale: float | None):
 
 
 def _cmd_generate(args) -> int:
-    result = optimize(args.d, target_e=args.e, restarts=args.restarts,
-                      seed=args.seed, verbose=args.verbose)
-    rule, report = result.rule, result.rule.certification
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
+    result = optimize(args.d, target_e=args.e, restarts=args.restarts, verbose=args.verbose)
+    rule = replace(result.rule, metadata={**result.rule.metadata, "seed": args.seed})
+    report = rule.certification
     if not result.converged:
         print(
             f"unconverged: best residual {result.best_residual:.3e} after "
@@ -200,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="extra exactness degrees (default: degrees-of-freedom bound minus d)",
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0,
+                   help="recorded in the rule header; the search draws no random number")
+    p.add_argument("--restarts", type=int, default=2, help="starts to try: at most 2 starts")
     p.add_argument("--out", default=None, help="rule file destination (default stdout)")
     p.add_argument("--register", default=None, help="also save into this registry directory")
     p.add_argument("--verbose", action="store_true")

@@ -7,14 +7,13 @@ of unknowns (2N) exceeds the number of equations (dim P_{d+e} - dim P_d,
 by the degrees-of-freedom bound), leaving a solution manifold that damped
 Gauss-Newton handles without trouble.
 
-Restart 0 starts from Warburton's warp-and-blend nodes shrunk into the
-interior, well conditioned at large d.  Restart 1 starts from the points of
-node elimination, which reaches rows where the search from warp-and-blend
-plateaus; it draws no random number.  Later restarts perturb the
-lowest-residual configuration so far (basin hopping); they never start from
-random points.  A restart converges when
-its largest shell residual is at most RESIDUAL_TOLERANCE.  `optimize`
-takes the search's settings as keyword arguments and sets their defaults.
+The search has two fixed starts and draws no random number.  Restart 0
+starts from Warburton's warp-and-blend nodes shrunk into the interior, well
+conditioned at large d.  Restart 1 starts from the points of node
+elimination, which reaches rows where the search from warp-and-blend
+plateaus.  A restart converges when its largest shell residual is at most
+RESIDUAL_TOLERANCE.  `optimize` takes the search's settings as keyword
+arguments and sets their defaults.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
@@ -45,8 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 # numpy loads np.polynomial on first use, and every search needs it for the
 # warp-and-blend start: imported here, it loads with this module instead of
-# inside the first search.  np.random loads only in a restart that perturbs
-# (`optimize`), so a process that draws nothing never pays for it
+# inside the first search
 from numpy.polynomial import Legendre
 
 from .basis import BasisSpec, _differentiate, _one_blas_thread, integrals_vector, vandermonde
@@ -73,9 +71,6 @@ MAX_ITERATIONS = 2000
 
 #: Shrink toward the centroid of restart 0's warp-and-blend start.
 WARP_SHRINK = 0.05
-
-#: Deviation of the normal noise a perturbed restart adds to its base.
-PERTURB_SCALE = 0.03
 
 #: Warburton's optimized blend exponents alpha_opt for d = 1..15.
 _WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
@@ -138,6 +133,7 @@ class _EvalState:
         return bool(np.all(self.bary > 0.0))
 
 
+@_one_blas_thread()  # the products' bits depend on the thread count
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
     """d(shell residual)/d(point coordinates), shape (n_shell, 2N).
 
@@ -294,20 +290,6 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
     return bary_to_ref((1.0 - tau) * lam[:, [2, 0]] + tau / 3.0)
 
 
-def _init_perturbed(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
-    """`base` plus normal noise of deviation PERTURB_SCALE; a point that
-    lands within 1e-6 of an edge or outside is pulled a fifth of the way
-    toward the centroid, and one still not interior is put on the centroid."""
-    pts = base + rng.normal(0.0, PERTURB_SCALE, size=base.shape)
-    outside = np.any(ref_to_bary(pts) <= 1e-6, axis=1)
-    if outside.any():
-        centroid = np.array([-1.0 / 3.0, -1.0 / 3.0])
-        pts[outside] = centroid + 0.8 * (pts[outside] - centroid)
-        still = np.any(ref_to_bary(pts) <= 0.0, axis=1)
-        pts[still] = centroid
-    return pts
-
-
 @_one_blas_thread()
 def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
     """Points of a rule with dim P_d points, positive weights, interior
@@ -379,42 +361,35 @@ def optimize(
     d: int,
     *,
     target_e: int | None = None,
-    restarts: int | None = None,
-    seed: int = 0,
+    restarts: int = 2,
     verbose: bool = False,
 ) -> OptimizeResult:
-    """Multi-start search for a rule of degree d and strength d + target_e.
+    """Search for a rule of degree d and strength d + target_e from two
+    fixed starts.
 
     `target_e` defaults to the degrees-of-freedom bound minus d, the
-    highest strength the counting argument allows, and `restarts` to 50
-    for d <= 5 and 500 for d >= 6.  Runs restarts in turn, at one OpenBLAS
-    thread, with per-restart RNG streams spawned from `seed`: the same
-    arguments give the same result at any thread count.  Stops at the
-    first restart that converges with positive weights and interior points.
-    Restart 0 starts from warp-and-blend nodes and restart 1 from node
-    elimination (`_eliminate`); every later restart, and restart 1 where
-    elimination fails, perturbs the lowest-residual candidate so far, or
-    the warp-and-blend start while every restart has been degenerate, and
-    never starts from random points.  `verbose` prints one line per restart.
-    The candidates are the states the restarts' searches end on; each
-    carries its points, Newton-Cotes weights, condition estimate and
-    residual.  Returns the tie-break winner: converged first, then positive
-    weights, then strictly interior points, then smallest residual, then
-    smallest condition estimate, certified into `rule.certification`.  Of
-    equal candidates the earliest wins.  The result is unconverged when no
-    restart reached RESIDUAL_TOLERANCE; it is certified either way, and an
+    highest strength the counting argument allows.  Tries the first
+    min(restarts, 2) starts in turn, at one OpenBLAS thread: restart 0 from
+    warp-and-blend nodes, restart 1 from node elimination (`_eliminate`),
+    which gives no candidate where it fails.  No start draws a random
+    number, so the same arguments give the same result at any thread count.
+    Stops at the first restart that converges with positive weights and
+    interior points.  `verbose` prints one line per restart.  The
+    candidates are the states the restarts' searches end on; each carries
+    its points, Newton-Cotes weights, condition estimate and residual.
+    Returns the tie-break winner: converged first, then positive weights,
+    then strictly interior points, then smallest residual, then smallest
+    condition estimate, certified into `rule.certification`.  Of equal
+    candidates the earlier wins.  The result is unconverged when no restart
+    reached RESIDUAL_TOLERANCE; it is certified either way, and an
     OracleDisagreementError from `certify` propagates.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
     if target_e is None:
         target_e = dof_bound(d) - d
     if target_e < 0:
         raise ValueError("target_e must be nonnegative")
-    if restarts is None:
-        restarts = 50 if d <= 5 else 500
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
     target = d + target_e
@@ -431,20 +406,13 @@ def optimize(
         return (not s.converged, not s.positive, not s.interior,
                 s.max_residual, s.sol.condition_estimate)
 
-    # two running minima, not a list: a state keeps its tabulations (1.1 MB
-    # at d = 14), and a search may run 500 restarts
-    best = lowest = None
-    start = _init_warp_blend(d, WARP_SHRINK)
-    for r in range(restarts):
-        if r == 0:
-            x0 = start
-        elif r == 1 and (eliminated := _eliminate(spec_d, spec_de)) is not None:
-            x0 = eliminated
-        else:
-            from numpy.random import SeedSequence, default_rng
-
-            rng = default_rng(SeedSequence(seed, spawn_key=(r,)))
-            x0 = _init_perturbed(rng, start if lowest is None else lowest.points)
+    best = None
+    for r in range(min(restarts, 2)):
+        x0 = _init_warp_blend(d, WARP_SHRINK) if r == 0 else _eliminate(spec_d, spec_de)
+        if x0 is None:
+            if verbose:
+                print(f"restart {r}: elimination failed")
+            continue
         try:
             state, iters = _levenberg_marquardt(spec_d, spec_de, x0)
         except DegenerateConfigurationError as exc:
@@ -456,10 +424,7 @@ def optimize(
                 f"restart {r}: residual {state.max_residual:.3e} after {iters} "
                 f"iterations{' (converged)' if state.converged else ''}"
             )
-        # strict < keeps the first of equals
-        if lowest is None or state.max_residual < lowest.max_residual:
-            lowest = state
-        if best is None or rank(state) < rank(best):
+        if best is None or rank(state) < rank(best):  # strict < keeps the first of equals
             best = state
         if state.converged and state.positive and state.interior:
             break
@@ -473,7 +438,7 @@ def optimize(
         cardinal_degree=d,
         points=best.points,
         weights=best.sol.weights,
-        metadata={"generator": "triquad", "seed": seed},
+        metadata={"generator": "triquad"},
     )
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),

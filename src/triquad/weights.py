@@ -35,7 +35,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import BasisSpec, _differentiate, integrals_vector, rounding_floor, vandermonde
+from .basis import (BasisSpec, _differentiate, _one_blas_thread, integrals_vector,
+                    rounding_floor, vandermonde)
 
 #: Condition-number threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
@@ -144,6 +145,7 @@ def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:
     return WeightSolution(spec, points)
 
 
+@_one_blas_thread()  # the products' bits depend on the thread count
 def weight_jacobian(spec: BasisSpec, points) -> np.ndarray:
     """Derivatives of every weight with respect to every point coordinate, (N, 2N)."""
     return WeightSolution(spec, points).linearize().weight_jacobian

@@ -3,8 +3,8 @@
 Criterion 2's required rows are the desk-scale cardinal degrees 1..5
 (d=6..9 are included as stretch rows since each runs in under a second).
 Set TRIQUAD_STRETCH to a comma-separated list of degrees (e.g. "7,9") to
-also generate them at seed 1 with 60 restarts; rows above 9 take
-open-ended search time.
+also generate them with the default two starts; a row above 9 is reported,
+not required, and d = 10 fails after about 5 s.
 """
 
 import contextlib
@@ -198,8 +198,7 @@ def test_criterion_2_stretch_rows(generated_rules):
         code = main(
             [
                 "generate", "--d", str(d), "--e",
-                str(TABLE_ROWS[d][1] - d), "--seed", "1",
-                "--restarts", "60", "--out", os.devnull,
+                str(TABLE_ROWS[d][1] - d), "--out", os.devnull,
             ]
         )
         print(f"    d={d} (requested stretch): generate exit {code}")

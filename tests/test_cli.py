@@ -312,7 +312,8 @@ def test_generate_writes_file_and_registers(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["strength"] >= 2
-    assert out.exists()
+    # the seed draws nothing; generate records it in the header
+    assert "# seed = 7\n" in out.read_text()
     assert (reg / "tri_d1_s2.txt").exists()
     assert (reg / "index.txt").exists()
 

@@ -23,7 +23,6 @@ from triquad.optimizer import (
     _barrier_derivatives,
     _barrier_value,
     _eliminate,
-    _init_perturbed,
     _init_warp_blend,
     _levenberg_marquardt,
     optimize,
@@ -264,7 +263,7 @@ def test_a_nan_trial_step_is_rejected(monkeypatch):
         return step
 
     monkeypatch.setattr(triquad.optimizer.np.linalg, "solve", nan_first_step)
-    result = optimize(1, target_e=1, seed=0, restarts=1)
+    result = optimize(1, target_e=1, restarts=1)
     assert np.isnan(steps[0][0]) and len(steps) > 1
     assert result.converged
 
@@ -282,7 +281,7 @@ def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
 
 
 def test_optimize_d1_meets_table_row():
-    result = optimize(1, target_e=1, seed=0, restarts=10)
+    result = optimize(1, target_e=1, restarts=10)
     assert result.converged
     assert result.best_residual <= 1e-14
     report = result.rule.certification
@@ -291,11 +290,11 @@ def test_optimize_d1_meets_table_row():
     assert np.all(points_inside(result.rule.points))
     assert result.rule.n_points == 3
     # the report is held once, in rule.certification, not copied into metadata
-    assert result.rule.metadata == {"generator": "triquad", "seed": 0}
+    assert result.rule.metadata == {"generator": "triquad"}
 
 
 def test_optimize_d2_meets_table_row():
-    result = optimize(2, target_e=2, seed=0, restarts=10)
+    result = optimize(2, target_e=2, restarts=10)
     assert result.converged
     report = result.rule.certification
     assert report.strength == 4
@@ -306,7 +305,7 @@ def test_optimize_d2_meets_table_row():
 def test_optimize_infeasible_target_warns_and_flags():
     # d=3, e=3 asks for strength 6 = the counting bound; the reference
     # results only reach 5, so expect an honest unconverged outcome
-    result = optimize(3, target_e=3, seed=0, restarts=2)
+    result = optimize(3, target_e=3)
     assert not result.converged
     assert result.best_residual > 1e-14
     # the best candidate still certifies at its achieved strength
@@ -315,20 +314,20 @@ def test_optimize_infeasible_target_warns_and_flags():
 
 def test_optimize_beyond_bound_warns():
     with pytest.warns(UserWarning, match="degrees-of-freedom") as record:
-        optimize(1, target_e=3, seed=0, restarts=1)
+        optimize(1, target_e=3, restarts=1)
     assert record[0].filename == __file__  # the caller's line, not the pin's
 
 
 def test_optimize_is_deterministic():
-    a = optimize(1, target_e=1, seed=123, restarts=4)
-    b = optimize(1, target_e=1, seed=123, restarts=4)
+    a = optimize(1, target_e=1, restarts=4)
+    b = optimize(1, target_e=1, restarts=4)
     assert np.array_equal(a.rule.points, b.rule.points)
     assert np.array_equal(a.rule.weights, b.rule.weights)
     assert a.rule.certification.max_error == b.rule.certification.max_error
 
 
 def test_optimize_output_passes_independent_certification():
-    result = optimize(2, target_e=2, seed=5, restarts=10)
+    result = optimize(2, target_e=2, restarts=10)
     assert result.converged
     report = certify(result.rule)
     assert report.strength >= 4
@@ -339,7 +338,6 @@ def test_optimize_output_passes_independent_certification():
     [
         ({"restarts": 0}, "restarts"),
         ({"restarts": -1}, "restarts"),
-        ({"seed": -1}, "seed"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):
@@ -450,7 +448,8 @@ def test_elimination_stalls_just_above_the_tolerance(d, s):
 # Each probe writes one output whose bits OpenBLAS would make depend on its
 # thread count: elimination's 105 x 105 Gram matrix at d = 7 and the d = 9
 # search's normal equations are past the size where it splits a product or
-# a solve over its threads, and so is the d = 14 Vandermonde inverse
+# a solve over its threads, and so are the d = 14 Vandermonde inverse and
+# the public Jacobians' products at d = 14
 THREAD_PROBES = {
     "d7_elimination": [
         "-c", "import hashlib; from triquad.basis import BasisSpec; "
@@ -460,15 +459,28 @@ THREAD_PROBES = {
     ],
     "d9_search": [
         "-c", "import triquad.optimizer as o; "
-        "print(repr(o.optimize(9, target_e=7, seed=1, restarts=1).best_residual))",
+        "print(repr(o.optimize(9, target_e=7, restarts=1).best_residual))",
     ],
     "d14_weights": ["-m", "triquad.cli", "weights", "{file}", "--d", "14"],
-    # derivative tabulations run outside the one-thread pin
+    # the per-shell derivative products at D = 18
     "d10_derivatives": [
         "-c", "import hashlib; from triquad.basis import BasisSpec, vandermonde; "
         "from triquad.optimizer import _init_warp_blend; "
         "ev = vandermonde(BasisSpec(18), _init_warp_blend(10, 0.05), derivatives=True); "
         "print(hashlib.sha256(ev.d_xi1.tobytes() + ev.d_xi2.tobytes()).hexdigest())",
+    ],
+    "d14_weight_jacobian": [
+        "-c", "import hashlib; from triquad.basis import BasisSpec; "
+        "from triquad.optimizer import _init_warp_blend; "
+        "from triquad.weights import weight_jacobian; "
+        "jac = weight_jacobian(BasisSpec(14), _init_warp_blend(14, 0.05)); "
+        "print(hashlib.sha256(jac.tobytes()).hexdigest())",
+    ],
+    "d14_residual_jacobian": [
+        "-c", "import hashlib; from triquad.basis import BasisSpec; "
+        "from triquad.optimizer import _init_warp_blend, residual_jacobian; "
+        "jac = residual_jacobian(BasisSpec(14), BasisSpec(25), _init_warp_blend(14, 0.05)); "
+        "print(hashlib.sha256(jac.tobytes()).hexdigest())",
     ],
 }
 
@@ -554,43 +566,15 @@ def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
 PINNED_ROWS = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 8: 6, 9: 7}
 
 
-def _first_restart_texts(seed):
-    texts = {}
+def test_d6_certifies_on_the_first_restart():
+    # d = 6 and every other row of PINNED_ROWS: restart 0 starts from the
+    # warp-and-blend nodes and converges
     for d, e in PINNED_ROWS.items():
-        result = optimize(d, target_e=e, seed=seed, restarts=1)
+        result = optimize(d, target_e=e, restarts=1)
         assert result.converged, d
         report = result.rule.certification
         assert report.strength == d + e, d
         assert report.positive_weights and report.all_interior, d
-        texts[d] = emit_rule(result.rule)
-    return texts
-
-
-@pytest.fixture(scope="module")
-def seed0_texts():
-    return _first_restart_texts(0)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 10])
-def test_d6_certifies_on_the_first_restart(seed, seed0_texts):
-    # d = 6 and every other row of PINNED_ROWS: restart 0 starts from the
-    # warp-and-blend nodes and converges, so it draws no random number and
-    # the rule does not depend on the seed
-    for d, text in _first_restart_texts(seed).items():
-        header = f"# seed = {seed}\n"
-        assert header in text, d
-        assert text.replace(header, "# seed = 0\n") == seed0_texts[d], d
-
-
-def test_perturbed_points_are_strictly_interior():
-    # every perturbed restart starts from _init_perturbed; a base on the
-    # vertices and edges sends many draws outside the triangle
-    base = np.vstack([VERTICES, MIDPOINTS])
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        pts = _init_perturbed(rng, base)
-        assert pts.shape == base.shape
-        assert np.all(ref_to_bary(pts) > 0.0)
 
 
 def test_a_degenerate_start_raises():
@@ -600,52 +584,43 @@ def test_a_degenerate_start_raises():
 
 
 def test_verbose_reports_every_restart(monkeypatch, capsys):
-    # every restart ends on a degenerate start
+    # every search ends on a degenerate start; restarts above 2 try both
+    # starts, and a failed elimination is reported as such
     def degenerate_search(spec_d, spec_de, points):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
-    perturb, bases = triquad.optimizer._init_perturbed, []
-
-    def recording_perturb(rng, base):
-        bases.append(base)
-        return perturb(rng, base)
-
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
-    monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
-    with pytest.raises(DegenerateConfigurationError,
-                       match="^all 3 restarts hit degenerate configurations$"):
-        optimize(2, target_e=2, restarts=3, verbose=True)
-    # restart 1 starts from node elimination; with no state to perturb,
-    # restart 2 perturbs the warp-and-blend start
-    assert len(bases) == 1
-    assert np.array_equal(bases[0], _init_warp_blend(2, WARP_SHRINK))
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "restart 0: degenerate (degenerate configuration: start)"
-    assert lines[1] == "restart 1: degenerate (degenerate configuration: start)"
-    assert lines[2].startswith("restart 2: degenerate (degenerate configuration: ")
-    assert len(lines) == 3
+    first = "restart 0: degenerate (degenerate configuration: start)"
+    for second in ("restart 1: degenerate (degenerate configuration: start)",
+                   "restart 1: elimination failed"):
+        with pytest.raises(DegenerateConfigurationError,
+                           match="^all 2 restarts hit degenerate configurations$"):
+            optimize(2, target_e=2, restarts=3, verbose=True)
+        assert capsys.readouterr().out.splitlines() == [first, second]
+        monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
 
 
-# restart outcomes (converged, positive, interior, residual, condition):
-# restarts 0 and 2..6 each lose to restart 1 on one key, and restart 7 meets
-# all three conditions, which ends the search
-TIE_BREAK_OUTCOMES = [
-    (False, True, True, 1e-3, 1.0),
-    (True, True, False, 5e-15, 2.0),
-    (True, False, True, 1e-15, 1.0),  # lower residual, negative weight
-    (True, False, True, 1e-15, 1.0),  # ties restart 2 for the lowest residual
-    (True, True, False, 6e-15, 1.0),  # better condition, higher residual
-    (True, True, False, 5e-15, 3.0),
-    (True, True, False, 5e-15, 2.0),  # equal to the winner, but later
-    (True, True, True, 9e-15, 1.0),
-    (True, True, True, 1e-16, 1.0),
-]
+# pairs of restart outcomes (converged, positive, interior, residual,
+# condition), the winner and restarts_run: each rank key in turn decides
+# one pair, the earlier of equals wins, and a first restart meeting all
+# three conditions ends the search
+TIE_BREAK_CASES = {
+    "converged": ([(False, True, True, 1e-3, 1.0), (True, False, False, 5e-15, 2.0)], 1, 2),
+    "positive": ([(True, False, True, 1e-15, 1.0), (True, True, False, 5e-15, 2.0)], 1, 2),
+    "interior": ([(True, False, True, 5e-15, 2.0), (True, False, False, 1e-15, 1.0)], 0, 2),
+    "residual": ([(False, True, True, 1e-3, 1.0), (False, True, True, 1e-4, 5.0)], 1, 2),
+    "condition": ([(False, True, True, 1e-3, 2.0), (False, True, True, 1e-3, 1.0)], 1, 2),
+    "earlier": ([(False, True, True, 1e-3, 1.0), (False, True, True, 1e-3, 1.0)], 0, 2),
+    "break": ([(True, True, True, 9e-15, 1.0), (True, True, True, 1e-16, 1.0)], 0, 1),
+}
 
 
-def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
+@pytest.mark.parametrize("case", sorted(TIE_BREAK_CASES))
+def test_tie_break_order_and_the_break(case, monkeypatch):
+    outcomes, winner, restarts_run = TIE_BREAK_CASES[case]
     rng = np.random.default_rng(4)
-    states, bases = [], []
-    for converged, positive, interior, res, cond in TIE_BREAK_OUTCOMES:
+    states, starts = [], []
+    for converged, positive, interior, res, cond in outcomes:
         pts = random_interior(rng, 3)
         states.append(SimpleNamespace(
             points=pts, converged=converged, positive=positive, interior=interior,
@@ -653,34 +628,20 @@ def test_tie_break_order_perturbed_starts_and_the_break(monkeypatch):
             sol=SimpleNamespace(weights=newton_cotes_weights(BasisSpec(1), pts).weights,
                                 condition_estimate=cond),
         ))
-    outcomes = iter(states)
-    perturb = triquad.optimizer._init_perturbed
-
-    def recording_perturb(rng, base):
-        bases.append(base)
-        return perturb(rng, base)
 
     def recording_search(spec_d, spec_de, points):
         starts.append(points)
-        return next(outcomes), 1
+        return states[len(starts) - 1], 1
 
-    starts = []
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", recording_search)
-    monkeypatch.setattr(triquad.optimizer, "_init_perturbed", recording_perturb)
-    first = optimize(1, target_e=1, restarts=7)
-    assert first.restarts_run == 7
-    assert np.array_equal(first.rule.points, states[1].points)
-    # restart 1 starts from node elimination, restarts 2..6 perturb the
-    # lowest residual so far; of equals the first
-    assert np.array_equal(starts[1], _eliminate(BasisSpec(1), BasisSpec(2)))
-    assert len(bases) == 5
-    for base, k in zip(bases, [1, 2, 2, 2, 2]):
-        assert base is states[k].points
-    # the first restart meeting every condition wins and ends the search
-    outcomes = iter(states)
-    stopped = optimize(1, target_e=1, restarts=len(states))
-    assert stopped.restarts_run == 8
-    assert np.array_equal(stopped.rule.points, states[7].points)
+    result = optimize(1, target_e=1, restarts=5)
+    assert result.restarts_run == restarts_run
+    assert np.array_equal(result.rule.points, states[winner].points)
+    # restart 0 starts from warp-and-blend nodes, restart 1 from elimination
+    assert np.array_equal(starts[0], _init_warp_blend(1, WARP_SHRINK))
+    if restarts_run == 2:
+        assert np.array_equal(starts[1], _eliminate(BasisSpec(1), BasisSpec(2)))
+    assert len(starts) == restarts_run
 
 
 def _disagreeing_certify(rule):
@@ -690,7 +651,7 @@ def _disagreeing_certify(rule):
 def test_a_converged_winner_whose_oracles_disagree_raises(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
     with pytest.raises(OracleDisagreementError):
-        optimize(1, target_e=1, seed=0, restarts=1)
+        optimize(1, target_e=1, restarts=1)
 
 
 def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
@@ -698,7 +659,7 @@ def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
     # the search converged
     monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
     with pytest.raises(OracleDisagreementError):
-        optimize(3, target_e=3, seed=0, restarts=6)
+        optimize(3, target_e=3)
 
 
 # Runs past restart 0: (d, settings, converged, restarts_run, best residual,
@@ -707,38 +668,20 @@ MULTI_RESTART_RUNS = {
     # restart 0 stalls, restart 1 (node elimination) certifies and breaks;
     # it ends 18% under RESIDUAL_TOLERANCE
     "d7_restart1": (
-        7, {"target_e": 6, "seed": 12, "restarts": 12}, True, 2, "8.187895e-15",
-        "33a111501285b4228346712465a4ec48a69cee500286698e1e72e3d3758634a2",
+        7, {"target_e": 6}, True, 2, "8.187895e-15",
+        "b8ede12f9001e9696f6d23e10555c893edaa39f9c3deff268ff0dfc152cea3ce",
         ["restart 0: residual 6.448e-02 after 113 iterations",
          "restart 1: residual 8.188e-15 after 1 iterations (converged)"],
     ),
-    # strength 6 at d = 3 is out of reach: elimination fails, restarts 1..5
-    # perturb the lowest state so far, and the tie-break picks among six
+    # strength 6 at d = 3 is out of reach: elimination fails, and restart 0
+    # is the one candidate
     "d3_unconverged": (
-        3, {"target_e": 3, "seed": 0, "restarts": 6}, False, 6, "4.008461e-02",
-        "d865f09000b72b3b95ad23405846f69e46e5329cea83336d4161bcfe191293e1",
+        3, {"target_e": 3}, False, 2, "4.366623e-02",
+        "191ec6e5bddc63c272341c4ce2c8d008da5282da9a0f137a44667baea8652985",
         ["restart 0: residual 4.367e-02 after 221 iterations",
-         "restart 1: residual 4.367e-02 after 206 iterations",
-         "restart 2: residual 4.367e-02 after 205 iterations",
-         "restart 3: residual 4.367e-02 after 214 iterations",
-         "restart 4: residual 4.364e-02 after 206 iterations",
-         "restart 5: residual 4.008e-02 after 139 iterations"],
+         "restart 1: elimination failed"],
     ),
 }
-
-
-@pytest.mark.parametrize("search,draws", [
-    ("o.optimize(6, target_e=5, seed=0, restarts=12)", False),
-    ("o.optimize(3, target_e=3, seed=0, restarts=6)", True),
-], ids=["d6_restart0", "d3_unconverged"])
-def test_numpy_random_loads_at_the_first_draw(search, draws):
-    # d = 6 certifies on restart 0, which draws nothing; at the d3_unconverged
-    # settings above, restarts 1..5 perturb
-    code = f"import sys, triquad.optimizer as o; {search}; print('numpy.random' in sys.modules)"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.strip() == str(draws)
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_RESTART_RUNS))

@@ -83,11 +83,14 @@ def loaded_modules(code):
 def test_start_up_does_not_load_scipy_special():
     # a fresh process pays for every module it imports: the library and the
     # CLI solve with numpy alone, so no part of scipy (and no second BLAS)
-    # is loaded; numpy.random loads at a search's first draw and hashlib
-    # (OpenSSL) with the registry, so neither start-up nor verify loads them
+    # is loaded; the search draws no random number, so numpy.random never
+    # loads, not even in a search that tries both starts and fails; hashlib
+    # (OpenSSL) loads with the registry, so neither start-up, verify nor
+    # generate without --register loads it
     corpus = Path(__file__).resolve().parents[1] / "perfbench" / "corpus" / "tri_d3_s5.txt"
     for code in ("import triquad, triquad.cli; triquad.BasisSpec(1)",
-                 f"import triquad.cli; assert triquad.cli.main(['verify', {str(corpus)!r}]) == 0"):
+                 f"import triquad.cli; assert triquad.cli.main(['verify', {str(corpus)!r}]) == 0",
+                 "import triquad.cli; assert triquad.cli.main(['generate', '--d', '3', '--e', '3']) == 1"):
         loaded = loaded_modules(code)
         assert "triquad.cli" in loaded
         unwanted = {m for m in loaded if m.split(".")[0] == "scipy"
@@ -120,8 +123,7 @@ def test_record_fields_are_the_intended_lists(name):
 OPTIMIZE_PARAMETERS = [
     ("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
     ("target_e", inspect.Parameter.KEYWORD_ONLY, None),
-    ("restarts", inspect.Parameter.KEYWORD_ONLY, None),
-    ("seed", inspect.Parameter.KEYWORD_ONLY, 0),
+    ("restarts", inspect.Parameter.KEYWORD_ONLY, 2),
     ("verbose", inspect.Parameter.KEYWORD_ONLY, False),
 ]
 

@@ -275,7 +275,7 @@ def test_a_perturbed_basis_recurrence_still_raises(monkeypatch):
     def perturbed(degree):
         plan = original(degree)
         a2 = plan.a2.copy()
-        a2[2:3] *= 1.001  # no row 2 below degree 2
+        a2[1:2] *= 1.001  # no row 1 below degree 2
         return dataclasses.replace(plan, a2=a2)
 
     monkeypatch.setattr(triquad.basis, "_plan", perturbed)
