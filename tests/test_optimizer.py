@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import triquad.cli
 import triquad.optimizer
 import triquad.weights
 from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor, vandermonde
@@ -333,15 +334,25 @@ def test_optimize_output_passes_independent_certification():
     assert report.strength >= 4
 
 
+# the search draws no random number, so optimize refuses any seed; the
+# CLI records --seed in the rule header
+REFUSALS = {
+    "restarts": (ValueError, "^restarts must be"),
+    "seed": (TypeError, "unexpected keyword argument 'seed'"),
+}
+
+
 @pytest.mark.parametrize(
     "settings,field",
     [
         ({"restarts": 0}, "restarts"),
         ({"restarts": -1}, "restarts"),
+        ({"seed": 0}, "seed"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    error, match = REFUSALS[field]
+    with pytest.raises(error, match=match):
         optimize(1, **{"target_e": 1, "restarts": 1, **settings})
 
 
@@ -566,15 +577,29 @@ def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
 PINNED_ROWS = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 8: 6, 9: 7}
 
 
-def test_d6_certifies_on_the_first_restart():
+@pytest.fixture(scope="module")
+def first_restart_results():
+    return {d: optimize(d, target_e=e, restarts=1) for d, e in PINNED_ROWS.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 10])
+def test_d6_certifies_on_the_first_restart(seed, first_restart_results, tmp_path):
     # d = 6 and every other row of PINNED_ROWS: restart 0 starts from the
-    # warp-and-blend nodes and converges
-    for d, e in PINNED_ROWS.items():
-        result = optimize(d, target_e=e, restarts=1)
+    # warp-and-blend nodes and converges; the search draws no random number,
+    # so generate's --seed adds only the header line that records it
+    header = f"# seed = {seed}\n"
+    for d, result in first_restart_results.items():
         assert result.converged, d
         report = result.rule.certification
-        assert report.strength == d + e, d
+        assert report.strength == d + PINNED_ROWS[d], d
         assert report.positive_weights and report.all_interior, d
+        out = tmp_path / f"d{d}.txt"
+        assert triquad.cli.main(["generate", "--d", str(d), "--e", str(PINNED_ROWS[d]),
+                                 "--seed", str(seed), "--restarts", "1",
+                                 "--out", str(out)]) == 0
+        text = out.read_text()
+        assert header in text, d
+        assert text.replace(header, "") == emit_rule(result.rule), d
 
 
 def test_a_degenerate_start_raises():
@@ -682,6 +707,21 @@ MULTI_RESTART_RUNS = {
          "restart 1: elimination failed"],
     ),
 }
+
+
+@pytest.mark.parametrize("search", [
+    "o.optimize(6, target_e=5)",
+    "o.optimize(3, target_e=3)",
+], ids=["d6_restart0", "d3_unconverged"])
+def test_numpy_random_loads_at_the_first_draw(search):
+    # numpy.random would load at a search's first draw, and no search draws:
+    # neither d = 6, which certifies on restart 0, nor the d3_unconverged
+    # search above, which tries both starts and fails
+    code = f"import sys, triquad.optimizer as o; {search}; print('numpy.random' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_RESTART_RUNS))
