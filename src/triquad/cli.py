@@ -66,13 +66,17 @@ def _load_rule(path: str, input_format: str, weight_scale: float | None):
 def _cmd_generate(args) -> int:
     if args.seed < 0:
         raise ValueError(f"seed must be nonnegative, got {args.seed}")
-    result = optimize(args.d, target_e=args.e, restarts=args.restarts, verbose=args.verbose)
+    if args.restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {args.restarts}")
+    result = optimize(args.d, target_e=args.e)
+    if args.verbose:
+        print("\n".join(result.starts))
     rule = replace(result.rule, metadata={**result.rule.metadata, "seed": args.seed})
     report = rule.certification
     if not result.converged:
         print(
             f"unconverged: best residual {result.best_residual:.3e} after "
-            f"{result.restarts_run} restarts (certified strength {report.strength})",
+            f"{len(result.starts)} restarts (certified strength {report.strength})",
             file=sys.stderr,
         )
         return 1
@@ -205,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the rule header; the search draws no random number")
-    p.add_argument("--restarts", type=int, default=2, help="starts to try: at most 2 starts")
+    p.add_argument("--restarts", type=int, default=2, help="unused: the search has 2 starts")
     p.add_argument("--out", default=None, help="rule file destination (default stdout)")
     p.add_argument("--register", default=None, help="also save into this registry directory")
     p.add_argument("--verbose", action="store_true")

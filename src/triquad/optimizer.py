@@ -12,8 +12,8 @@ starts from Warburton's warp-and-blend nodes shrunk into the interior, well
 conditioned at large d.  Restart 1 starts from the points of node
 elimination, which reaches rows where the search from warp-and-blend
 plateaus.  A restart converges when its largest shell residual is at most
-RESIDUAL_TOLERANCE.  `optimize` takes the search's settings as keyword
-arguments and sets their defaults.
+RESIDUAL_TOLERANCE.  `optimize` takes only the problem, prints nothing and
+returns one line per start it tried.
 
 Points are kept inside the triangle with a logarithmic barrier on the
 three barycentric coordinates, annealed toward zero so the final iterates
@@ -81,7 +81,7 @@ _WARP_ALPHA = (0.0, 0.0, 1.4152, 0.1001, 0.2751, 0.9800, 1.0999, 1.2832,
 class OptimizeResult:
     rule: QuadratureRule
     best_residual: float
-    restarts_run: int
+    starts: tuple[str, ...]
 
     @property
     def converged(self) -> bool:
@@ -133,7 +133,6 @@ class _EvalState:
         return bool(np.all(self.bary > 0.0))
 
 
-@_one_blas_thread()  # the products' bits depend on the thread count
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
     """d(shell residual)/d(point coordinates), shape (n_shell, 2N).
 
@@ -357,32 +356,25 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
 
 
 @_one_blas_thread()
-def optimize(
-    d: int,
-    *,
-    target_e: int | None = None,
-    restarts: int = 2,
-    verbose: bool = False,
-) -> OptimizeResult:
+def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
     """Search for a rule of degree d and strength d + target_e from two
-    fixed starts.
+    fixed starts, at one OpenBLAS thread.
 
     `target_e` defaults to the degrees-of-freedom bound minus d, the
-    highest strength the counting argument allows.  Tries the first
-    min(restarts, 2) starts in turn, at one OpenBLAS thread: restart 0 from
-    warp-and-blend nodes, restart 1 from node elimination (`_eliminate`),
-    which gives no candidate where it fails.  No start draws a random
-    number, so the same arguments give the same result at any thread count.
-    Stops at the first restart that converges with positive weights and
-    interior points.  `verbose` prints one line per restart.  The
-    candidates are the states the restarts' searches end on; each carries
-    its points, Newton-Cotes weights, condition estimate and residual.
-    Returns the tie-break winner: converged first, then positive weights,
-    then strictly interior points, then smallest residual, then smallest
-    condition estimate, certified into `rule.certification`.  Of equal
-    candidates the earlier wins.  The result is unconverged when no restart
-    reached RESIDUAL_TOLERANCE; it is certified either way, and an
-    OracleDisagreementError from `certify` propagates.
+    highest strength the counting argument allows.  Restart 0 starts from
+    warp-and-blend nodes.  Restart 1 starts from node elimination
+    (`_eliminate`), and runs only if restart 0 did not converge with
+    positive weights and interior points; it gives no candidate where
+    elimination fails.  No start draws a random number.  `starts` on the
+    result holds one line per start tried.  The candidates are the states
+    the restarts' searches end on.  Returns the tie-break winner: converged
+    first, then positive weights, then strictly interior points, then
+    smallest residual, then smallest condition estimate, certified into
+    `rule.certification`.  Of equal candidates the earlier wins.  The
+    result is unconverged when no restart reached RESIDUAL_TOLERANCE; it is
+    certified either way, and an OracleDisagreementError from `certify`
+    propagates.  Without a candidate, DegenerateConfigurationError names
+    each start's outcome.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
@@ -390,8 +382,6 @@ def optimize(
         target_e = dof_bound(d) - d
     if target_e < 0:
         raise ValueError("target_e must be nonnegative")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
     target = d + target_e
     if target > dof_bound(d):
         warnings.warn(
@@ -406,33 +396,28 @@ def optimize(
         return (not s.converged, not s.positive, not s.interior,
                 s.max_residual, s.sol.condition_estimate)
 
-    best = None
-    for r in range(min(restarts, 2)):
+    best, starts = None, []
+    for r in range(2):
         x0 = _init_warp_blend(d, WARP_SHRINK) if r == 0 else _eliminate(spec_d, spec_de)
         if x0 is None:
-            if verbose:
-                print(f"restart {r}: elimination failed")
+            starts.append(f"restart {r}: elimination failed")
             continue
         try:
             state, iters = _levenberg_marquardt(spec_d, spec_de, x0)
         except DegenerateConfigurationError as exc:
-            if verbose:
-                print(f"restart {r}: degenerate ({exc.args[0]})")
+            starts.append(f"restart {r}: degenerate ({exc.args[0]})")
             continue
-        if verbose:
-            print(
-                f"restart {r}: residual {state.max_residual:.3e} after {iters} "
-                f"iterations{' (converged)' if state.converged else ''}"
-            )
+        starts.append(
+            f"restart {r}: residual {state.max_residual:.3e} after {iters} "
+            f"iterations{' (converged)' if state.converged else ''}"
+        )
         if best is None or rank(state) < rank(best):  # strict < keeps the first of equals
             best = state
         if state.converged and state.positive and state.interior:
             break
 
     if best is None:
-        raise DegenerateConfigurationError(
-            f"all {r + 1} restarts hit degenerate configurations"
-        )
+        raise DegenerateConfigurationError("no start gave a candidate: " + "; ".join(starts))
 
     rule = QuadratureRule(
         cardinal_degree=d,
@@ -443,5 +428,5 @@ def optimize(
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),
         best_residual=best.max_residual,
-        restarts_run=r + 1,
+        starts=tuple(starts),
     )

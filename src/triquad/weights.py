@@ -79,12 +79,14 @@ class WeightSolution:
 
     One inverse of V^T gives the weights, `condition_estimate` (the exact
     1-norm condition number) and, in `linearize()`, the weight Jacobian.
+    Construction and `linearize()` run at one OpenBLAS thread.
     Raises ValueError for a wrong point count, an extended degree below d
     or a non-finite basis value, and DegenerateConfigurationError when the
     condition number exceeds CONDITION_LIMIT (inf for an exactly singular
     system) or the solve residual exceeds RESIDUAL_LIMIT and its floor.
     """
 
+    @_one_blas_thread()  # the products' bits depend on the thread count
     def __init__(self, spec: BasisSpec, points, spec_ext: BasisSpec | None = None):
         spec_ext = spec if spec_ext is None else spec_ext
         if spec_ext.degree < spec.degree:
@@ -122,6 +124,7 @@ class WeightSolution:
         self.weight_jacobian = self.shell_jacobian = None
         self._ev, self._inv = ev, inv
 
+    @_one_blas_thread()
     def linearize(self) -> WeightSolution:
         """Form both Jacobians from the kept tabulation and inverse, once."""
         if self.shell_jacobian is None:
@@ -145,7 +148,6 @@ def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:
     return WeightSolution(spec, points)
 
 
-@_one_blas_thread()  # the products' bits depend on the thread count
 def weight_jacobian(spec: BasisSpec, points) -> np.ndarray:
     """Derivatives of every weight with respect to every point coordinate, (N, 2N)."""
     return WeightSolution(spec, points).linearize().weight_jacobian

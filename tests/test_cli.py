@@ -266,8 +266,9 @@ def test_generate_exits_1_when_every_restart_is_degenerate(monkeypatch, capsys):
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
     assert main(["generate", "--d", "2", "--restarts", "2"]) == 1
+    start = "degenerate (degenerate configuration: start)"
     assert capsys.readouterr().err == (
-        "error: all 2 restarts hit degenerate configurations\n"
+        f"error: no start gave a candidate: restart 0: {start}; restart 1: {start}\n"
     )
 
 
@@ -280,9 +281,19 @@ def test_generate_prints_the_bound_warning_as_one_line(capsys):
         "the counting argument makes it infeasible"
     )
     assert re.fullmatch(
-        r"unconverged: best residual \S+ after 1 restarts \(certified strength \d+\)",
+        r"unconverged: best residual \S+ after 2 restarts \(certified strength \d+\)",
         lines[1],
     )
+
+
+def test_only_generate_verbose_prints_the_starts(capsys):
+    # the library returns each start's line; generate --verbose prints them
+    # and nothing else on stdout for an unconverged row
+    result = triquad.optimizer.optimize(3, target_e=3)
+    assert capsys.readouterr().out == ""
+    assert len(result.starts) == 2
+    assert main(["generate", "--d", "3", "--e", "3", "--verbose"]) == 1
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in result.starts)
 
 
 def test_verify_prints_the_exterior_point_warning_as_one_line(tmp_path, capsys):

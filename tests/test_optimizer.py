@@ -264,7 +264,7 @@ def test_a_nan_trial_step_is_rejected(monkeypatch):
         return step
 
     monkeypatch.setattr(triquad.optimizer.np.linalg, "solve", nan_first_step)
-    result = optimize(1, target_e=1, restarts=1)
+    result = optimize(1, target_e=1)
     assert np.isnan(steps[0][0]) and len(steps) > 1
     assert result.converged
 
@@ -282,7 +282,7 @@ def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
 
 
 def test_optimize_d1_meets_table_row():
-    result = optimize(1, target_e=1, restarts=10)
+    result = optimize(1, target_e=1)
     assert result.converged
     assert result.best_residual <= 1e-14
     report = result.rule.certification
@@ -295,7 +295,7 @@ def test_optimize_d1_meets_table_row():
 
 
 def test_optimize_d2_meets_table_row():
-    result = optimize(2, target_e=2, restarts=10)
+    result = optimize(2, target_e=2)
     assert result.converged
     report = result.rule.certification
     assert report.strength == 4
@@ -315,29 +315,31 @@ def test_optimize_infeasible_target_warns_and_flags():
 
 def test_optimize_beyond_bound_warns():
     with pytest.warns(UserWarning, match="degrees-of-freedom") as record:
-        optimize(1, target_e=3, restarts=1)
+        optimize(1, target_e=3)
     assert record[0].filename == __file__  # the caller's line, not the pin's
 
 
 def test_optimize_is_deterministic():
-    a = optimize(1, target_e=1, restarts=4)
-    b = optimize(1, target_e=1, restarts=4)
+    a = optimize(1, target_e=1)
+    b = optimize(1, target_e=1)
     assert np.array_equal(a.rule.points, b.rule.points)
     assert np.array_equal(a.rule.weights, b.rule.weights)
     assert a.rule.certification.max_error == b.rule.certification.max_error
 
 
 def test_optimize_output_passes_independent_certification():
-    result = optimize(2, target_e=2, restarts=10)
+    result = optimize(2, target_e=2)
     assert result.converged
     report = certify(result.rule)
     assert report.strength >= 4
 
 
-# the search draws no random number, so optimize refuses any seed; the
-# CLI records --seed in the rule header
+# optimize takes no search setting: the search draws no random number and
+# has two fixed starts, and it returns its per-start lines rather than
+# printing them.  The CLI records --seed in the rule header
 REFUSALS = {
-    "restarts": (ValueError, "^restarts must be"),
+    "restarts": (TypeError, "unexpected keyword argument 'restarts'"),
+    "verbose": (TypeError, "unexpected keyword argument 'verbose'"),
     "seed": (TypeError, "unexpected keyword argument 'seed'"),
 }
 
@@ -348,17 +350,18 @@ REFUSALS = {
         ({"restarts": 0}, "restarts"),
         ({"restarts": -1}, "restarts"),
         ({"seed": 0}, "seed"),
+        ({"verbose": True}, "verbose"),
     ],
 )
 def test_optimize_refuses_invalid_search_settings(settings, field):
     error, match = REFUSALS[field]
     with pytest.raises(error, match=match):
-        optimize(1, **{"target_e": 1, "restarts": 1, **settings})
+        optimize(1, **{"target_e": 1, **settings})
 
 
 def test_converged_is_read_from_the_best_residual():
-    rule = optimize(1, target_e=1, restarts=1).rule
-    at = OptimizeResult(rule, best_residual=RESIDUAL_TOLERANCE, restarts_run=1)
+    result = optimize(1, target_e=1)
+    at = OptimizeResult(result.rule, best_residual=RESIDUAL_TOLERANCE, starts=result.starts)
     above = replace(at, best_residual=np.nextafter(RESIDUAL_TOLERANCE, 1.0))
     assert at.converged and not above.converged
 
@@ -459,8 +462,8 @@ def test_elimination_stalls_just_above_the_tolerance(d, s):
 # Each probe writes one output whose bits OpenBLAS would make depend on its
 # thread count: elimination's 105 x 105 Gram matrix at d = 7 and the d = 9
 # search's normal equations are past the size where it splits a product or
-# a solve over its threads, and so are the d = 14 Vandermonde inverse and
-# the public Jacobians' products at d = 14
+# a solve over its threads, and so are the d = 14 Vandermonde inverse (the
+# CLI's and the library's weights) and the public Jacobians' products
 THREAD_PROBES = {
     "d7_elimination": [
         "-c", "import hashlib; from triquad.basis import BasisSpec; "
@@ -470,7 +473,7 @@ THREAD_PROBES = {
     ],
     "d9_search": [
         "-c", "import triquad.optimizer as o; "
-        "print(repr(o.optimize(9, target_e=7, restarts=1).best_residual))",
+        "print(repr(o.optimize(9, target_e=7).best_residual))",
     ],
     "d14_weights": ["-m", "triquad.cli", "weights", "{file}", "--d", "14"],
     # the per-shell derivative products at D = 18
@@ -479,6 +482,13 @@ THREAD_PROBES = {
         "from triquad.optimizer import _init_warp_blend; "
         "ev = vandermonde(BasisSpec(18), _init_warp_blend(10, 0.05), derivatives=True); "
         "print(hashlib.sha256(ev.d_xi1.tobytes() + ev.d_xi2.tobytes()).hexdigest())",
+    ],
+    "d14_newton_cotes_weights": [
+        "-c", "import hashlib; from triquad.basis import BasisSpec; "
+        "from triquad.optimizer import _init_warp_blend; "
+        "from triquad.weights import newton_cotes_weights; "
+        "sol = newton_cotes_weights(BasisSpec(14), _init_warp_blend(14, 0.05)); "
+        "print(hashlib.sha256(sol.weights.tobytes()).hexdigest())",
     ],
     "d14_weight_jacobian": [
         "-c", "import hashlib; from triquad.basis import BasisSpec; "
@@ -579,7 +589,7 @@ PINNED_ROWS = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 8: 6, 9: 7}
 
 @pytest.fixture(scope="module")
 def first_restart_results():
-    return {d: optimize(d, target_e=e, restarts=1) for d, e in PINNED_ROWS.items()}
+    return {d: optimize(d, target_e=e) for d, e in PINNED_ROWS.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 10])
@@ -589,13 +599,13 @@ def test_d6_certifies_on_the_first_restart(seed, first_restart_results, tmp_path
     # so generate's --seed adds only the header line that records it
     header = f"# seed = {seed}\n"
     for d, result in first_restart_results.items():
-        assert result.converged, d
+        assert result.converged and len(result.starts) == 1, d
         report = result.rule.certification
         assert report.strength == d + PINNED_ROWS[d], d
         assert report.positive_weights and report.all_interior, d
         out = tmp_path / f"d{d}.txt"
         assert triquad.cli.main(["generate", "--d", str(d), "--e", str(PINNED_ROWS[d]),
-                                 "--seed", str(seed), "--restarts", "1",
+                                 "--seed", str(seed),
                                  "--out", str(out)]) == 0
         text = out.read_text()
         assert header in text, d
@@ -609,8 +619,9 @@ def test_a_degenerate_start_raises():
 
 
 def test_verbose_reports_every_restart(monkeypatch, capsys):
-    # every search ends on a degenerate start; restarts above 2 try both
-    # starts, and a failed elimination is reported as such
+    # every search ends on a degenerate start, so both starts are tried and
+    # neither gives a candidate: the error names what each start did, a
+    # failed elimination included, and nothing is printed
     def degenerate_search(spec_d, spec_de, points):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
@@ -618,15 +629,15 @@ def test_verbose_reports_every_restart(monkeypatch, capsys):
     first = "restart 0: degenerate (degenerate configuration: start)"
     for second in ("restart 1: degenerate (degenerate configuration: start)",
                    "restart 1: elimination failed"):
-        with pytest.raises(DegenerateConfigurationError,
-                           match="^all 2 restarts hit degenerate configurations$"):
-            optimize(2, target_e=2, restarts=3, verbose=True)
-        assert capsys.readouterr().out.splitlines() == [first, second]
+        with pytest.raises(DegenerateConfigurationError) as exc:
+            optimize(2, target_e=2)
+        assert str(exc.value) == f"no start gave a candidate: {first}; {second}"
+        assert capsys.readouterr() == ("", "")
         monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
 
 
 # pairs of restart outcomes (converged, positive, interior, residual,
-# condition), the winner and restarts_run: each rank key in turn decides
+# condition), the winner and the starts tried: each rank key in turn decides
 # one pair, the earlier of equals wins, and a first restart meeting all
 # three conditions ends the search
 TIE_BREAK_CASES = {
@@ -642,7 +653,7 @@ TIE_BREAK_CASES = {
 
 @pytest.mark.parametrize("case", sorted(TIE_BREAK_CASES))
 def test_tie_break_order_and_the_break(case, monkeypatch):
-    outcomes, winner, restarts_run = TIE_BREAK_CASES[case]
+    outcomes, winner, tried = TIE_BREAK_CASES[case]
     rng = np.random.default_rng(4)
     states, starts = [], []
     for converged, positive, interior, res, cond in outcomes:
@@ -659,14 +670,18 @@ def test_tie_break_order_and_the_break(case, monkeypatch):
         return states[len(starts) - 1], 1
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", recording_search)
-    result = optimize(1, target_e=1, restarts=5)
-    assert result.restarts_run == restarts_run
+    result = optimize(1, target_e=1)
+    assert result.starts == tuple(
+        f"restart {r}: residual {res:.3e} after 1 iterations"
+        f"{' (converged)' if converged else ''}"
+        for r, (converged, _, _, res, _) in enumerate(outcomes[:tried])
+    )
     assert np.array_equal(result.rule.points, states[winner].points)
     # restart 0 starts from warp-and-blend nodes, restart 1 from elimination
     assert np.array_equal(starts[0], _init_warp_blend(1, WARP_SHRINK))
-    if restarts_run == 2:
+    if tried == 2:
         assert np.array_equal(starts[1], _eliminate(BasisSpec(1), BasisSpec(2)))
-    assert len(starts) == restarts_run
+    assert len(starts) == tried
 
 
 def _disagreeing_certify(rule):
@@ -676,7 +691,7 @@ def _disagreeing_certify(rule):
 def test_a_converged_winner_whose_oracles_disagree_raises(monkeypatch):
     monkeypatch.setattr(triquad.optimizer, "certify", _disagreeing_certify)
     with pytest.raises(OracleDisagreementError):
-        optimize(1, target_e=1, restarts=1)
+        optimize(1, target_e=1)
 
 
 def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
@@ -687,13 +702,13 @@ def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
         optimize(3, target_e=3)
 
 
-# Runs past restart 0: (d, settings, converged, restarts_run, best residual,
-# SHA-256 of the emitted rule, the --verbose lines)
+# Runs past restart 0: (d, settings, converged, best residual, SHA-256 of
+# the emitted rule, the result's starts, which --verbose prints)
 MULTI_RESTART_RUNS = {
     # restart 0 stalls, restart 1 (node elimination) certifies and breaks;
     # it ends 18% under RESIDUAL_TOLERANCE
     "d7_restart1": (
-        7, {"target_e": 6}, True, 2, "8.187895e-15",
+        7, {"target_e": 6}, True, "8.187895e-15",
         "b8ede12f9001e9696f6d23e10555c893edaa39f9c3deff268ff0dfc152cea3ce",
         ["restart 0: residual 6.448e-02 after 113 iterations",
          "restart 1: residual 8.188e-15 after 1 iterations (converged)"],
@@ -701,7 +716,7 @@ MULTI_RESTART_RUNS = {
     # strength 6 at d = 3 is out of reach: elimination fails, and restart 0
     # is the one candidate
     "d3_unconverged": (
-        3, {"target_e": 3}, False, 2, "4.366623e-02",
+        3, {"target_e": 3}, False, "4.366623e-02",
         "191ec6e5bddc63c272341c4ce2c8d008da5282da9a0f137a44667baea8652985",
         ["restart 0: residual 4.367e-02 after 221 iterations",
          "restart 1: elimination failed"],
@@ -725,11 +740,10 @@ def test_numpy_random_loads_at_the_first_draw(search):
 
 
 @pytest.mark.parametrize("name", sorted(MULTI_RESTART_RUNS))
-def test_multi_restart_runs_keep_their_bytes(name, capsys):
-    d, settings, converged, restarts, res, digest, lines = MULTI_RESTART_RUNS[name]
-    result = optimize(d, verbose=True, **settings)
-    assert capsys.readouterr().out.splitlines() == lines
+def test_multi_restart_runs_keep_their_bytes(name):
+    d, settings, converged, res, digest, lines = MULTI_RESTART_RUNS[name]
+    result = optimize(d, **settings)
+    assert list(result.starts) == lines
     assert result.converged is converged
-    assert result.restarts_run == restarts
     assert f"{result.best_residual:.6e}" == res
     assert hashlib.sha256(emit_rule(result.rule).encode()).hexdigest() == digest

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -108,7 +109,7 @@ def test_every_public_name_is_documented_in_the_readme():
 # already holds must be added here on purpose.
 RECORD_FIELDS = {
     "QuadratureRule": ["cardinal_degree", "points", "weights", "certification", "metadata"],
-    "OptimizeResult": ["rule", "best_residual", "restarts_run"],
+    "OptimizeResult": ["rule", "best_residual", "starts"],
 }
 
 
@@ -118,13 +119,11 @@ def test_record_fields_are_the_intended_lists(name):
     assert fields == RECORD_FIELDS[name]
 
 
-# The search's settings are optimize's keyword arguments.  A new setting,
-# like a new record field, must be added here on purpose.
+# optimize takes the problem and no search setting.  A new parameter, like
+# a new record field, must be added here on purpose.
 OPTIMIZE_PARAMETERS = [
     ("d", inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty),
     ("target_e", inspect.Parameter.KEYWORD_ONLY, None),
-    ("restarts", inspect.Parameter.KEYWORD_ONLY, 2),
-    ("verbose", inspect.Parameter.KEYWORD_ONLY, False),
 ]
 
 
@@ -156,3 +155,15 @@ def test_cli_options_are_the_intended_lists():
         for name, parser in sub.choices.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_only_the_cli_prints():
+    # the library returns what it did (OptimizeResult.starts); the CLI
+    # decides what reaches stdout
+    printing = []
+    for path in sorted(Path(triquad.__file__).parent.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"]
+        if calls and path.name != "cli.py":
+            printing.append((path.name, calls))
+    assert printing == []

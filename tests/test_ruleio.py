@@ -121,7 +121,7 @@ def test_emitted_weights_sum_to_one():
 
 
 def test_round_trip_preserves_certification():
-    result = optimize(1, target_e=1, restarts=5)
+    result = optimize(1, target_e=1)
     rule = result.rule
     recovered = parse_rule(emit_rule(rule))
     before = certify(rule)
@@ -137,7 +137,7 @@ def test_round_trip_preserves_certification():
 
 def test_plot_title_names_only_a_certified_strength():
     title = "<title>triangle quadrature rule: 3 points, d=1"
-    certified = optimize(1, target_e=1, restarts=10).rule
+    certified = optimize(1, target_e=1).rule
     assert f"{title}, strength=2</title>" in plot_rule(certified)
     # a parsed file's strength claim is not certified, so the title omits it
     claimed = parse_rule("# d = 1\n# strength = 2\n" + MIDPOINT_FILE)
@@ -239,7 +239,7 @@ def test_two_records_parse_as_a_non_cardinal_rule(parse, text):
 
 
 def test_registry_save_load_and_table(tmp_path):
-    result = optimize(1, target_e=1, restarts=5)
+    result = optimize(1, target_e=1)
     registry = Registry(tmp_path / "reg")
     path = registry.save(result.rule)
     assert path.name == "tri_d1_s2.txt"
@@ -254,7 +254,7 @@ def test_registry_save_load_and_table(tmp_path):
 
 
 def test_registry_detects_tampering(tmp_path):
-    result = optimize(1, target_e=1, restarts=5)
+    result = optimize(1, target_e=1)
     registry = Registry(tmp_path / "reg")
     path = registry.save(result.rule)
     text = path.read_text()
@@ -264,7 +264,7 @@ def test_registry_detects_tampering(tmp_path):
 
 
 def test_registry_refuses_a_file_missing_from_the_index(tmp_path):
-    result = optimize(1, target_e=1, restarts=5)
+    result = optimize(1, target_e=1)
     registry = Registry(tmp_path / "reg")
     path = registry.save(result.rule)
     (tmp_path / "reg" / "tri_d9_s99.txt").write_bytes(path.read_bytes())
