@@ -15,19 +15,19 @@ plateaus.  A restart converges when its largest shell residual is at most
 RESIDUAL_TOLERANCE.  `optimize` takes only the problem, prints nothing and
 returns one line per start it tried.
 
-Points are kept inside the triangle with a logarithmic barrier on the
-three barycentric coordinates, annealed toward zero so the final iterates
-solve the unbiased problem.  Positive weights are a check on the finished
-rule (`optimize`'s tie-break), not a term the search minimizes.  A barrier
-stage (mu > 0) ends at the first of three exits: its iteration cap, a
-stall, or the shell term falling to STAGE_EXIT_FRAC of the barrier term.
-A restart is one anneal: it ends at convergence, at its first stall with
-the barrier off, or at MAX_ITERATIONS.
-Every configuration the search visits is one `WeightSolution` (basis
-values, the weight solve and the shell residual) wrapped in an
-`_EvalState` that adds the barrier value; that much decides whether a trial
-step is accepted.  The state a restart ends on is its outcome: points,
-weights, condition estimate and residual, with no second solve.
+Points are kept inside the triangle with a logarithmic barrier on the three
+barycentric coordinates, annealed toward zero so the final iterates solve
+the unbiased problem.  Positive weights are a check on the finished rule
+(`optimize`'s tie-break), not a term the search minimizes.  A restart is
+one anneal, written as one loop over Levenberg-Marquardt steps.  A barrier
+stage (mu > 0) ends at the first of three exits: its step cap, a stall, or
+the shell term falling to STAGE_EXIT_FRAC of the barrier term.  The anneal
+ends at convergence, at its first stall with the barrier off, or after
+MAX_ITERATIONS steps.  Every configuration the search visits is an
+`_EvalState`: a `WeightSolution` (basis values, the weight solve and the
+shell residual) that adds the barrier value; that much decides whether a
+trial step is accepted.  The state a restart ends on is its outcome:
+points, weights, condition estimate and residual, with no second solve.
 Derivatives (the solution's weight and shell Jacobians and the barrier's
 gradient and Hessian) are formed only for a configuration the search steps
 from: the start or an accepted trial.  A trial step leaving the triangle is
@@ -66,7 +66,7 @@ BARRIER_START = 1e-8
 #: that the next, weaker stage discards.
 STAGE_EXIT_FRAC = 1e-3
 
-#: Levenberg-Marquardt iterations per restart.
+#: Levenberg-Marquardt steps per restart.
 MAX_ITERATIONS = 2000
 
 #: Shrink toward the centroid of restart 0's warp-and-blend start.
@@ -88,37 +88,34 @@ class OptimizeResult:
         return self.best_residual <= RESIDUAL_TOLERANCE
 
 
-class _EvalState:
-    """One configuration the search visits: its `WeightSolution` plus the
+class _EvalState(WeightSolution):
+    """One configuration the search visits: a `WeightSolution` plus the
     barrier.
 
     Construction costs values only: the solution (values tabulation, weight
-    solve, shell residual), `r` (the shell residual itself), `half_rr` =
-    |r|^2/2, `max_residual`, the barycentrics (`bary`, if the caller has
-    formed them) and the barrier value: all a trial step needs.
-    `linearize()` adds, once, what a step from this configuration needs:
-    `jac` (the shell Jacobian) and the barrier's gradient and Hessian blocks.
+    solve, shell residual r), `half_rr` = |r|^2/2, `max_residual`, the
+    barycentrics (`bary`, if the caller has formed them) and the barrier
+    value: all a trial step needs.  `linearize()` adds, once, what a step
+    from this configuration needs: the shell Jacobian and the barrier's
+    gradient and Hessian blocks.
     """
-
-    __slots__ = ("sol", "points", "r", "half_rr", "max_residual",
-                 "bary", "barrier", "jac", "barrier_grad", "barrier_hess")
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points, bary=None):
         self.points = as_point_array(points)
-        self.sol = sol = WeightSolution(spec_d, self.points, spec_de)
-        self.r = sol.shell_residual
-        self.half_rr = 0.5 * float(self.r @ self.r)
-        self.max_residual = float(np.max(np.abs(self.r), initial=0.0))
+        super().__init__(spec_d, self.points, spec_de)
+        r = self.shell_residual
+        self.half_rr = 0.5 * float(r @ r)
+        self.max_residual = float(np.max(np.abs(r), initial=0.0))
         self.bary = ref_to_bary(self.points) if bary is None else bary
         self.barrier = _barrier_value(self.bary)
-        self.jac = self.barrier_grad = self.barrier_hess = None
+        self.barrier_grad = self.barrier_hess = None
 
-    def linearize(self) -> None:
-        """Form the Jacobian and barrier derivatives; a no-op after the first call."""
-        if self.jac is not None:
-            return
-        self.jac = self.sol.linearize().shell_jacobian
-        self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
+    def linearize(self) -> _EvalState:
+        """Form the Jacobians and barrier derivatives; a no-op after the first call."""
+        if self.barrier_grad is None:
+            super().linearize()
+            self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
+        return self
 
     @property
     def converged(self) -> bool:
@@ -126,7 +123,7 @@ class _EvalState:
 
     @property
     def positive(self) -> bool:
-        return bool(np.all(self.sol.weights > 0.0))
+        return bool(np.all(self.weights > 0.0))
 
     @property
     def interior(self) -> bool:
@@ -175,18 +172,17 @@ def _levenberg_marquardt(
     points: np.ndarray,
 ) -> tuple[_EvalState, int]:
     """Damped Gauss-Newton from (N, 2) `points`, with one annealed log
-    barrier.
+    barrier, as one loop: each pass ends a barrier stage or takes one step.
 
     Ends at convergence, at the first stall with the barrier off (a local
-    minimum, left to the next restart) or after MAX_ITERATIONS.  Returns
-    (state, iterations): the state it converged on, or else the
-    lowest-residual state it visited.  A degenerate start raises
-    DegenerateConfigurationError.
+    minimum, left to the next restart) or after MAX_ITERATIONS steps.
+    Returns (state, steps): the state it converged on, or else the
+    lowest-residual state it visited, and the number of steps, each from a
+    linearized state.  A degenerate start raises DegenerateConfigurationError.
     """
     n = spec_d.dim
-    mu = BARRIER_START
-    lam = 1e-3
-    iters = 0
+    mu, lam = BARRIER_START, 1e-3
+    steps, stage_steps, stalled = 0, 0, False
     # a stage ends at this cap, on a stall or once the shell term is
     # negligible beside the barrier (STAGE_EXIT_FRAC): it only needs to get
     # near its barrier-biased optimum before the barrier weakens, and
@@ -197,71 +193,64 @@ def _levenberg_marquardt(
     state = _EvalState(spec_d, spec_de, points)
     best = state  # no code writes an _EvalState's points in place
 
-    while iters < MAX_ITERATIONS:
-        stage_stalled = False
-        stage_iters = 0
-        while (
-            iters < MAX_ITERATIONS
-            and stage_iters < stage_cap
-            and not stage_stalled
-        ):
-            iters += 1
-            stage_iters += 1
-            if state.max_residual < best.max_residual:
-                best = state
-            if state.converged:
-                return state, iters
-            if mu > 0.0 and state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier:
-                break  # the shell term is negligible beside the barrier
-
-            state.linearize()  # derivatives only where a step starts
-            gn = state.jac.T @ state.jac
-            grad = state.jac.T @ state.r
-            if mu > 0.0:
-                gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
-                grad = grad + mu * state.barrier_grad
-            scale = np.diag(gn).copy()
-            scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
-            phi = state.half_rr + mu * state.barrier
-
-            while lam < 1e13:
-                try:
-                    step = np.linalg.solve(gn + lam * np.diag(scale), -grad)
-                except np.linalg.LinAlgError:
-                    lam *= 10.0
-                    continue
-                trial = state.points + step.reshape(n, 2)
-                trial_bary = ref_to_bary(trial)
-                # a NaN coordinate fails every comparison: test for inside
-                if not np.all(trial_bary > 0.0):
-                    lam *= 10.0
-                    continue
-                try:
-                    trial_state = _EvalState(spec_d, spec_de, trial, trial_bary)
-                except DegenerateConfigurationError:
-                    lam *= 10.0
-                    continue
-                if trial_state.half_rr + mu * trial_state.barrier < phi:
-                    state = trial_state
-                    lam = max(lam / 3.0, 1e-14)
-                    size = max(1.0, float(np.max(np.abs(state.points))))
-                    stage_stalled = float(np.max(np.abs(step))) / size < 1e-15
-                    break
-                lam *= 10.0
-            else:
-                stage_stalled = True  # no acceptable step at this barrier strength
-
+    while True:
         if state.max_residual < best.max_residual:
             best = state
         if state.converged:
-            return state, iters
-        if mu == 0.0 and stage_stalled:
-            break  # a local minimum of the unbiased problem
-        if mu > 0.0:
-            mu = 0.0 if mu < 1e-15 else mu / 10.0
-        lam = min(lam, 1e-3)  # fresh damping: the objective just changed
+            return state, steps
+        if stalled or stage_steps == stage_cap or (
+            mu > 0.0 and state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier
+        ):
+            if mu == 0.0 and stalled:
+                break  # a local minimum of the unbiased problem
+            if mu > 0.0:
+                mu = 0.0 if mu < 1e-15 else mu / 10.0
+            lam = min(lam, 1e-3)  # fresh damping: the objective just changed
+            stalled, stage_steps = False, 0
+            continue
+        if steps == MAX_ITERATIONS:
+            break
+        steps += 1
+        stage_steps += 1
 
-    return best, iters
+        jac = state.linearize().shell_jacobian  # derivatives only where a step starts
+        gn = jac.T @ jac
+        grad = jac.T @ state.shell_residual
+        if mu > 0.0:
+            gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
+            grad = grad + mu * state.barrier_grad
+        scale = np.diag(gn).copy()
+        scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
+        phi = state.half_rr + mu * state.barrier
+
+        while lam < 1e13:
+            try:
+                step = np.linalg.solve(gn + lam * np.diag(scale), -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            trial = state.points + step.reshape(n, 2)
+            trial_bary = ref_to_bary(trial)
+            # a NaN coordinate fails every comparison: test for inside
+            if not np.all(trial_bary > 0.0):
+                lam *= 10.0
+                continue
+            try:
+                trial_state = _EvalState(spec_d, spec_de, trial, trial_bary)
+            except DegenerateConfigurationError:
+                lam *= 10.0
+                continue
+            if trial_state.half_rr + mu * trial_state.barrier < phi:
+                state = trial_state
+                lam = max(lam / 3.0, 1e-14)
+                size = max(1.0, float(np.max(np.abs(state.points))))
+                stalled = float(np.max(np.abs(step))) / size < 1e-15
+                break
+            lam *= 10.0
+        else:
+            stalled = True  # no acceptable step at this barrier strength
+
+    return best, steps
 
 
 def _init_warp_blend(d: int, tau: float) -> np.ndarray:
@@ -394,7 +383,7 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
 
     def rank(s: _EvalState):
         return (not s.converged, not s.positive, not s.interior,
-                s.max_residual, s.sol.condition_estimate)
+                s.max_residual, s.condition_estimate)
 
     best, starts = None, []
     for r in range(2):
@@ -422,7 +411,7 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
     rule = QuadratureRule(
         cardinal_degree=d,
         points=best.points,
-        weights=best.sol.weights,
+        weights=best.weights,
         metadata={"generator": "triquad"},
     )
     return OptimizeResult(

@@ -371,6 +371,21 @@ def test_table_lists_registry(tmp_path, capsys):
     assert (rows[0]["d"], rows[0]["n_points"], rows[0]["strength"]) == (1, 3, 2)
 
 
+def test_table_prints_one_text_row_per_rule(tmp_path, capsys):
+    reg = tmp_path / "registry"
+    assert main(["table", "--registry", str(reg)]) == 0
+    assert capsys.readouterr().out == "registry is empty\n"
+    main(["generate", "--d", "1", "--e", "1", "--out", str(tmp_path / "r.txt"),
+          "--register", str(reg)])
+    capsys.readouterr()
+    assert main(["table", "--registry", str(reg)]) == 0
+    # the d = 1 rule's header classifies it asymmetric
+    assert capsys.readouterr().out.splitlines() == [
+        "  d    N strength      error  notes",
+        "  1    3        2  6.245e-16  asym",
+    ]
+
+
 def test_table_refuses_an_unindexed_rule_file(tmp_path, capsys):
     reg = tmp_path / "registry"
     main(

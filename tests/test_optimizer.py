@@ -185,8 +185,8 @@ def test_search_sweeps_derivatives_only_where_it_steps_from(monkeypatch):
     assert state.converged
     swept = [ev for kind, ev in events if kind == "sweep"]
     tabulated = [ev for kind, ev in events if kind == "values"]
-    # one sweep per linearized configuration, at most one per iteration
-    assert len({id(ev) for ev in swept}) == len(swept) <= iters
+    # one sweep per linearized configuration, one per step taken
+    assert len({id(ev) for ev in swept}) == len(swept) == iters
     # each sweep is of the configuration tabulated last (the start or the
     # accepted trial); a rejected trial is followed by another tabulation
     # before the search steps again, so it is never swept
@@ -251,22 +251,64 @@ def test_barrier_is_infinite_for_non_finite_barycentrics(bad):
     assert _barrier_value(bary) == np.inf
 
 
-def test_a_nan_trial_step_is_rejected(monkeypatch):
+def _fail_once(monkeypatch, target, name, fail, skip=0):
+    """Patch `target.name` so that its call number `skip` (from 0) runs
+    `fail(original, *args)` instead; returns the list of calls' arguments."""
+    original, calls = getattr(target, name), []
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == skip + 1:
+            return fail(original, *args)
+        return original(*args)
+
+    monkeypatch.setattr(target, name, patched)
+    return calls
+
+
+def _nan_step(solve, *args):
+    step = solve(*args)
+    step[0] = np.nan
+    return step
+
+
+def _singular(solve, *args):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _degenerate(evaluate, *args):
+    raise DegenerateConfigurationError("degenerate configuration: trial")
+
+
+# failures of the search's first trial: (failure, module and name of the
+# function it replaces, calls to that function before the trial's)
+TRIAL_FAILURES = {
     # a NaN step gives a NaN trial point, which fails every comparison: the
     # search must reject it like a step out of the triangle, not solve at it
-    solve, steps = np.linalg.solve, []
+    "nan_step": (_nan_step, np.linalg, "solve", 0),
+    "singular_solve": (_singular, np.linalg, "solve", 0),
+    # call 0 evaluates the start
+    "degenerate_trial": (_degenerate, triquad.optimizer, "_EvalState", 1),
+}
 
-    def nan_first_step(a, b):
-        step = solve(a, b)
-        if not steps:
-            step[0] = np.nan
-        steps.append(step)
-        return step
 
-    monkeypatch.setattr(triquad.optimizer.np.linalg, "solve", nan_first_step)
+@pytest.mark.parametrize("case", sorted(TRIAL_FAILURES))
+def test_a_nan_trial_step_is_rejected(case, monkeypatch):
+    # each raises the damping, and the search goes on from the same state:
+    # restart 0 still converges
+    fail, target, name, skip = TRIAL_FAILURES[case]
+    calls = _fail_once(monkeypatch, target, name, fail, skip)
     result = optimize(1, target_e=1)
-    assert np.isnan(steps[0][0]) and len(steps) > 1
-    assert result.converged
+    assert len(calls) > skip + 1
+    assert result.converged and len(result.starts) == 1
+
+
+def test_a_singular_elimination_solve_is_rejected(monkeypatch):
+    # _gauss_newton raises its damping on a LinAlgError, as the search does
+    calls = _fail_once(monkeypatch, np.linalg, "solve", _singular)
+    pts = _eliminate(BasisSpec(2), BasisSpec(4))
+    assert len(calls) > 1
+    assert pts.shape == (6, 2) and np.all(points_inside(pts))
 
 
 def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
@@ -660,9 +702,8 @@ def test_tie_break_order_and_the_break(case, monkeypatch):
         pts = random_interior(rng, 3)
         states.append(SimpleNamespace(
             points=pts, converged=converged, positive=positive, interior=interior,
-            max_residual=res,
-            sol=SimpleNamespace(weights=newton_cotes_weights(BasisSpec(1), pts).weights,
-                                condition_estimate=cond),
+            max_residual=res, condition_estimate=cond,
+            weights=newton_cotes_weights(BasisSpec(1), pts).weights,
         ))
 
     def recording_search(spec_d, spec_de, points):
@@ -711,7 +752,7 @@ MULTI_RESTART_RUNS = {
         7, {"target_e": 6}, True, "8.187895e-15",
         "b8ede12f9001e9696f6d23e10555c893edaa39f9c3deff268ff0dfc152cea3ce",
         ["restart 0: residual 6.448e-02 after 113 iterations",
-         "restart 1: residual 8.188e-15 after 1 iterations (converged)"],
+         "restart 1: residual 8.188e-15 after 0 iterations (converged)"],
     ),
     # strength 6 at d = 3 is out of reach: elimination fails, and restart 0
     # is the one candidate
