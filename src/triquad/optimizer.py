@@ -31,8 +31,9 @@ points, weights, condition estimate and residual, with no second solve.
 Derivatives (the solution's weight and shell Jacobians and the barrier's
 gradient and Hessian) are formed only for a configuration the search steps
 from: the start or an accepted trial.  A trial step leaving the triangle is
-rejected before evaluation, and one producing a near-singular Vandermonde
-system is rejected outright.
+cut, before evaluation, to BOUNDARY_FRACTION of the way to the first edge
+it crosses; a trial still outside (a step that is not a number) or
+producing a near-singular Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -65,6 +66,10 @@ BARRIER_START = 1e-8
 #: polishing the stage would only slide the points toward a lower barrier
 #: that the next, weaker stage discards.
 STAGE_EXIT_FRAC = 1e-3
+
+#: A trial step that leaves the triangle is cut to this fraction of the way
+#: to the first edge it crosses (the fraction-to-the-boundary rule).
+BOUNDARY_FRACTION = 0.99
 
 #: Levenberg-Marquardt steps per restart.
 MAX_ITERATIONS = 2000
@@ -231,6 +236,15 @@ def _levenberg_marquardt(
                 continue
             trial = state.points + step.reshape(n, 2)
             trial_bary = ref_to_bary(trial)
+            if not np.all(trial_bary > 0.0):
+                # keep the direction and stop short of the first edge crossed
+                fall = trial_bary < state.bary
+                alpha = BOUNDARY_FRACTION * np.min(
+                    state.bary[fall] / (state.bary - trial_bary)[fall], initial=np.inf)
+                if 0.0 < alpha < 1.0:
+                    step = alpha * step
+                    trial = state.points + step.reshape(n, 2)
+                    trial_bary = ref_to_bary(trial)
             # a NaN coordinate fails every comparison: test for inside
             if not np.all(trial_bary > 0.0):
                 lam *= 10.0

@@ -68,14 +68,14 @@ TARGET_E = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 6, 9: 7}
 # one bit of a tabulated value, weight or Jacobian shows here first
 PINNED_RUNS = {
     1: ("37ccb537a6eac1fd1db3b1a5c514226da0c9a0249758a00e68e876ee9ffdc1f8", 1, 6),
-    2: ("70056e7937c4c1cbf24186b7a65ce2cae25c758269b898205239b53c0b4a4fb8", 1, 46),
-    3: ("77a42851e31adc5b1f80104860fa46235941395f9674fcb228a7bbfdb7e024e6", 1, 24),
-    4: ("5ee2277cc3b46f2daa3d5636ac54117d12ae3c9a55804496c7ccdd65c877e885", 1, 42),
+    2: ("260363c79fbc68f37e9d67dfc9a37e6912a08c60dccb2fa2a534230082cb9bdf", 1, 26),
+    3: ("d3b7653e665cb17eebd797621e0083e1acc43ed27bf5b27b0882fb76f1d42e58", 1, 7),
+    4: ("c7a144992e3d91b43d7b71ac49aa4ea9c5bcd307ad5b64717300ee2152a867cf", 1, 13),
     5: ("5f4b8d67531144f0ca843ac1964dca3379a7c2029c0be16ad278df2f7e030357", 1, 9),
-    6: ("49dc63daa8f14f5dd2371912aa4d210fecf84ae442f1a626d6d6e4fc71b3b40f", 1, 67),
+    6: ("c847a824303b13b25cf584690f31cbeaf495f291d4af698eae09806a4353d281", 1, 63),
     7: ("7f6ef7d3c1f794c0a403eafe4faa0589edda63d4cfe9ecab656d89bf6a8db7f9", 2, 0),
-    8: ("0ef04828134888ecf73dba440e2cb0dc97cf9d7a68f66d6900da98b7106a0578", 1, 9),
-    9: ("e7b11ae961af1ec38848bec4fcf3357b5436c59cbb804f7e5ea0f712af644555", 1, 42),
+    8: ("4deb8adf384e5641ac4f227e31d1e4406e2cf71355b8028caccfc484c072ed6e", 1, 9),
+    9: ("000c81dc2104a55bee886f209a2e6efc9a05f7a213bf2c5d8a02c5e9845b686d", 1, 16),
 }
 
 

@@ -18,6 +18,7 @@ import triquad.weights
 from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor, vandermonde
 from triquad.domain import points_inside, ref_to_bary
 from triquad.optimizer import (
+    BOUNDARY_FRACTION,
     RESIDUAL_TOLERANCE,
     WARP_SHRINK,
     OptimizeResult,
@@ -284,7 +285,7 @@ def _degenerate(evaluate, *args):
 # function it replaces, calls to that function before the trial's)
 TRIAL_FAILURES = {
     # a NaN step gives a NaN trial point, which fails every comparison: the
-    # search must reject it like a step out of the triangle, not solve at it
+    # search must reject it, neither cutting it at an edge nor solving at it
     "nan_step": (_nan_step, np.linalg, "solve", 0),
     "singular_solve": (_singular, np.linalg, "solve", 0),
     # call 0 evaluates the start
@@ -300,6 +301,37 @@ def test_a_nan_trial_step_is_rejected(case, monkeypatch):
     calls = _fail_once(monkeypatch, target, name, fail, skip)
     result = optimize(1, target_e=1)
     assert len(calls) > skip + 1
+    assert result.converged and len(result.starts) == 1
+
+
+def test_a_step_across_an_edge_is_cut_short_of_it(monkeypatch):
+    # the first step carries point 0 across the edge b1 = 0, to b1' = -b1,
+    # and the others a tenth of the way to the centroid: the first trial
+    # evaluated is that step cut to BOUNDARY_FRACTION of the way to the
+    # edge, not a re-solve at higher damping
+    start = _init_warp_blend(1, WARP_SHRINK)
+    start_bary = ref_to_bary(start)
+    step = 0.1 * (np.array([-1.0, -1.0]) / 3.0 - start)
+    step[0] = (-4.0 * start_bary[0, 0], 0.0)
+    _fail_once(monkeypatch, np.linalg, "solve", lambda solve, *args: step.flatten())
+    evaluated, evaluate = [], triquad.optimizer._EvalState
+
+    def spy(spec_d, spec_de, points, bary=None):
+        evaluated.append(np.array(points))
+        return evaluate(spec_d, spec_de, points, bary)
+
+    monkeypatch.setattr(triquad.optimizer, "_EvalState", spy)
+    result = optimize(1, target_e=1)
+
+    crossed = ref_to_bary(start + step)[0, 0]
+    alpha = BOUNDARY_FRACTION * start_bary[0, 0] / (start_bary[0, 0] - crossed)
+    trial = evaluated[1]
+    assert np.array_equal(evaluated[0], start)
+    assert np.allclose(trial, start + alpha * step, rtol=0.0, atol=1e-15)
+    trial_bary = ref_to_bary(trial)
+    assert np.all(trial_bary >= (1.0 - BOUNDARY_FRACTION) * start_bary - 1e-15)
+    assert trial_bary[0, 0] == pytest.approx((1.0 - BOUNDARY_FRACTION) * start_bary[0, 0],
+                                             rel=0.0, abs=1e-15)
     assert result.converged and len(result.starts) == 1
 
 
@@ -751,15 +783,15 @@ MULTI_RESTART_RUNS = {
     "d7_restart1": (
         7, {"target_e": 6}, True, "8.187895e-15",
         "b8ede12f9001e9696f6d23e10555c893edaa39f9c3deff268ff0dfc152cea3ce",
-        ["restart 0: residual 6.448e-02 after 113 iterations",
+        ["restart 0: residual 6.445e-02 after 130 iterations",
          "restart 1: residual 8.188e-15 after 0 iterations (converged)"],
     ),
     # strength 6 at d = 3 is out of reach: elimination fails, and restart 0
     # is the one candidate
     "d3_unconverged": (
-        3, {"target_e": 3}, False, "4.366623e-02",
-        "191ec6e5bddc63c272341c4ce2c8d008da5282da9a0f137a44667baea8652985",
-        ["restart 0: residual 4.367e-02 after 221 iterations",
+        3, {"target_e": 3}, False, "4.458310e-02",
+        "5d54fefaf4e975bf30e2fa5b65d9375a7cce5f51227da31dc6c983747d8727fe",
+        ["restart 0: residual 4.458e-02 after 121 iterations",
          "restart 1: elimination failed"],
     ),
 }
