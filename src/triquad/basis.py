@@ -78,9 +78,8 @@ from __future__ import annotations
 
 import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -128,17 +127,32 @@ def _openblas_threads():
     return get, put
 
 
-@contextmanager
-def _one_blas_thread():
+class _one_blas_thread:
     """Run the body at one OpenBLAS thread, whose bits do not depend on
-    OPENBLAS_NUM_THREADS, and restore the caller's count after it."""
-    get, put = _openblas_threads() or (lambda: None, lambda count: None)
-    count = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(count)
+    OPENBLAS_NUM_THREADS, and restore the caller's count after it.
+
+    A context manager, or a decorator with `@_one_blas_thread()`.  Where the
+    count is already 1, as under a caller's pin, it sets nothing: the search
+    enters it again at every configuration it evaluates.  Each entry keeps
+    its own count, so it is reentrant.
+    """
+
+    def __enter__(self):
+        get, self._put = _openblas_threads() or (lambda: 1, None)
+        self._count = get()
+        if self._count != 1:
+            self._put(1)
+
+    def __exit__(self, *exc_info):
+        if self._count != 1:
+            self._put(self._count)
+
+    def __call__(self, func):
+        @wraps(func)
+        def pinned(*args, **kwargs):
+            with _one_blas_thread():
+                return func(*args, **kwargs)
+        return pinned
 
 
 @dataclass(frozen=True)

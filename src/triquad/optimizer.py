@@ -30,10 +30,14 @@ trial step is accepted.  The state a restart ends on is its outcome:
 points, weights, condition estimate and residual, with no second solve.
 Derivatives (the solution's weight and shell Jacobians and the barrier's
 gradient and Hessian) are formed only for a configuration the search steps
-from: the start or an accepted trial.  A trial step leaving the triangle is
-cut, before evaluation, to BOUNDARY_FRACTION of the way to the first edge
-it crosses; a trial still outside (a step that is not a number) or
-producing a near-singular Vandermonde system is rejected outright.
+from: the start or an accepted trial.  A step damps Gauss-Newton as
+Levenberg did, by lam * s * I with one scalar s, the mean of the normal
+matrix's diagonal with the barrier Hessian added: every unknown is a
+coordinate in the same triangle, so Marquardt's per-coordinate scale buys
+nothing.  A trial step leaving the triangle is cut, before evaluation, to
+BOUNDARY_FRACTION of the way to the first edge it crosses; a trial still
+outside (a step that is not a number) or producing a near-singular
+Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -171,6 +175,7 @@ def _barrier_derivatives(bary: np.ndarray):
     return grad, hess
 
 
+@_one_blas_thread()
 def _levenberg_marquardt(
     spec_d: BasisSpec,
     spec_de: BasisSpec,
@@ -184,6 +189,7 @@ def _levenberg_marquardt(
     Returns (state, steps): the state it converged on, or else the
     lowest-residual state it visited, and the number of steps, each from a
     linearized state.  A degenerate start raises DegenerateConfigurationError.
+    Runs at one OpenBLAS thread, as `optimize` does.
     """
     n = spec_d.dim
     mu, lam = BARRIER_START, 1e-3
@@ -224,13 +230,12 @@ def _levenberg_marquardt(
         if mu > 0.0:
             gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
             grad = grad + mu * state.barrier_grad
-        scale = np.diag(gn).copy()
-        scale = np.maximum(scale, max(float(scale.max()), 1.0) * 1e-14)
+        damping = np.trace(gn) / (2 * n) * np.eye(2 * n)  # s * I, s the diagonal's mean
         phi = state.half_rr + mu * state.barrier
 
         while lam < 1e13:
             try:
-                step = np.linalg.solve(gn + lam * np.diag(scale), -grad)
+                step = np.linalg.solve(gn + lam * damping, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

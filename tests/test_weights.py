@@ -290,6 +290,22 @@ def test_the_blas_pin_restores_the_callers_count_also_when_its_body_raises(
         put(caller)
 
 
+def test_a_nested_blas_pin_sets_nothing(monkeypatch):
+    # the outer pin sets 1 and restores 3; the decorated call inside it
+    # finds the count at 1 and makes no setter call
+    count, puts = [3], []
+
+    def put(threads):
+        puts.append(threads)
+        count[0] = threads
+
+    monkeypatch.setattr(triquad.basis, "_openblas_threads", lambda: (lambda: count[0], put))
+    inner = _one_blas_thread()(lambda: count[0])
+    with _one_blas_thread():
+        assert inner() == 1
+    assert puts == [1, 3] and count[0] == 3
+
+
 def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
     # another numpy build: the pin does nothing, and d = 1 (whose arrays are
     # far below OpenBLAS's threading sizes) still writes PINNED_RUNS[1] of
@@ -298,5 +314,5 @@ def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
     monkeypatch.setattr(triquad.basis, "_openblas_threads", lambda: None)
     text = emit_rule(optimize(1, target_e=1).rule)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ebfbe708221fb485be778610ea3c7dea4581ecd90e11eb3af61ef8db44a38a75"
+        "e79bb09ef2817657110f953afe1d240503a3963783f6a570187045eda4307282"
     )
