@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import _gauss_jacobi_10, as_point_array, gauss_quadrature
+from .domain import _gauss_jacobi_10, as_point_array
 
 
 def dim_poly(degree: int) -> int:
@@ -413,11 +413,3 @@ FLOOR_FACTOR = 256
 def rounding_floor(weights, scale) -> float:
     """FLOOR_FACTOR * eps * sum_j |w_j| scale_j: rounding in sum_j w_j f(z_j), |f| <= scale."""
     return FLOOR_FACTOR * np.finfo(float).eps * float(np.sum(np.abs(weights) * scale))
-
-
-def gram_matrix(spec: BasisSpec, n_nodes: int = 40) -> np.ndarray:
-    """Numeric Gram matrix via the tensorized Gauss oracle quadrature."""
-    pts, wts = gauss_quadrature(n_nodes)
-    v = vandermonde(spec, pts).values
-    return v.T @ (wts[:, None] * v)
-

@@ -25,19 +25,18 @@ the shell term falling to STAGE_EXIT_FRAC of the barrier term.  The anneal
 ends at convergence, at its first stall with the barrier off, or after
 MAX_ITERATIONS steps.  Every configuration the search visits is an
 `_EvalState`: a `WeightSolution` (basis values, the weight solve and the
-shell residual) that adds the barrier value; that much decides whether a
-trial step is accepted.  The state a restart ends on is its outcome:
-points, weights, condition estimate and residual, with no second solve.
-Derivatives (the solution's weight and shell Jacobians and the barrier's
-gradient and Hessian) are formed only for a configuration the search steps
-from: the start or an accepted trial.  A step damps Gauss-Newton as
-Levenberg did, by lam * s * I with one scalar s, the mean of the normal
-matrix's diagonal with the barrier Hessian added: every unknown is a
-coordinate in the same triangle, so Marquardt's per-coordinate scale buys
-nothing.  A trial step leaving the triangle is cut, before evaluation, to
-BOUNDARY_FRACTION of the way to the first edge it crosses; a trial still
-outside (a step that is not a number) or producing a near-singular
-Vandermonde system is rejected outright.
+shell residual) plus the barrier value; that much decides whether a trial
+step is accepted.  The state a restart ends on is its outcome: points,
+weights, condition estimate and residual, with no second solve.  Jacobians
+are formed only for a configuration the search steps from (the start or an
+accepted trial), and the barrier's gradient and Hessian only by a step of a
+barrier stage.  A step damps Gauss-Newton as Levenberg did, by lam * s * I
+with one scalar s, the mean of the normal matrix's diagonal with the
+barrier Hessian added: every unknown is a coordinate in the same triangle,
+so Marquardt's per-coordinate scale buys nothing.  A trial step leaving the
+triangle is cut, before evaluation, to BOUNDARY_FRACTION of the way to the
+first edge it crosses; a trial still outside (a step that is not a number)
+or producing a near-singular Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from numpy.polynomial import Legendre
 from .basis import BasisSpec, _differentiate, _one_blas_thread, integrals_vector, vandermonde
 from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
-from .weights import DegenerateConfigurationError, WeightSolution
+from .weights import DegenerateConfigurationError, WeightSolution, _point_gradients
 # nothing here calls it; perfbench/spans.py binds the name in this module
 from .weights import newton_cotes_weights  # noqa: F401
 
@@ -78,6 +77,9 @@ BOUNDARY_FRACTION = 0.99
 #: Levenberg-Marquardt steps per restart.
 MAX_ITERATIONS = 2000
 
+#: An elimination solve fails once its damping exceeds this (successes need <= 1e2).
+ELIMINATION_DAMPING_CAP = 1e4
+
 #: Shrink toward the centroid of restart 0's warp-and-blend start.
 WARP_SHRINK = 0.05
 
@@ -99,14 +101,12 @@ class OptimizeResult:
 
 class _EvalState(WeightSolution):
     """One configuration the search visits: a `WeightSolution` plus the
-    barrier.
+    barrier value.
 
     Construction costs values only: the solution (values tabulation, weight
     solve, shell residual r), `half_rr` = |r|^2/2, `max_residual`, the
     barycentrics (`bary`, if the caller has formed them) and the barrier
-    value: all a trial step needs.  `linearize()` adds, once, what a step
-    from this configuration needs: the shell Jacobian and the barrier's
-    gradient and Hessian blocks.
+    value: all a trial step needs.
     """
 
     def __init__(self, spec_d: BasisSpec, spec_de: BasisSpec, points, bary=None):
@@ -117,14 +117,6 @@ class _EvalState(WeightSolution):
         self.max_residual = float(np.max(np.abs(r), initial=0.0))
         self.bary = ref_to_bary(self.points) if bary is None else bary
         self.barrier = _barrier_value(self.bary)
-        self.barrier_grad = self.barrier_hess = None
-
-    def linearize(self) -> _EvalState:
-        """Form the Jacobians and barrier derivatives; a no-op after the first call."""
-        if self.barrier_grad is None:
-            super().linearize()
-            self.barrier_grad, self.barrier_hess = _barrier_derivatives(self.bary)
-        return self
 
     @property
     def converged(self) -> bool:
@@ -228,8 +220,9 @@ def _levenberg_marquardt(
         gn = jac.T @ jac
         grad = jac.T @ state.shell_residual
         if mu > 0.0:
-            gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * state.barrier_hess
-            grad = grad + mu * state.barrier_grad
+            barrier_grad, barrier_hess = _barrier_derivatives(state.bary)
+            gn.reshape(n, 2, n, 2)[idx, :, idx, :] += mu * barrier_hess
+            grad = grad + mu * barrier_grad
         damping = np.trace(gn) / (2 * n) * np.eye(2 * n)  # s * I, s the diagonal's mean
         phi = state.half_rr + mu * state.barrier
 
@@ -327,10 +320,11 @@ def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
 def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
     """(points, weights) with max |V_s^T w - b| <= RESIDUAL_TOLERANCE, by
     damped minimum-norm Gauss-Newton over points and weights within 60
-    trials, or None.  A trial is accepted only if its points are interior,
-    its weights positive and its residual norm lower.  The Jacobian and its
-    Gram matrix are formed once per state a trial steps from: a rejected
-    trial changes only the damping."""
+    trials, or None, at once when the damping exceeds ELIMINATION_DAMPING_CAP.
+    A trial is accepted only if its points are interior, its weights
+    positive and its residual norm lower.  The Jacobian and its Gram matrix
+    are formed once per state a trial steps from: a rejected trial changes
+    only the damping."""
     b, m = integrals_vector(spec_s), w.size
     ev = vandermonde(spec_s, pts)
     f = ev.values.T @ w - b
@@ -338,12 +332,13 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
     for _ in range(60):
         if np.max(np.abs(f)) <= RESIDUAL_TOLERANCE:
             return pts, w
+        if lam > ELIMINATION_DAMPING_CAP:
+            return None
         if jac is None:
             # columns 2j + c: coordinate c of point j; then one per weight
             ev = _differentiate(ev)
             jac = np.empty((f.size, 3 * m))
-            jac[:, 0 : 2 * m : 2] = ev.d_xi1.T * w
-            jac[:, 1 : 2 * m : 2] = ev.d_xi2.T * w
+            _point_gradients(ev, w, jac[:, : 2 * m])
             jac[:, 2 * m :] = ev.values.T
             gram = jac @ jac.T
         try:

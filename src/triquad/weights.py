@@ -12,14 +12,15 @@ with b constant,  dw = -V^{-T} (dV^T) w.
 
 `WeightSolution` is the one evaluation of a point set.  It tabulates the
 basis of an extended degree d+e >= d once (values only), takes V as the
-first dim P_d columns, inverts and gates the solve (CONDITION_LIMIT,
-RESIDUAL_LIMIT or its floor), and forms the residual of the shell d < m+n <= d+e,
+first dim P_d columns, inverts and gates the solve (CONDITION_LIMIT, its
+rounding floor), and forms the residual of the shell d < m+n <= d+e,
 
     r_k = sum_j w_j g_k(z_j),
 
 whose integrals vanish because every shell function is orthogonal to
-constants.  `linearize()` adds the derivatives from the kept tabulation and
-inverse: the weight Jacobian and the shell Jacobian
+constants.  `linearize()` adds, from the kept tabulation and inverse, one
+block of w_j * grad g_k(z_j) over every g_k: its first dim P_d rows give the
+weight Jacobian, the others start the shell Jacobian
 dr_k = w_j * grad g_k(z_j) + sum_i dw_i * g_k(z_i).  The weight functions
 here and the optimizer's residual, Jacobian and search all read it.
 
@@ -35,14 +36,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .basis import (BasisSpec, _differentiate, _one_blas_thread, integrals_vector,
-                    rounding_floor, vandermonde)
+from .basis import (FLOOR_FACTOR, BasisEvaluation, BasisSpec, _differentiate,
+                    _one_blas_thread, integrals_vector, rounding_floor, vandermonde)
 
 #: Condition-number threshold beyond which a configuration is rejected.
 CONDITION_LIMIT = 1e14
 
-#: Solve residual limit for a trustworthy solve.
-RESIDUAL_LIMIT = 1e-10
+#: No solve's rounding floor is lower: g_0 = 1 puts every column maximum at
+#: 1 or above, and row 0 of the solve makes sum |w| >= 2 - residual.
+_LEAST_FLOOR = FLOOR_FACTOR * np.finfo(float).eps
 
 
 class DegenerateConfigurationError(RuntimeError):
@@ -83,7 +85,7 @@ class WeightSolution:
     Raises ValueError for a wrong point count, an extended degree below d
     or a non-finite basis value, and DegenerateConfigurationError when the
     condition number exceeds CONDITION_LIMIT (inf for an exactly singular
-    system) or the solve residual exceeds RESIDUAL_LIMIT and its floor.
+    system) or the solve residual exceeds its rounding floor.
     """
 
     @_one_blas_thread()  # the products' bits depend on the thread count
@@ -108,18 +110,16 @@ class WeightSolution:
             )
         w = inv @ b
         residual = float(np.max(np.abs(a @ w - b)))
-        # the floor is formed only where the constant fails, off the LM's trial path
-        if residual > RESIDUAL_LIMIT and residual > (
+        # the floor is formed only above _LEAST_FLOOR, off the LM's trial path
+        if residual > _LEAST_FLOOR and residual > (
             floor := rounding_floor(w, np.abs(a).max(axis=0))
         ):
             raise DegenerateConfigurationError(
                 f"degenerate configuration: solve residual {residual:.3e} "
-                f"exceeds {RESIDUAL_LIMIT:.1e} and its rounding floor {floor:.3e}",
+                f"exceeds its rounding floor {floor:.3e}",
                 cond,
             )
-        self.weights = w
-        self.condition_estimate = cond
-        self.solve_residual = residual
+        self.weights, self.condition_estimate, self.solve_residual = w, cond, residual
         self.shell_residual = ev.values[:, spec.dim:].T @ w
         self.weight_jacobian = self.shell_jacobian = None
         self._ev, self._inv = ev, inv
@@ -128,19 +128,21 @@ class WeightSolution:
     def linearize(self) -> WeightSolution:
         """Form both Jacobians from the kept tabulation and inverse, once."""
         if self.shell_jacobian is None:
-            ev = _differentiate(self._ev)
-            w = self.weights
+            ev, w = _differentiate(self._ev), self.weights
             n = w.shape[0]
-            # -V^{-T} (dV^T) w: rhs column 2j+c is w_j * d g(.)/d xi_c at z_j
-            rhs = np.empty((n, 2 * n))
-            rhs[:, 0::2] = w[None, :] * ev.d_xi1[:, :n].T
-            rhs[:, 1::2] = w[None, :] * ev.d_xi2[:, :n].T
-            self.weight_jacobian = wjac = -(self._inv @ rhs)
-            jac = ev.values[:, n:].T @ wjac
-            jac[:, 0::2] += w[None, :] * ev.d_xi1[:, n:].T
-            jac[:, 1::2] += w[None, :] * ev.d_xi2[:, n:].T
-            self.shell_jacobian = jac
+            grads = _point_gradients(ev, w, np.empty((ev.values.shape[1], 2 * n)))
+            # -V^{-T} (dV^T) w: (dV^T) w is the block's first n rows
+            self.weight_jacobian = wjac = -(self._inv @ grads[:n])
+            self.shell_jacobian = ev.values[:, n:].T @ wjac + grads[n:]
         return self
+
+
+def _point_gradients(ev: BasisEvaluation, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill (dim, 2N) `out` with w_j * grad g_k(z_j) and return it: row k is
+    basis function k of `ev`, column 2j + c its d/dxi_c at point j."""
+    out[:, 0::2] = ev.d_xi1.T * w
+    out[:, 1::2] = ev.d_xi2.T * w
+    return out
 
 
 def newton_cotes_weights(spec: BasisSpec, points) -> WeightSolution:

@@ -8,7 +8,6 @@ from triquad.basis import (
     BasisSpec,
     _differentiate,
     dim_poly,
-    gram_matrix,
     integrals_vector,
     multi_indices,
     norm_constant,
@@ -197,8 +196,10 @@ def test_nonconstant_basis_functions_have_zero_mean():
 
 @pytest.mark.parametrize("degree, n_nodes", [(6, 16), (10, 40)])
 def test_gram_matrix_is_twice_identity(degree, n_nodes):
-    spec = BasisSpec(degree)
-    g = gram_matrix(spec, n_nodes=n_nodes)
+    # the Gram matrix by the tensorized Gauss oracle quadrature
+    spec, (pts, wts) = BasisSpec(degree), gauss_quadrature(n_nodes)
+    v = vandermonde(spec, pts).values
+    g = v.T @ (wts[:, None] * v)
     assert np.max(np.abs(g - 2.0 * np.eye(spec.dim))) <= 1e-11
 
 
@@ -293,6 +294,20 @@ def test_vandermonde_refuses_a_flat_coordinate_list():
     # (xi1, xi2, xi1, xi2) used to be read silently as two points
     with pytest.raises(ValueError, match=r"^expected points of shape \(n, 2\), got \(4,\)$"):
         vandermonde(BasisSpec(1), [0.1, -0.5, -0.5, 0.2])
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: rank_of(-1, 0), "multi-index entries must be nonnegative"),
+        (lambda: BasisSpec(-1), "degree must be nonnegative"),
+        (lambda: vandermonde(BasisSpec(1), np.empty((0, 2))), "empty point set"),
+    ],
+    ids=["rank_of", "BasisSpec", "vandermonde"],
+)
+def test_the_basis_refuses_an_invalid_argument_by_name(refused, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        refused()
 
 
 def test_vandermonde_random_square_system_is_solvable():

@@ -15,7 +15,7 @@ import triquad.rule
 from triquad.cli import main
 from triquad.domain import gauss_quadrature, ref_to_bary
 from triquad.rule import QuadratureRule
-from triquad.ruleio import emit_rule
+from triquad.ruleio import emit_rule, parse_rule
 from triquad.weights import DegenerateConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -330,6 +330,17 @@ def test_generate_writes_file_and_registers(tmp_path, capsys):
 
     # verifying what generate wrote must succeed
     assert main(["verify", str(out)]) == 0
+
+
+def test_generate_without_out_writes_the_rule_then_the_report_to_stdout(tmp_path, capsys):
+    out = tmp_path / "rule.txt"
+    assert main(["generate", "--d", "1", "--e", "1", "--out", str(out)]) == 0
+    report = capsys.readouterr().out
+    assert main(["generate", "--d", "1", "--e", "1"]) == 0
+    # the rule text of --out, then the report line that follows it
+    assert capsys.readouterr().out == out.read_text() + report
+    assert parse_rule(out.read_text()).n_points == 3
+    assert report.startswith("strength=2 ") and report.endswith(" n=3 d=1\n")
 
 
 def test_generate_is_byte_deterministic(tmp_path):

@@ -72,6 +72,11 @@ def equilateral(xi):
     return ref_to_equilateral([xi])[0]
 
 
+def test_gauss_quadrature_refuses_zero_nodes():
+    with pytest.raises(ValueError, match="^need at least one node per direction$"):
+        gauss_quadrature(0)
+
+
 def test_equilateral_centroid_fixed():
     x, y = equilateral((-1.0 / 3.0, -1.0 / 3.0))
     assert abs(x) <= 1e-15 and abs(y) <= 1e-15

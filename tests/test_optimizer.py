@@ -15,17 +15,20 @@ import pytest
 import triquad.cli
 import triquad.optimizer
 import triquad.weights
-from triquad.basis import BasisSpec, dim_poly, integrals_vector, rounding_floor, vandermonde
-from triquad.domain import points_inside, ref_to_bary
+from triquad.basis import (FLOOR_FACTOR, BasisSpec, dim_poly, integrals_vector,
+                           rounding_floor, vandermonde)
+from triquad.domain import gauss_quadrature, points_inside, ref_to_bary
 from triquad.optimizer import (
     BARRIER_START,
     BOUNDARY_FRACTION,
+    ELIMINATION_DAMPING_CAP,
     RESIDUAL_TOLERANCE,
     WARP_SHRINK,
     OptimizeResult,
     _barrier_derivatives,
     _barrier_value,
     _eliminate,
+    _gauss_newton,
     _init_warp_blend,
     _levenberg_marquardt,
     optimize,
@@ -352,8 +355,9 @@ def test_the_search_damps_every_coordinate_by_one_scalar(monkeypatch):
     _levenberg_marquardt(spec_d, spec_de, start)
     state = triquad.optimizer._EvalState(spec_d, spec_de, start).linearize()
     gn = state.shell_jacobian.T @ state.shell_jacobian
+    _, barrier_hess = _barrier_derivatives(state.bary)
     for j in range(n):
-        gn[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += BARRIER_START * state.barrier_hess[j]
+        gn[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] += BARRIER_START * barrier_hess[j]
     # the first solve steps from the start at the first damping, lam = 1e-3
     lam_s = 1e-3 * np.trace(gn) / (2 * n)
     assert np.allclose(damped[0] - gn, lam_s * np.eye(2 * n), rtol=0.0, atol=1e-9 * lam_s)
@@ -364,11 +368,13 @@ def test_a_search_whose_gauss_newton_matrix_is_zero_stalls_where_it_started(monk
     # each stage stalls at once and the search ends on its start
     def flat(state):
         state.shell_jacobian = np.zeros((state.shell_residual.size, state.points.size))
-        state.barrier_grad = np.zeros(state.points.size)
-        state.barrier_hess = np.zeros((len(state.points), 2, 2))
         return state
 
+    def flat_barrier(bary):
+        return np.zeros(2 * len(bary)), np.zeros((len(bary), 2, 2))
+
     monkeypatch.setattr(triquad.optimizer._EvalState, "linearize", flat)
+    monkeypatch.setattr(triquad.optimizer, "_barrier_derivatives", flat_barrier)
     start = _init_warp_blend(1, WARP_SHRINK)
     state, _ = _levenberg_marquardt(BasisSpec(1), BasisSpec(2), start)
     assert np.array_equal(state.points, start) and not state.converged
@@ -380,6 +386,41 @@ def test_a_singular_elimination_solve_is_rejected(monkeypatch):
     pts = _eliminate(BasisSpec(2), BasisSpec(4))
     assert len(calls) > 1
     assert pts.shape == (6, 2) and np.all(points_inside(pts))
+
+
+def test_an_elimination_solve_gives_up_once_its_damping_passes_the_cap(monkeypatch):
+    # every step leaves the triangle, so every trial is rejected and the
+    # damping rises tenfold from 1e-6: the call returns None once it passes
+    # ELIMINATION_DAMPING_CAP, after 11 solves instead of its 60 trials
+    solves = []
+
+    def outward(a, b):
+        solves.append(a.shape)
+        return np.full(b.shape, 1e6)
+
+    pts, w = gauss_quadrature(3)
+    monkeypatch.setattr(np.linalg, "solve", outward)
+    assert _gauss_newton(BasisSpec(4), np.delete(pts, 0, axis=0), np.delete(w, 0)) is None
+    assert ELIMINATION_DAMPING_CAP == 1e4 and len(solves) == 11
+
+
+def test_a_search_out_of_steps_returns_its_lowest_residual_state(monkeypatch):
+    # d = 6 needs more than 3 steps: the MAX_ITERATIONS exit returns the
+    # lowest-residual state it visited, no worse than any it stepped from
+    stepped_from = []
+
+    def recording(state):
+        stepped_from.append(state)
+        return WeightSolution.linearize(state)
+
+    monkeypatch.setattr(triquad.optimizer, "MAX_ITERATIONS", 3)
+    monkeypatch.setattr(triquad.optimizer._EvalState, "linearize", recording)
+    state, steps = _levenberg_marquardt(
+        BasisSpec(6), BasisSpec(11), _init_warp_blend(6, WARP_SHRINK)
+    )
+    assert steps == len(stepped_from) == 3 and not state.converged
+    assert state.max_residual <= min(s.max_residual for s in stepped_from)
+    assert state.max_residual < stepped_from[0].max_residual
 
 
 def test_search_from_a_point_next_to_the_collapsed_vertex_converges():
@@ -677,31 +718,70 @@ def test_warp_blend_start_passes_the_weight_gates_at_d14():
     spec = BasisSpec(14)
     sol = WeightSolution(spec, _init_warp_blend(14, 0.05))
     assert sol.condition_estimate < 1e3
-    # the collapsed solve's residual exceeds RESIDUAL_LIMIT, but its backward
-    # error is a fraction of eps: it is accepted within its rounding floor
+    # the collapsed solve's residual exceeds 1e-10, but its backward error
+    # is a fraction of eps: it is accepted within its rounding floor
     collapsed = WeightSolution(spec, _init_collapsed_tensor(14))
-    assert collapsed.solve_residual > triquad.weights.RESIDUAL_LIMIT
+    assert collapsed.solve_residual > 1e-10
 
 
-def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
-    spec, pts = BasisSpec(14), _init_collapsed_tensor(14)
+def _perturbed_solve(monkeypatch, spec, pts, floors):
+    """Patch the weight solve so that WeightSolution(spec, pts) leaves a
+    residual of about `floors` rounding floors; returns that floor."""
     scale = np.abs(vandermonde(spec, pts).values).max(axis=1)
     floor = rounding_floor(WeightSolution(spec, pts).weights, scale)
     invert, b = triquad.weights._invert, integrals_vector(spec)
 
-    def off_by_1e3_floors(a):
+    def off_by_floors(a):
         inv, cond = invert(a)
-        # w_0 = inv[0] @ b moves by 1e3 floors / s_0
-        inv[0] += 1e3 * floor / scale[0] * b / (b @ b)
+        # w_0 = inv[0] @ b moves by `floors` floors / s_0
+        inv[0] += floors * floor / scale[0] * b / (b @ b)
         return inv, cond
 
-    monkeypatch.setattr(triquad.weights, "_invert", off_by_1e3_floors)
+    monkeypatch.setattr(triquad.weights, "_invert", off_by_floors)
+    return floor
+
+
+def _raised_residual_and_floor(exc) -> tuple[float, float]:
+    assert "rounding floor" in str(exc.value)
+    residual, floor = map(float, re.findall(r"\d\.\d+e[-+]\d+", str(exc.value)))
+    return residual, floor
+
+
+def test_a_solve_residual_far_beyond_its_rounding_floor_raises(monkeypatch):
+    spec, pts = BasisSpec(14), _init_collapsed_tensor(14)
+    _perturbed_solve(monkeypatch, spec, pts, 1e3)
     with pytest.raises(DegenerateConfigurationError, match="solve residual") as exc:
         WeightSolution(spec, pts)
-    numbers = re.findall(r"\d\.\d+e[-+]\d+", str(exc.value))
-    residual, limit, raised_floor = map(float, numbers)
-    assert limit == triquad.weights.RESIDUAL_LIMIT
+    residual, raised_floor = _raised_residual_and_floor(exc)
     assert residual == pytest.approx(1e3 * raised_floor, rel=0.01)
+
+
+def test_a_solve_residual_beyond_its_floor_raises_though_it_is_below_1e_10(monkeypatch):
+    # the floor is the weight solve's one gate: ten floors of d = 6's
+    # warp-and-blend start are still far below the old constant 1e-10
+    spec, pts = BasisSpec(6), _init_warp_blend(6, WARP_SHRINK)
+    floor = _perturbed_solve(monkeypatch, spec, pts, 10.0)
+    with pytest.raises(DegenerateConfigurationError, match="solve residual") as exc:
+        WeightSolution(spec, pts)
+    residual, raised_floor = _raised_residual_and_floor(exc)
+    assert raised_floor == pytest.approx(floor, rel=1e-3)
+    assert residual == pytest.approx(10.0 * raised_floor, rel=0.01)
+    assert residual < 1e-10
+
+
+def test_a_solve_residual_within_floor_factor_eps_passes_without_its_floor(monkeypatch):
+    # g_0 = 1 and row 0 of the solve bound the floor below by FLOOR_FACTOR *
+    # eps, so a residual within that never forms the floor
+    calls = []
+
+    def counting_floor(weights, scale):
+        calls.append(1)
+        return rounding_floor(weights, scale)
+
+    monkeypatch.setattr(triquad.weights, "rounding_floor", counting_floor)
+    sol = WeightSolution(BasisSpec(6), _init_warp_blend(6, WARP_SHRINK))
+    assert sol.solve_residual <= FLOOR_FACTOR * np.finfo(float).eps
+    assert calls == []
 
 
 # the rows the acceptance pins cover that certify on restart 0, d: target_e

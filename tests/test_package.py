@@ -58,17 +58,44 @@ def test_every_public_name_resolves_on_the_package():
     assert missing == []
 
 
-def test_every_benchmark_span_binding_resolves():
-    # the benchmark traces a layer by swapping a wrapper in at each binding;
-    # a binding that no longer resolves would silently drop that layer
+def span_bindings():
+    """perfbench/spans.py's BINDINGS: (module, name, span) triples."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    assert spans.BINDINGS
-    for module_name, attr, _ in spans.BINDINGS:
+    return spans.BINDINGS
+
+
+def test_every_benchmark_span_binding_resolves():
+    # the benchmark traces a layer by swapping a wrapper in at each binding;
+    # a binding that no longer resolves would silently drop that layer
+    bindings = span_bindings()
+    assert bindings
+    for module_name, attr, _ in bindings:
         target = getattr(importlib.import_module(module_name), attr, None)
         assert callable(target), f"{module_name}.{attr}"
+
+
+def test_every_import_is_used_in_its_module():
+    # a name a module imports and never reads is dead code, unless the
+    # benchmark binds a span at it there
+    bound = {(module, attr) for module, attr, _ in span_bindings()}
+    unused = []
+    for path in sorted(Path(triquad.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None
+            ) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read and (f"triquad.{path.stem}", name) not in bound:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def loaded_modules(code):

@@ -319,6 +319,11 @@ def test_dof_bound_table(d, expected):
     assert dof_bound(d) == expected
 
 
+def test_dof_bound_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="^d must be nonnegative$"):
+        dof_bound(-1)
+
+
 def test_dof_bound_counting_details():
     # d=1: dim P2 = 6 <= 9 < dim P3 = 10
     assert dof_bound(1) == 2

@@ -80,6 +80,32 @@ def test_parse_reports_malformed_line_number():
         parse_rule(text)
 
 
+def test_parse_skips_blank_lines():
+    spaced = "\n# d = 1\n\n" + MIDPOINT_FILE.replace("\n", "\n   \n", 1)
+    rule, plain = parse_rule(spaced), parse_rule(MIDPOINT_FILE)
+    assert np.array_equal(rule.points, plain.points)
+    assert np.array_equal(rule.weights, plain.weights)
+
+
+@pytest.mark.parametrize("parse", [parse_rule, parse_points_xyw])
+def test_parsers_reject_an_unparseable_number_by_line(parse):
+    with pytest.raises(RuleParseError, match="^line 2: unparseable number") as info:
+        parse("0.5 0.5 0.5\n0.5 0.O 0.25\n0.0 0.5 0.25\n")
+    assert info.value.line == 2
+
+
+@pytest.mark.parametrize("parse", [parse_rule, parse_points_xyw])
+def test_parsers_reject_a_text_without_records(parse):
+    with pytest.raises(RuleParseError, match="^no point records found$") as info:
+        parse("# d = 1\n\n# strength = 2\n")
+    assert info.value.line is None
+
+
+def test_xyw_adapter_refuses_to_infer_a_scale_from_a_zero_weight_sum():
+    with pytest.raises(RuleParseError, match="weight sum is zero"):
+        parse_points_xyw("0.5 0.5 1.0\n0.5 0.0 -1.0\n0.0 0.5 0.0\n")
+
+
 def test_parse_rejects_bad_weight_sum():
     text = "0.3 0.3 0.5\n0.2 0.2 0.6\n"
     with pytest.raises(RuleParseError, match="sum"):
@@ -142,6 +168,13 @@ def test_plot_title_names_only_a_certified_strength():
     # a parsed file's strength claim is not certified, so the title omits it
     claimed = parse_rule("# d = 1\n# strength = 2\n" + MIDPOINT_FILE)
     assert f"{title}</title>" in plot_rule(claimed)
+
+
+def test_plot_of_all_zero_weights_draws_each_point_at_the_least_radius():
+    with pytest.warns(UserWarning, match="weights sum to 0.0"):
+        rule = replace(midpoint_rule(), weights=np.zeros(3))
+    svg = plot_rule(rule)
+    assert svg.count('r="0.75" fill="#c03020"') == 3
 
 
 def test_emit_is_deterministic():

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -304,6 +305,27 @@ def test_a_nested_blas_pin_sets_nothing(monkeypatch):
     with _one_blas_thread():
         assert inner() == 1
     assert puts == [1, 3] and count[0] == 3
+
+
+def test_a_numpy_without_the_thread_functions_gets_a_pin_that_sets_nothing(monkeypatch):
+    # another numpy build: its library lacks the OpenBLAS thread symbols
+    real = _openblas_threads()
+    if real is not None:
+        get, put = real
+        caller = get()
+        put(2)
+    try:
+        monkeypatch.setattr(triquad.basis.ctypes, "CDLL", lambda path: SimpleNamespace())
+        _openblas_threads.cache_clear()
+        assert _openblas_threads() is None
+        with _one_blas_thread():
+            assert real is None or get() == 2
+    finally:
+        monkeypatch.undo()
+        _openblas_threads.cache_clear()
+        if real is not None:
+            put(caller)
+    assert _openblas_threads() is not None or real is None
 
 
 def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
