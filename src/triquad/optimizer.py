@@ -7,36 +7,38 @@ of unknowns (2N) exceeds the number of equations (dim P_{d+e} - dim P_d,
 by the degrees-of-freedom bound), leaving a solution manifold that damped
 Gauss-Newton handles without trouble.
 
-The search has two fixed starts and draws no random number.  Restart 0
-starts from Warburton's warp-and-blend nodes shrunk into the interior, well
-conditioned at large d.  Restart 1 starts from the points of node
-elimination, which reaches rows where the search from warp-and-blend
-plateaus.  A restart converges when its largest shell residual is at most
-RESIDUAL_TOLERANCE.  `optimize` takes only the problem, prints nothing and
-returns one line per start it tried.
+The search has two fixed starts and draws no random number.  Restart 0 is
+one Levenberg-Marquardt run from Warburton's warp-and-blend nodes shrunk
+into the interior, and returns if it converged (largest shell residual at
+most RESIDUAL_TOLERANCE) with positive weights.  Otherwise restart 1
+returns the rule of node elimination as it stands: its points and weights
+solve all of P_{d+e} with interior points and positive weights, which
+reaches rows (d = 7, 12, 14) where restart 0 plateaus and where Newton-Cotes
+weights on the same points cannot reach the tolerance in float64.  There is
+no tie-break.  `optimize` prints nothing and returns one line per start.
 
 Points are kept inside the triangle with a logarithmic barrier on the three
 barycentric coordinates, annealed toward zero so the final iterates solve
-the unbiased problem.  Positive weights are a check on the finished rule
-(`optimize`'s tie-break), not a term the search minimizes.  A restart is
-one anneal, written as one loop over Levenberg-Marquardt steps.  A barrier
-stage (mu > 0) ends at the first of three exits: its step cap, a stall, or
-the shell term falling to STAGE_EXIT_FRAC of the barrier term.  The anneal
-ends at convergence, at its first stall with the barrier off, or after
-MAX_ITERATIONS steps.  Every configuration the search visits is an
-`_EvalState`: a `WeightSolution` (basis values, the weight solve and the
-shell residual) plus the barrier value; that much decides whether a trial
-step is accepted.  The state a restart ends on is its outcome: points,
-weights, condition estimate and residual, with no second solve.  Jacobians
-are formed only for a configuration the search steps from (the start or an
-accepted trial), and the barrier's gradient and Hessian only by a step of a
-barrier stage.  A step damps Gauss-Newton as Levenberg did, by lam * s * I
-with one scalar s, the mean of the normal matrix's diagonal with the
-barrier Hessian added: every unknown is a coordinate in the same triangle,
-so Marquardt's per-coordinate scale buys nothing.  A trial step leaving the
-triangle is cut, before evaluation, to BOUNDARY_FRACTION of the way to the
-first edge it crosses; a trial still outside (a step that is not a number)
-or producing a near-singular Vandermonde system is rejected outright.
+the unbiased problem.  Positive weights are a check on the finished rule,
+not a term the search minimizes.  The search is one anneal, written as one
+loop over Levenberg-Marquardt steps.  A barrier stage (mu > 0) ends at the
+first of three exits: its step cap, a stall, or the shell term falling to
+STAGE_EXIT_FRAC of the barrier term.  The anneal ends at convergence, at
+its first stall with the barrier off, or after MAX_ITERATIONS steps.  Every
+configuration the search visits is an `_EvalState`: a `WeightSolution`
+(basis values, the weight solve and the shell residual) plus the barrier
+value; that much decides whether a trial step is accepted.  The state the
+search ends on is its outcome: points, weights and residual, with no second
+solve.  Jacobians are formed only for a configuration the search steps from
+(the start or an accepted trial), and the barrier's gradient and Hessian
+only by a step of a barrier stage.  A step damps Gauss-Newton as Levenberg
+did, by lam * s * I with one scalar s, the mean of the normal matrix's
+diagonal with the barrier Hessian added: every unknown is a coordinate in
+the same triangle, so Marquardt's per-coordinate scale buys nothing.  A
+trial step leaving the triangle is cut, before evaluation, to
+BOUNDARY_FRACTION of the way to the first edge it crosses; a trial still
+outside (a step that is not a number) or producing a near-singular
+Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -125,10 +127,6 @@ class _EvalState(WeightSolution):
     @property
     def positive(self) -> bool:
         return bool(np.all(self.weights > 0.0))
-
-    @property
-    def interior(self) -> bool:
-        return bool(np.all(self.bary > 0.0))
 
 
 def residual_jacobian(spec_d: BasisSpec, spec_de: BasisSpec, points) -> np.ndarray:
@@ -292,9 +290,9 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
 
 @_one_blas_thread()
 def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
-    """Points of a rule with dim P_d points, positive weights, interior
-    points and strength s, by node elimination (Xiao & Gimbutas, Comput.
-    Math. Appl. 59, 2010); None where a level fails.
+    """(points, weights) of a rule with dim P_d points, positive weights,
+    interior points and strength s, by node elimination (Xiao & Gimbutas,
+    Comput. Math. Appl. 59, 2010); None where a level fails.
 
     Starts from the tensorized Gauss rule exact to s with at least dim P_d
     points.  Each level drops one point and solves for the others and their
@@ -314,7 +312,7 @@ def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
                 break
         else:
             return None
-    return pts
+    return pts, w
 
 
 def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
@@ -364,20 +362,14 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
     fixed starts, at one OpenBLAS thread.
 
     `target_e` defaults to the degrees-of-freedom bound minus d, the
-    highest strength the counting argument allows.  Restart 0 starts from
-    warp-and-blend nodes.  Restart 1 starts from node elimination
-    (`_eliminate`), and runs only if restart 0 did not converge with
-    positive weights and interior points; it gives no candidate where
-    elimination fails.  No start draws a random number.  `starts` on the
-    result holds one line per start tried.  The candidates are the states
-    the restarts' searches end on.  Returns the tie-break winner: converged
-    first, then positive weights, then strictly interior points, then
-    smallest residual, then smallest condition estimate, certified into
-    `rule.certification`.  Of equal candidates the earlier wins.  The
-    result is unconverged when no restart reached RESIDUAL_TOLERANCE; it is
-    certified either way, and an OracleDisagreementError from `certify`
-    propagates.  Without a candidate, DegenerateConfigurationError names
-    each start's outcome.
+    highest strength the counting argument allows.  Returns restart 0's
+    state if it converged with positive weights; else elimination's rule
+    (`_eliminate`), with residual max |V^T w - b| over P_{d+target_e};
+    else, where elimination fails, restart 0's state.  `starts` holds one
+    line per start tried.  The rule is certified into `rule.certification`
+    (an OracleDisagreementError propagates) and the result is unconverged
+    when its residual exceeds RESIDUAL_TOLERANCE.  Without a candidate,
+    DegenerateConfigurationError names each start's outcome.
     """
     if d < 1:
         raise ValueError("cardinal degree must be at least 1")
@@ -395,41 +387,33 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
     spec_d = BasisSpec(d)
     spec_de = BasisSpec(target)
 
-    def rank(s: _EvalState):
-        return (not s.converged, not s.positive, not s.interior,
-                s.max_residual, s.condition_estimate)
+    def line(r: int, residual: float, steps: int) -> str:
+        return (f"restart {r}: residual {residual:.3e} after {steps} iterations"
+                f"{' (converged)' if residual <= RESIDUAL_TOLERANCE else ''}")
 
-    best, starts = None, []
-    for r in range(2):
-        x0 = _init_warp_blend(d, WARP_SHRINK) if r == 0 else _eliminate(spec_d, spec_de)
-        if x0 is None:
-            starts.append(f"restart {r}: elimination failed")
-            continue
-        try:
-            state, iters = _levenberg_marquardt(spec_d, spec_de, x0)
-        except DegenerateConfigurationError as exc:
-            starts.append(f"restart {r}: degenerate ({exc.args[0]})")
-            continue
-        starts.append(
-            f"restart {r}: residual {state.max_residual:.3e} after {iters} "
-            f"iterations{' (converged)' if state.converged else ''}"
-        )
-        if best is None or rank(state) < rank(best):  # strict < keeps the first of equals
-            best = state
-        if state.converged and state.positive and state.interior:
-            break
-
-    if best is None:
+    points = None
+    try:
+        state, steps = _levenberg_marquardt(spec_d, spec_de, _init_warp_blend(d, WARP_SHRINK))
+    except DegenerateConfigurationError as exc:
+        starts = [f"restart 0: degenerate ({exc.args[0]})"]
+    else:
+        starts = [line(0, state.max_residual, steps)]
+        points, weights, residual = state.points, state.weights, state.max_residual
+    if points is None or not (state.converged and state.positive):
+        found = _eliminate(spec_d, spec_de)
+        if found is None:
+            starts.append("restart 1: elimination failed")
+        else:
+            points, weights = found
+            v = vandermonde(spec_de, points).values
+            residual = float(np.max(np.abs(v.T @ weights - integrals_vector(spec_de))))
+            starts.append(line(1, residual, 0))
+    if points is None:
         raise DegenerateConfigurationError("no start gave a candidate: " + "; ".join(starts))
 
-    rule = QuadratureRule(
-        cardinal_degree=d,
-        points=best.points,
-        weights=best.weights,
-        metadata={"generator": "triquad"},
-    )
+    rule = QuadratureRule(d, points, weights, metadata={"generator": "triquad"})
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),
-        best_residual=best.max_residual,
+        best_residual=residual,
         starts=tuple(starts),
     )

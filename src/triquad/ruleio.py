@@ -19,8 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .basis import dim_poly
 from .domain import bary_to_ref, points_inside, ref_to_bary
-from .rule import QuadratureRule, dim_poly
+from .rule import QuadratureRule
 
 #: Allowed deviation of the file weight column from sum 1.
 WEIGHT_SUM_TOL = 1e-10

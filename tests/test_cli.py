@@ -264,11 +264,13 @@ def test_generate_exits_1_when_every_restart_is_degenerate(monkeypatch, capsys):
     def degenerate_search(spec_d, spec_de, points):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
+    # restart 0 is degenerate and elimination fails: no start gives a rule
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
+    monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
     assert main(["generate", "--d", "2", "--restarts", "2"]) == 1
-    start = "degenerate (degenerate configuration: start)"
     assert capsys.readouterr().err == (
-        f"error: no start gave a candidate: restart 0: {start}; restart 1: {start}\n"
+        "error: no start gave a candidate: restart 0: degenerate (degenerate "
+        "configuration: start); restart 1: elimination failed\n"
     )
 
 

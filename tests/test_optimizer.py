@@ -383,9 +383,9 @@ def test_a_search_whose_gauss_newton_matrix_is_zero_stalls_where_it_started(monk
 def test_a_singular_elimination_solve_is_rejected(monkeypatch):
     # _gauss_newton raises its damping on a LinAlgError, as the search does
     calls = _fail_once(monkeypatch, np.linalg, "solve", _singular)
-    pts = _eliminate(BasisSpec(2), BasisSpec(4))
+    pts, w = _eliminate(BasisSpec(2), BasisSpec(4))
     assert len(calls) > 1
-    assert pts.shape == (6, 2) and np.all(points_inside(pts))
+    assert pts.shape == (6, 2) and np.all(points_inside(pts)) and np.all(w > 0.0)
 
 
 def test_an_elimination_solve_gives_up_once_its_damping_passes_the_cap(monkeypatch):
@@ -583,34 +583,19 @@ def test_warp_blend_start_matches_the_equilateral_construction(d):
     assert np.max(np.abs(_init_warp_blend(d, 0.0) - _nodes2d_reference(d))) <= 1e-14
 
 
-def _search_from_elimination(d, s):
-    # dim P_d interior points with positive Newton-Cotes weights, and the
-    # search from them
-    pts = _eliminate(BasisSpec(d), BasisSpec(s))
-    assert pts.shape == (dim_poly(d), 2)
-    assert np.all(ref_to_bary(pts) > 0.0)
-    assert np.all(WeightSolution(BasisSpec(d), pts).weights > 0.0)
-    return _levenberg_marquardt(BasisSpec(d), BasisSpec(s), pts)
-
-
-@pytest.mark.parametrize("d,s", [(1, 2), (2, 4), (3, 5), (5, 9), (6, 11), (7, 13), (9, 16)])
+@pytest.mark.parametrize(
+    "d,s", [(1, 2), (2, 4), (3, 5), (4, 7), (5, 9), (6, 11), (7, 13), (9, 16)]
+)
 def test_elimination_reaches_the_table_row(d, s):
-    state, iters = _search_from_elimination(d, s)
-    assert state.converged and state.positive and state.interior
-    assert iters <= 120
-
-
-@pytest.mark.parametrize("d,s", [(4, 7)])
-def test_elimination_stalls_just_above_the_tolerance(d, s):
-    # the search from the elimination points stalls at 1.7e-13, just above
-    # RESIDUAL_TOLERANCE: the float64 floor of the Newton-Cotes shell
-    # residual on those points.  Judging convergence on least-squares
-    # weights (ROADMAP item B) makes it converge again; `generate` never
-    # reaches it, since restart 0 certifies d = 4
-    state, _ = _search_from_elimination(d, s)
-    assert not state.converged
-    assert state.max_residual < 1e-12
-    assert state.positive and state.interior
+    # dim P_d interior points and positive weights that certify strength s
+    # as they stand: optimize returns them so
+    pts, w = _eliminate(BasisSpec(d), BasisSpec(s))
+    assert pts.shape == (dim_poly(d), 2) and np.all(ref_to_bary(pts) > 0.0)
+    v = vandermonde(BasisSpec(s), pts).values
+    assert np.max(np.abs(v.T @ w - integrals_vector(BasisSpec(s)))) <= RESIDUAL_TOLERANCE
+    report = certify(QuadratureRule(d, pts, w))
+    assert report.strength == s and report.max_error <= 1e-14
+    assert report.positive_weights and report.all_interior
 
 
 # Each probe writes one output whose bits OpenBLAS would make depend on its
@@ -622,8 +607,8 @@ THREAD_PROBES = {
     "d7_elimination": [
         "-c", "import hashlib; from triquad.basis import BasisSpec; "
         "from triquad.optimizer import _eliminate; "
-        "pts = _eliminate(BasisSpec(7), BasisSpec(13)); "
-        "print(hashlib.sha256(pts.tobytes()).hexdigest())",
+        "pts, w = _eliminate(BasisSpec(7), BasisSpec(13)); "
+        "print(hashlib.sha256(pts.tobytes() + w.tobytes()).hexdigest())",
     ],
     "d9_search": [
         "-c", "import triquad.optimizer as o; "
@@ -702,7 +687,7 @@ def test_elimination_forms_one_jacobian_per_state(monkeypatch):
 
     monkeypatch.setattr(triquad.optimizer, "_differentiate", recording_sweep)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    pts = _eliminate(BasisSpec(7), BasisSpec(13))
+    pts, _ = _eliminate(BasisSpec(7), BasisSpec(13))
     assert hashlib.sha256(pts.tobytes()).hexdigest() == (
         "e0c558cc0df5d22bfa62e42ce7590db74fd4a9637878ee938ebac9a287409fb7"
     )
@@ -821,68 +806,76 @@ def test_a_degenerate_start_raises():
 
 
 def test_verbose_reports_every_restart(monkeypatch, capsys):
-    # every search ends on a degenerate start, so both starts are tried and
-    # neither gives a candidate: the error names what each start did, a
-    # failed elimination included, and nothing is printed
+    # restart 0 ends on a degenerate start and elimination fails, so
+    # neither start gives a candidate: the error names what each start did,
+    # and nothing is printed
     def degenerate_search(spec_d, spec_de, points):
         raise DegenerateConfigurationError("degenerate configuration: start")
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", degenerate_search)
-    first = "restart 0: degenerate (degenerate configuration: start)"
-    for second in ("restart 1: degenerate (degenerate configuration: start)",
-                   "restart 1: elimination failed"):
-        with pytest.raises(DegenerateConfigurationError) as exc:
-            optimize(2, target_e=2)
-        assert str(exc.value) == f"no start gave a candidate: {first}; {second}"
-        assert capsys.readouterr() == ("", "")
-        monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
+    monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
+    with pytest.raises(DegenerateConfigurationError) as exc:
+        optimize(2, target_e=2)
+    assert str(exc.value) == (
+        "no start gave a candidate: restart 0: degenerate (degenerate "
+        "configuration: start); restart 1: elimination failed"
+    )
+    assert capsys.readouterr() == ("", "")
 
 
-# pairs of restart outcomes (converged, positive, interior, residual,
-# condition), the winner and the starts tried: each rank key in turn decides
-# one pair, the earlier of equals wins, and a first restart meeting all
-# three conditions ends the search
-TIE_BREAK_CASES = {
-    "converged": ([(False, True, True, 1e-3, 1.0), (True, False, False, 5e-15, 2.0)], 1, 2),
-    "positive": ([(True, False, True, 1e-15, 1.0), (True, True, False, 5e-15, 2.0)], 1, 2),
-    "interior": ([(True, False, True, 5e-15, 2.0), (True, False, False, 1e-15, 1.0)], 0, 2),
-    "residual": ([(False, True, True, 1e-3, 1.0), (False, True, True, 1e-4, 5.0)], 1, 2),
-    "condition": ([(False, True, True, 1e-3, 2.0), (False, True, True, 1e-3, 1.0)], 1, 2),
-    "earlier": ([(False, True, True, 1e-3, 1.0), (False, True, True, 1e-3, 1.0)], 0, 2),
-    "break": ([(True, True, True, 9e-15, 1.0), (True, True, True, 1e-16, 1.0)], 0, 1),
-}
-
-
-@pytest.mark.parametrize("case", sorted(TIE_BREAK_CASES))
-def test_tie_break_order_and_the_break(case, monkeypatch):
-    outcomes, winner, tried = TIE_BREAK_CASES[case]
-    rng = np.random.default_rng(4)
-    states, starts = [], []
-    for converged, positive, interior, res, cond in outcomes:
-        pts = random_interior(rng, 3)
-        states.append(SimpleNamespace(
-            points=pts, converged=converged, positive=positive, interior=interior,
-            max_residual=res, condition_estimate=cond,
-            weights=newton_cotes_weights(BasisSpec(1), pts).weights,
-        ))
+def _stub_search(monkeypatch, converged, positive, residual):
+    """Patch the search to end on a d = 1 state with these outcomes, and
+    record its starts; returns (state, starts)."""
+    pts = random_interior(np.random.default_rng(4), 3)
+    state = SimpleNamespace(
+        points=pts, converged=converged, positive=positive, max_residual=residual,
+        weights=newton_cotes_weights(BasisSpec(1), pts).weights,
+    )
+    starts = []
 
     def recording_search(spec_d, spec_de, points):
         starts.append(points)
-        return states[len(starts) - 1], 1
+        return state, 1
 
     monkeypatch.setattr(triquad.optimizer, "_levenberg_marquardt", recording_search)
+    return state, starts
+
+
+# restart 0's outcome (converged, positive, residual) where elimination
+# fails: restart 0's state is the result as it stands, and restart 1 runs
+# unless restart 0 converged with positive weights
+ELIMINATION_FAILED_CASES = {
+    "converged_positive": (True, True, 9e-15),
+    "converged_negative_weight": (True, False, 5e-15),
+    "unconverged": (False, True, 1e-3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ELIMINATION_FAILED_CASES))
+def test_restart_0_is_the_result_where_elimination_fails(case, monkeypatch):
+    converged, positive, res = ELIMINATION_FAILED_CASES[case]
+    state, starts = _stub_search(monkeypatch, converged, positive, res)
+    monkeypatch.setattr(triquad.optimizer, "_eliminate", lambda spec_d, spec_s: None)
     result = optimize(1, target_e=1)
-    assert result.starts == tuple(
-        f"restart {r}: residual {res:.3e} after 1 iterations"
-        f"{' (converged)' if converged else ''}"
-        for r, (converged, _, _, res, _) in enumerate(outcomes[:tried])
-    )
-    assert np.array_equal(result.rule.points, states[winner].points)
-    # restart 0 starts from warp-and-blend nodes, restart 1 from elimination
-    assert np.array_equal(starts[0], _init_warp_blend(1, WARP_SHRINK))
-    if tried == 2:
-        assert np.array_equal(starts[1], _eliminate(BasisSpec(1), BasisSpec(2)))
-    assert len(starts) == tried
+    first = f"restart 0: residual {res:.3e} after 1 iterations{' (converged)' * converged}"
+    handed_over = ("restart 1: elimination failed",) * (not (converged and positive))
+    assert result.starts == (first, *handed_over)
+    assert np.array_equal(result.rule.points, state.points)
+    assert result.best_residual == res and result.converged is converged
+    # the search runs once, from warp-and-blend nodes
+    assert len(starts) == 1 and np.array_equal(starts[0], _init_warp_blend(1, WARP_SHRINK))
+
+
+def test_a_converged_restart_0_with_a_negative_weight_hands_over_to_elimination(monkeypatch):
+    _, starts = _stub_search(monkeypatch, True, False, 5e-15)
+    result = optimize(1, target_e=1)
+    pts, w = _eliminate(BasisSpec(1), BasisSpec(2))
+    v = vandermonde(BasisSpec(2), pts).values
+    residual = float(np.max(np.abs(v.T @ w - integrals_vector(BasisSpec(2)))))
+    assert result.starts[1] == f"restart 1: residual {residual:.3e} after 0 iterations (converged)"
+    assert np.array_equal(result.rule.points, pts) and np.array_equal(result.rule.weights, w)
+    assert result.best_residual == residual and result.converged
+    assert result.rule.certification.positive_weights and len(starts) == 1
 
 
 def _disagreeing_certify(rule):
@@ -906,13 +899,13 @@ def test_an_unconverged_winner_whose_oracles_disagree_raises(monkeypatch):
 # Runs past restart 0: (d, settings, converged, best residual, SHA-256 of
 # the emitted rule, the result's starts, which --verbose prints)
 MULTI_RESTART_RUNS = {
-    # restart 0 stalls, restart 1 (node elimination) certifies and breaks;
-    # it ends 18% under RESIDUAL_TOLERANCE
+    # restart 0 stalls, and restart 1 returns node elimination's rule,
+    # whose residual over P_13 is a ninth of RESIDUAL_TOLERANCE
     "d7_restart1": (
-        7, {"target_e": 6}, True, "8.187895e-15",
-        "b8ede12f9001e9696f6d23e10555c893edaa39f9c3deff268ff0dfc152cea3ce",
+        7, {"target_e": 6}, True, "1.096345e-15",
+        "b5903a75fa09cddbb3ef21141990b71667f27fd7a9dbdd324b7275456cc42b87",
         ["restart 0: residual 6.466e-02 after 118 iterations",
-         "restart 1: residual 8.188e-15 after 0 iterations (converged)"],
+         "restart 1: residual 1.096e-15 after 0 iterations (converged)"],
     ),
     # strength 6 at d = 3 is out of reach: elimination fails, and restart 0
     # is the one candidate
