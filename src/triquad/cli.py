@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--e",
         type=int,
         default=None,
-        help="extra exactness degrees (default: degrees-of-freedom bound minus d)",
+        help="extra exactness degrees (default: degrees-of-freedom bound minus d, "
+        "above the table's strength at d = 3 and 4, where no rule is found)",
     )
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the rule header; the search draws no random number")

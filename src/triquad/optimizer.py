@@ -21,24 +21,24 @@ Points are kept inside the triangle with a logarithmic barrier on the three
 barycentric coordinates, annealed toward zero so the final iterates solve
 the unbiased problem.  Positive weights are a check on the finished rule,
 not a term the search minimizes.  The search is one anneal, written as one
-loop over Levenberg-Marquardt steps.  A barrier stage (mu > 0) ends at the
-first of three exits: its step cap, a stall, or the shell term falling to
-STAGE_EXIT_FRAC of the barrier term.  The anneal ends at convergence, at
-its first stall with the barrier off, or after MAX_ITERATIONS steps.  Every
-configuration the search visits is an `_EvalState`: a `WeightSolution`
-(basis values, the weight solve and the shell residual) plus the barrier
-value; that much decides whether a trial step is accepted.  The state the
-search ends on is its outcome: points, weights and residual, with no second
-solve.  Jacobians are formed only for a configuration the search steps from
-(the start or an accepted trial), and the barrier's gradient and Hessian
-only by a step of a barrier stage.  A step damps Gauss-Newton as Levenberg
-did, by lam * s * I with one scalar s, the mean of the normal matrix's
-diagonal with the barrier Hessian added: every unknown is a coordinate in
-the same triangle, so Marquardt's per-coordinate scale buys nothing.  A
-trial step leaving the triangle is cut, before evaluation, to
-BOUNDARY_FRACTION of the way to the first edge it crosses; a trial still
-outside (a step that is not a number) or producing a near-singular
-Vandermonde system is rejected outright.
+loop over Levenberg-Marquardt steps.  A barrier stage (mu > 0) ends at its
+step cap or once the shell term falls to STAGE_EXIT_FRAC of the barrier
+term.  The search ends at convergence, at its first stall (no trial
+accepted up to the largest damping, at any barrier strength) or after
+MAX_ITERATIONS steps.  Every configuration the search visits is an
+`_EvalState`: a `WeightSolution` (basis values, the weight solve and the
+shell residual) plus the barrier value; that much decides whether a trial
+step is accepted.  The state the search ends on is its outcome: points,
+weights and residual, with no second solve.  Jacobians are formed only for
+a configuration the search steps from (the start or an accepted trial), and
+the barrier's gradient and Hessian only by a step of a barrier stage.  A
+step damps Gauss-Newton as Levenberg did, by lam * s * I with one scalar s,
+the mean of the normal matrix's diagonal with the barrier Hessian added:
+every unknown is a coordinate in the same triangle, so Marquardt's
+per-coordinate scale buys nothing.  A trial step leaving the triangle is
+cut, before evaluation, to BOUNDARY_FRACTION of the way to the first edge
+it crosses; a trial still outside (a step that is not a number) or
+producing a near-singular Vandermonde system is rejected outright.
 """
 
 from __future__ import annotations
@@ -174,8 +174,8 @@ def _levenberg_marquardt(
     """Damped Gauss-Newton from (N, 2) `points`, with one annealed log
     barrier, as one loop: each pass ends a barrier stage or takes one step.
 
-    Ends at convergence, at the first stall with the barrier off (a local
-    minimum, left to the next restart) or after MAX_ITERATIONS steps.
+    Ends at convergence, at the first stall (no trial accepted up to the
+    largest damping: the merit is stationary) or after MAX_ITERATIONS steps.
     Returns (state, steps): the state it converged on, or else the
     lowest-residual state it visited, and the number of steps, each from a
     linearized state.  A degenerate start raises DegenerateConfigurationError.
@@ -183,11 +183,11 @@ def _levenberg_marquardt(
     """
     n = spec_d.dim
     mu, lam = BARRIER_START, 1e-3
-    steps, stage_steps, stalled = 0, 0, False
-    # a stage ends at this cap, on a stall or once the shell term is
-    # negligible beside the barrier (STAGE_EXIT_FRAC): it only needs to get
-    # near its barrier-biased optimum before the barrier weakens, and
-    # without the cap the anneal starves on wall-clock
+    steps, stage_steps = 0, 0
+    # a barrier stage ends at this cap or once the shell term is negligible
+    # beside the barrier (STAGE_EXIT_FRAC): it only needs to get near its
+    # biased optimum, and without the cap the anneal starves on wall-clock;
+    # the search ends at convergence, its first stall or MAX_ITERATIONS steps
     stage_cap = 60
     idx = np.arange(n)  # point j owns the diagonal 2x2 block of rows 2j, 2j+1
 
@@ -199,15 +199,11 @@ def _levenberg_marquardt(
             best = state
         if state.converged:
             return state, steps
-        if stalled or stage_steps == stage_cap or (
-            mu > 0.0 and state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier
+        if mu > 0.0 and (
+            stage_steps == stage_cap or state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier
         ):
-            if mu == 0.0 and stalled:
-                break  # a local minimum of the unbiased problem
-            if mu > 0.0:
-                mu = 0.0 if mu < 1e-15 else mu / 10.0
-            lam = min(lam, 1e-3)  # fresh damping: the objective just changed
-            stalled, stage_steps = False, 0
+            mu = 0.0 if mu < 1e-15 else mu / 10.0
+            stage_steps = 0
             continue
         if steps == MAX_ITERATIONS:
             break
@@ -238,8 +234,7 @@ def _levenberg_marquardt(
                 alpha = BOUNDARY_FRACTION * np.min(
                     state.bary[fall] / (state.bary - trial_bary)[fall], initial=np.inf)
                 if 0.0 < alpha < 1.0:
-                    step = alpha * step
-                    trial = state.points + step.reshape(n, 2)
+                    trial = state.points + (alpha * step).reshape(n, 2)
                     trial_bary = ref_to_bary(trial)
             # a NaN coordinate fails every comparison: test for inside
             if not np.all(trial_bary > 0.0):
@@ -253,12 +248,10 @@ def _levenberg_marquardt(
             if trial_state.half_rr + mu * trial_state.barrier < phi:
                 state = trial_state
                 lam = max(lam / 3.0, 1e-14)
-                size = max(1.0, float(np.max(np.abs(state.points))))
-                stalled = float(np.max(np.abs(step))) / size < 1e-15
                 break
             lam *= 10.0
         else:
-            stalled = True  # no acceptable step at this barrier strength
+            break  # no acceptable step at the largest damping: a stationary merit
 
     return best, steps
 
@@ -411,6 +404,8 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
     if points is None:
         raise DegenerateConfigurationError("no start gave a candidate: " + "; ".join(starts))
 
+    # certify the points a rule file stores, so `verify` of that file agrees
+    points = bary_to_ref(ref_to_bary(points)[:, :2])
     rule = QuadratureRule(d, points, weights, metadata={"generator": "triquad"})
     return OptimizeResult(
         rule=replace(rule, certification=certify(rule)),

@@ -4,8 +4,9 @@ Criterion 2's required rows are the desk-scale cardinal degrees 1..5
 (d=6..9, 12 and 13 are included as stretch rows since each runs in under
 five seconds).  Set TRIQUAD_STRETCH to a comma-separated list of degrees
 (e.g. "14") to also generate them with the default two starts; each must
-certify at its table row, except the rows in UNREACHED_ROWS, which are
-reported, not required (d = 10 fails after about 4 s).
+certify at its table row and write its STRETCH_PINS bytes where it has a
+pin, except the rows in UNREACHED_ROWS, which are reported, not required
+(d = 10 fails after about 3 s).
 """
 
 import contextlib
@@ -61,6 +62,9 @@ REQUIRED_DEGREES = [1, 2, 3, 4, 5]
 FAST_STRETCH_DEGREES = [6, 7, 8, 9, 12, 13]
 # e chosen so d + e is the table strength (d=3, 4 sit below the dof bound)
 TARGET_E = {1: 1, 2: 2, 3: 2, 4: 3, 5: 4, 6: 5, 7: 6, 8: 6, 9: 7, 12: 9, 13: 10}
+# the SHA-256 of the file a requested stretch row writes (CI requests 14,
+# at one and at two OpenBLAS threads)
+STRETCH_PINS = {14: "035b80719b2ab74ae4feb45d77d4fb665bf82b7141e9d4ad6f4819dc3b40263c"}
 # table rows that neither start reaches: restart 0 plateaus and node
 # elimination fails at some level
 UNREACHED_ROWS = {10, 11}
@@ -70,17 +74,17 @@ UNREACHED_ROWS = {10, 11}
 # search follows every rounding of the evaluation, so a change that moves
 # one bit of a tabulated value, weight or Jacobian shows here first
 PINNED_RUNS = {
-    1: ("02b602e6f740e20560381dcf8edcad335ccf4402dad6c0ea87ecf20c44e6d6f4", 1, 6),
-    2: ("d34f3324169bf226590b595eb81c23f6355c8ad2f0bb4facfd3c0c5df6e66931", 1, 9),
-    3: ("953c3e44c63085bd16ccc4fcf3c4418e25053f41874d0f0f145741d1d2270fee", 1, 7),
-    4: ("d945bd65aad13bfa462f598b52d6af34c82118b48db6a22c6e0c4eae62e1c997", 1, 6),
-    5: ("301b85b96ca716288392e581b3c6ed877484e6e53727260877d9145bed35f9e5", 1, 9),
-    6: ("3247618a870cfa5594b2f9feb1eb85a351b0c24d687c5c042440e0f8c51efcd9", 1, 63),
-    7: ("417278e84d92843b9c574cc5ad4781752cd7c543b55b80d7f518f6c19cf06bda", 2, 0),
-    8: ("3f5f155c02736222c900827bef54663885d39c440f547891d57b122aa99c7659", 1, 8),
-    9: ("f58a2809f7e8febf1b1006ca1c31ba707838af41944cbaf37f53223b7755c91b", 1, 17),
-    12: ("36acc79c776581ca2896f063218713e385778b680c1f980adf2752dc9d7db759", 2, 0),
-    13: ("8c5f94672e2751f6c43e9a0a18af60eaa3dfa4c2cc5c3eda6d7fa856b33e2973", 1, 114),
+    1: ("ea978667d1d1b24a24897fdd3dd3f1b1a85ddec87a10a46fbf21f0337bdea8b8", 1, 6),
+    2: ("0c2adede51cc811ceb9492e1523043f3ce7fd9f198a7d37a346376f102f3034c", 1, 9),
+    3: ("e9c38b15d23ee18191b16550ccb70f8afe6faeb9cc3a3f9aa0c362e84097e4ea", 1, 7),
+    4: ("bcd811fb316aadc9433783856fbfd0fbd2cb6d2fdaab55c960dec3cf3ef38293", 1, 6),
+    5: ("c2f22a2f881d53566bc11d50d3459ab8ada87eec7e43d73798263e889cd42878", 1, 9),
+    6: ("fee8dd634e26b8cffa88b62a9b6bd2350d1e8052274dad030ca276a1f19cd53a", 1, 63),
+    7: ("b897d307b16207804cd07ec68d247a0b7bdb78299ce351c135ae19cd51b5b3e1", 2, 0),
+    8: ("82c9b163c5ff9db435b19955dc342fcab60299b75b2d6bc371aa09513417cb54", 1, 8),
+    9: ("f6258ee8c7371cc1dddd4510435761ec584c1e13ccc9fd9a4ac60bac782ee4b2", 1, 17),
+    12: ("51b2976fc35a9e7e85d65da6ef8b723092dc839fa9b2a4a8eba722c7eaf9d26a", 2, 0),
+    13: ("0a6510b66b6d35fef47cb65a56e5d649329b6bde38662c4b1ae9c80dcb6ba51c", 1, 114),
 }
 
 
@@ -149,18 +153,22 @@ def test_criterion_1_monomial_oracle_exactness():
 
 
 def _row_checks(rule) -> tuple[bool, str]:
-    """Whether `rule` meets its table row (N, strength, error <= 1e-12,
-    positive weights, interior points), and a line reporting it."""
+    """Whether the parsed file `rule` meets its table row (N, strength,
+    error <= 1e-12, positive weights, interior points) and its header states
+    the file's own strength and max_error, and a line reporting it."""
     n_expect, strength_expect, _ = TABLE_ROWS[rule.cardinal_degree]
     report = certify(rule)
+    header = (rule.metadata.get("header_strength"), rule.metadata.get("header_max_error"))
     good = (
         rule.n_points == n_expect
         and report.strength == strength_expect
         and report.max_error <= 1e-12
         and report.positive_weights
         and bool(np.all(points_inside(rule.points)))
+        and header == (str(report.strength), f"{report.max_error:.3e}")  # as emit_rule writes
     )
-    return good, f"strength={report.strength}/{strength_expect} error={report.max_error:.2e}"
+    return good, (f"strength={report.strength}/{strength_expect} "
+                  f"error={report.max_error:.2e} header_max_error={header[1]}")
 
 
 def test_criterion_2_table_regeneration(generated_rules):
@@ -201,6 +209,10 @@ def test_criterion_2_stretch_rows(generated_rules, tmp_path):
             ]
         )
         good, detail = _row_checks(parse_rule(out.read_text())) if code == 0 else (False, "")
+        if code == 0 and d in STRETCH_PINS:
+            digest = hashlib.sha256(out.read_bytes()).hexdigest()
+            good = good and digest == STRETCH_PINS[d]
+            detail += f" sha256={digest[:12]}"
         print(f"    d={d} (requested stretch): generate exit {code} {detail} "
               f"time={time.time() - t0:.1f}s")
         if not good and d not in UNREACHED_ROWS:

@@ -395,7 +395,7 @@ def test_table_prints_one_text_row_per_rule(tmp_path, capsys):
     # the d = 1 rule's header classifies it asymmetric
     assert capsys.readouterr().out.splitlines() == [
         "  d    N strength      error  notes",
-        "  1    3        2  5.551e-16  asym",
+        "  1    3        2  1.117e-15  asym",
     ]
 
 

@@ -336,5 +336,5 @@ def test_without_the_thread_functions_the_search_keeps_its_bytes(monkeypatch):
     monkeypatch.setattr(triquad.basis, "_openblas_threads", lambda: None)
     text = emit_rule(optimize(1, target_e=1).rule)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "e79bb09ef2817657110f953afe1d240503a3963783f6a570187045eda4307282"
+        "53ad82ab402211f1ec6a2fc0ab9d9b1fece4a9eaa5941c07ae7d93535fbdf9ea"
     )
