@@ -74,9 +74,11 @@ def _cmd_generate(args) -> int:
     rule = replace(result.rule, metadata={**result.rule.metadata, "seed": args.seed})
     report = rule.certification
     if not result.converged:
+        hint = "" if args.e is not None else (
+            f"; the default asked for strength {dof_bound(args.d)}: a lower --e may converge")
         print(
             f"unconverged: best residual {result.best_residual:.3e} after "
-            f"{len(result.starts)} restarts (certified strength {report.strength})",
+            f"{len(result.starts)} restarts (certified strength {report.strength}){hint}",
             file=sys.stderr,
         )
         return 1

@@ -11,9 +11,10 @@ The search has two fixed starts and draws no random number.  Restart 0 is
 one Levenberg-Marquardt run from Warburton's warp-and-blend nodes shrunk
 into the interior, and returns if it converged (largest shell residual at
 most RESIDUAL_TOLERANCE) with positive weights.  Otherwise restart 1
-returns the rule of node elimination as it stands: its points and weights
-solve all of P_{d+e} with interior points and positive weights, which
-reaches rows (d = 7, 12, 14) where restart 0 plateaus and where Newton-Cotes
+returns node elimination's last state as it stands, with the residual of
+the basis values it carries (each point set is tabulated once): it solves
+all of P_{d+e} with interior points and positive weights, which reaches
+rows (d = 7, 12, 14) where restart 0 plateaus and where Newton-Cotes
 weights on the same points cannot reach the tolerance in float64.  There is
 no tie-break.  `optimize` prints nothing and returns one line per start.
 
@@ -53,7 +54,8 @@ import numpy as np
 # inside the first search
 from numpy.polynomial import Legendre
 
-from .basis import BasisSpec, _differentiate, _one_blas_thread, integrals_vector, vandermonde
+from .basis import (BasisEvaluation, BasisSpec, _differentiate, _one_blas_thread,
+                    integrals_vector, vandermonde)
 from .domain import as_point_array, bary_to_ref, gauss_quadrature, ref_to_bary
 from .rule import QuadratureRule, certify, dof_bound
 from .weights import DegenerateConfigurationError, WeightSolution, _point_gradients
@@ -176,8 +178,8 @@ def _levenberg_marquardt(
 
     Ends at convergence, at the first stall (no trial accepted up to the
     largest damping: the merit is stationary) or after MAX_ITERATIONS steps.
-    Returns (state, steps): the state it converged on, or else the
-    lowest-residual state it visited, and the number of steps, each from a
+    Returns (state, steps): the lowest-residual state it visited, which is
+    the converged one if any, and the number of steps, each from a
     linearized state.  A degenerate start raises DegenerateConfigurationError.
     Runs at one OpenBLAS thread, as `optimize` does.
     """
@@ -194,19 +196,13 @@ def _levenberg_marquardt(
     state = _EvalState(spec_d, spec_de, points)
     best = state  # no code writes an _EvalState's points in place
 
-    while True:
-        if state.max_residual < best.max_residual:
-            best = state
-        if state.converged:
-            return state, steps
+    while not state.converged and steps < MAX_ITERATIONS:
         if mu > 0.0 and (
             stage_steps == stage_cap or state.half_rr <= STAGE_EXIT_FRAC * mu * state.barrier
         ):
             mu = 0.0 if mu < 1e-15 else mu / 10.0
             stage_steps = 0
             continue
-        if steps == MAX_ITERATIONS:
-            break
         steps += 1
         stage_steps += 1
 
@@ -252,6 +248,8 @@ def _levenberg_marquardt(
             lam *= 10.0
         else:
             break  # no acceptable step at the largest damping: a stationary merit
+        if state.max_residual < best.max_residual:
+            best = state
 
     return best, steps
 
@@ -283,54 +281,55 @@ def _init_warp_blend(d: int, tau: float) -> np.ndarray:
 
 @_one_blas_thread()
 def _eliminate(spec_d: BasisSpec, spec_s: BasisSpec):
-    """(points, weights) of a rule with dim P_d points, positive weights,
-    interior points and strength s, by node elimination (Xiao & Gimbutas,
-    Comput. Math. Appl. 59, 2010); None where a level fails.
+    """(points, weights, residual) of a rule with dim P_d points, positive
+    weights, interior points and strength s, by node elimination (Xiao &
+    Gimbutas, Comput. Math. Appl. 59, 2010); None where a level fails.
 
     Starts from the tensorized Gauss rule exact to s with at least dim P_d
     points.  Each level drops one point and solves for the others and their
     free weights (`_gauss_newton`), trying the points least significant by
     w_j sum_k g_k(z_j)^2 first and failing after 40 of them (d = 8 at
-    strength 14 needs 10 at one level).
+    strength 14 needs 10 at one level).  A candidate's basis values are its
+    level's with row j deleted, the bits a fresh tabulation gives (the value
+    sweep is pointwise, and np.delete copies C-contiguously, so the BLAS
+    products round alike); `residual` is the last state's max |V^T w - b|.
     """
-    s = spec_s.degree
-    pts, w = gauss_quadrature(max(s // 2 + 1, math.isqrt(spec_d.dim - 1) + 1))
+    pts, w = gauss_quadrature(max(spec_s.degree // 2 + 1, math.isqrt(spec_d.dim - 1) + 1))
+    v = vandermonde(spec_s, pts).values
     while w.size > spec_d.dim:
-        v = vandermonde(spec_s, pts).values
         order = np.argsort(w * np.einsum("jk,jk->j", v, v), kind="stable")
         for j in order[:40]:
-            found = _gauss_newton(spec_s, np.delete(pts, j, axis=0), np.delete(w, j))
+            found = _gauss_newton(spec_s, *(np.delete(a, j, axis=0) for a in (pts, w, v)))
             if found is not None:
-                pts, w = found
+                pts, w, v = found
                 break
         else:
             return None
-    return pts, w
+    return pts, w, float(np.max(np.abs(v.T @ w - integrals_vector(spec_s))))
 
 
-def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
-    """(points, weights) with max |V_s^T w - b| <= RESIDUAL_TOLERANCE, by
-    damped minimum-norm Gauss-Newton over points and weights within 60
-    trials, or None, at once when the damping exceeds ELIMINATION_DAMPING_CAP.
+def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray, v: np.ndarray):
+    """(points, weights, values) with max |V_s^T w - b| <= RESIDUAL_TOLERANCE,
+    from `pts`, `w` and basis values `v` by damped minimum-norm Gauss-Newton
+    over points and weights within 60 trials, or None, at once when the
+    damping exceeds ELIMINATION_DAMPING_CAP.
     A trial is accepted only if its points are interior, its weights
     positive and its residual norm lower.  The Jacobian and its Gram matrix
     are formed once per state a trial steps from: a rejected trial changes
     only the damping."""
     b, m = integrals_vector(spec_s), w.size
-    ev = vandermonde(spec_s, pts)
-    f = ev.values.T @ w - b
+    f = v.T @ w - b
     lam, jac = 1e-6, None
     for _ in range(60):
         if np.max(np.abs(f)) <= RESIDUAL_TOLERANCE:
-            return pts, w
+            return pts, w, v
         if lam > ELIMINATION_DAMPING_CAP:
             return None
         if jac is None:
             # columns 2j + c: coordinate c of point j; then one per weight
-            ev = _differentiate(ev)
             jac = np.empty((f.size, 3 * m))
-            _point_gradients(ev, w, jac[:, : 2 * m])
-            jac[:, 2 * m :] = ev.values.T
+            _point_gradients(_differentiate(BasisEvaluation(v)), w, jac[:, : 2 * m])
+            jac[:, 2 * m :] = v.T
             gram = jac @ jac.T
         try:
             step = -(jac.T @ np.linalg.solve(gram + lam * np.eye(f.size), f))
@@ -339,10 +338,10 @@ def _gauss_newton(spec_s: BasisSpec, pts: np.ndarray, w: np.ndarray):
             continue
         trial, trial_w = pts + step[: 2 * m].reshape(m, 2), w + step[2 * m :]
         if np.all(ref_to_bary(trial) > 0.0) and np.all(trial_w > 0.0):
-            trial_ev = vandermonde(spec_s, trial)
-            trial_f = trial_ev.values.T @ trial_w - b
+            trial_v = vandermonde(spec_s, trial).values
+            trial_f = trial_v.T @ trial_w - b
             if trial_f @ trial_f < f @ f:
-                pts, w, ev, f, jac = trial, trial_w, trial_ev, trial_f, None
+                pts, w, v, f, jac = trial, trial_w, trial_v, trial_f, None
                 lam = max(lam / 10.0, 1e-16)
                 continue
         lam *= 10.0
@@ -356,8 +355,8 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
 
     `target_e` defaults to the degrees-of-freedom bound minus d, the
     highest strength the counting argument allows.  Returns restart 0's
-    state if it converged with positive weights; else elimination's rule
-    (`_eliminate`), with residual max |V^T w - b| over P_{d+target_e};
+    state if it converged with positive weights; else elimination's last
+    state (`_eliminate`), with its residual max |V^T w - b| over P_{d+target_e};
     else, where elimination fails, restart 0's state.  `starts` holds one
     line per start tried.  The rule is certified into `rule.certification`
     (an OracleDisagreementError propagates) and the result is unconverged
@@ -397,9 +396,7 @@ def optimize(d: int, *, target_e: int | None = None) -> OptimizeResult:
         if found is None:
             starts.append("restart 1: elimination failed")
         else:
-            points, weights = found
-            v = vandermonde(spec_de, points).values
-            residual = float(np.max(np.abs(v.T @ weights - integrals_vector(spec_de))))
+            points, weights, residual = found
             starts.append(line(1, residual, 0))
     if points is None:
         raise DegenerateConfigurationError("no start gave a candidate: " + "; ".join(starts))

@@ -251,6 +251,21 @@ def test_generate_reports_an_unconverged_search(capsys):
     )
 
 
+def test_generate_without_e_names_the_default_strength_when_unconverged(capsys):
+    # d = 3 defaults to the degrees-of-freedom bound, strength 6, above the
+    # table's 5: the one stderr line says so and points to --e
+    assert main(["generate", "--d", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert re.fullmatch(
+        r"unconverged: best residual \S+ after 2 restarts \(certified strength \d+\); "
+        r"the default asked for strength 6: a lower --e may converge",
+        lines[0],
+    )
+
+
 def test_generate_reports_an_uncertified_unconverged_search(monkeypatch, capsys):
     def disagreeing_certify(rule):
         raise triquad.rule.OracleDisagreementError("oracles disagree")

@@ -384,7 +384,7 @@ def test_a_search_whose_gauss_newton_matrix_is_zero_stalls_where_it_started(monk
 def test_a_singular_elimination_solve_is_rejected(monkeypatch):
     # _gauss_newton raises its damping on a LinAlgError, as the search does
     calls = _fail_once(monkeypatch, np.linalg, "solve", _singular)
-    pts, w = _eliminate(BasisSpec(2), BasisSpec(4))
+    pts, w, _ = _eliminate(BasisSpec(2), BasisSpec(4))
     assert len(calls) > 1
     assert pts.shape == (6, 2) and np.all(points_inside(pts)) and np.all(w > 0.0)
 
@@ -400,8 +400,10 @@ def test_an_elimination_solve_gives_up_once_its_damping_passes_the_cap(monkeypat
         return np.full(b.shape, 1e6)
 
     pts, w = gauss_quadrature(3)
+    v = vandermonde(BasisSpec(4), pts).values
     monkeypatch.setattr(np.linalg, "solve", outward)
-    assert _gauss_newton(BasisSpec(4), np.delete(pts, 0, axis=0), np.delete(w, 0)) is None
+    start = np.delete(pts, 0, axis=0), np.delete(w, 0), np.delete(v, 0, axis=0)
+    assert _gauss_newton(BasisSpec(4), *start) is None
     assert ELIMINATION_DAMPING_CAP == 1e4 and len(solves) == 11
 
 
@@ -590,10 +592,13 @@ def test_warp_blend_start_matches_the_equilateral_construction(d):
 def test_elimination_reaches_the_table_row(d, s):
     # dim P_d interior points and positive weights that certify strength s
     # as they stand: optimize returns them so
-    pts, w = _eliminate(BasisSpec(d), BasisSpec(s))
+    pts, w, residual = _eliminate(BasisSpec(d), BasisSpec(s))
     assert pts.shape == (dim_poly(d), 2) and np.all(ref_to_bary(pts) > 0.0)
     v = vandermonde(BasisSpec(s), pts).values
-    assert np.max(np.abs(v.T @ w - integrals_vector(BasisSpec(s)))) <= RESIDUAL_TOLERANCE
+    fresh = np.max(np.abs(v.T @ w - integrals_vector(BasisSpec(s))))
+    assert fresh <= RESIDUAL_TOLERANCE
+    # the residual elimination hands over is that of a fresh tabulation
+    assert residual == fresh
     report = certify(QuadratureRule(d, pts, w))
     assert report.strength == s and report.max_error <= 1e-14
     assert report.positive_weights and report.all_interior
@@ -608,7 +613,7 @@ THREAD_PROBES = {
     "d7_elimination": [
         "-c", "import hashlib; from triquad.basis import BasisSpec; "
         "from triquad.optimizer import _eliminate; "
-        "pts, w = _eliminate(BasisSpec(7), BasisSpec(13)); "
+        "pts, w, _ = _eliminate(BasisSpec(7), BasisSpec(13)); "
         "print(hashlib.sha256(pts.tobytes() + w.tobytes()).hexdigest())",
     ],
     "d9_search": [
@@ -688,12 +693,28 @@ def test_elimination_forms_one_jacobian_per_state(monkeypatch):
 
     monkeypatch.setattr(triquad.optimizer, "_differentiate", recording_sweep)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    pts, _ = _eliminate(BasisSpec(7), BasisSpec(13))
+    pts, _, _ = _eliminate(BasisSpec(7), BasisSpec(13))
     assert hashlib.sha256(pts.tobytes()).hexdigest() == (
         "e0c558cc0df5d22bfa62e42ce7590db74fd4a9637878ee938ebac9a287409fb7"
     )
     assert len(set(states)) == len(states)
     assert len(solves) > len(states)  # some trials were rejected
+
+
+def test_no_point_set_is_tabulated_twice(monkeypatch):
+    # elimination's states carry their basis values: a candidate's are its
+    # level's with a row deleted, and restart 1's residual is its last
+    # state's, so the search tabulates each point set it visits once
+    digests, tabulate = [], triquad.optimizer.vandermonde
+
+    def recording(spec, points, *args, **kwargs):
+        digests.append(hashlib.sha256(np.asarray(points).tobytes()).digest())
+        return tabulate(spec, points, *args, **kwargs)
+
+    monkeypatch.setattr(triquad.optimizer, "vandermonde", recording)
+    result = optimize(7, target_e=6)
+    assert len(result.starts) == 2 and result.converged
+    assert len(digests) > 1 and len(set(digests)) == len(digests)
 
 
 def test_elimination_fails_where_the_strength_is_out_of_reach():
@@ -870,7 +891,7 @@ def test_restart_0_is_the_result_where_elimination_fails(case, monkeypatch):
 def test_a_converged_restart_0_with_a_negative_weight_hands_over_to_elimination(monkeypatch):
     _, starts = _stub_search(monkeypatch, True, False, 5e-15)
     result = optimize(1, target_e=1)
-    pts, w = _eliminate(BasisSpec(1), BasisSpec(2))
+    pts, w, _ = _eliminate(BasisSpec(1), BasisSpec(2))
     v = vandermonde(BasisSpec(2), pts).values
     residual = float(np.max(np.abs(v.T @ w - integrals_vector(BasisSpec(2)))))
     assert result.starts[1] == f"restart 1: residual {residual:.3e} after 0 iterations (converged)"
